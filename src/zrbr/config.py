@@ -38,6 +38,11 @@ class SimConfig:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ConfigurationError(f"t_end must be >= 0, got {self.t_end}")
+        n_steps = round(self.t_end / self.dt)
+        if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ConfigurationError(
+                f"t_end {self.t_end:g} is not a whole number of steps of dt {self.dt:g}"
+            )
         if self.recipe not in RECIPES:
             raise ConfigurationError(f"unknown initial-data recipe {self.recipe!r}")
         if self.recipe == "random-band-limited" and self.seed is None:

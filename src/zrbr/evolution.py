@@ -1,9 +1,11 @@
-"""Time integration: Strang split-step for the physical system and a
-literal cutoff Duhamel-Picard iterator for the half-wave system."""
+"""Time integration: a Fourier-space Strang split-step for the physical
+system and a literal cutoff Duhamel-Picard iterator for the half-wave
+system."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +22,15 @@ from .model import (
     nonlinearity_H,
     psi_time_derivative,
 )
-from .spectral import ComplexField, Grid, dealias_mask, to_frequency, to_physical
+from .spectral import (
+    FREQUENCY,
+    ComplexField,
+    Grid,
+    dealias_mask,
+    make_multiplier,
+    to_frequency,
+    to_physical,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -65,85 +75,141 @@ def make_cutoff(T: float, times) -> CutoffProfile:
 # ---------------------------------------------------------------------------
 # Strang split-step integrator
 # ---------------------------------------------------------------------------
+#
+# The integrator works on Fourier coefficients.  The linear flow is a
+# pointwise product there, and once |psi|^2 is known the nonlinear substep is
+# linear in (rho_hat, phi_hat).  A step therefore needs four FFTs: psi to
+# physical space, |psi|^2 back, the coupling phase to physical space, and the
+# rotated psi back.  The symbols it multiplies by are built once per
+# (grid, dt, epsilon, dealias) and cached.
+
+_FIELDS = ("psi", "rho", "phi")
+
+
+@dataclass(frozen=True, eq=False)
+class _LinearPropagator:
+    """Symbols of the exact linear flow over one time t."""
+
+    schrodinger: np.ndarray  # exp(-i epsilon t |xi|^2)
+    cos: np.ndarray  # cos(|xi| t)
+    omega_sin: np.ndarray  # |xi| sin(|xi| t)
+    sinc: np.ndarray  # sin(|xi| t) / |xi|, and t at xi = 0
+
+    def apply(self, psi_h, rho_h, phi_h):
+        """The flowed coefficients (see _linear_flow)."""
+        return (
+            psi_h * self.schrodinger,
+            self.cos * rho_h + self.omega_sin * phi_h,
+            self.cos * phi_h - self.sinc * rho_h,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _StepPropagators:
+    """What a Strang step multiplies by, for one (grid, dt, epsilon, dealias)."""
+
+    half: _LinearPropagator  # the linear flow over dt/2
+    dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane
+    mask: np.ndarray | None  # the 2/3 rule, None without dealiasing
+
+
+def _symbol(a: np.ndarray) -> np.ndarray:
+    """A cached symbol: complex128, because numpy multiplies two complex
+    arrays faster than a real one by a complex one, and read-only, because
+    every caller shares it."""
+    a = np.asarray(a, dtype=np.complex128)
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
+def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagator:
+    absxi = grid.xi_modulus
+    return _LinearPropagator(
+        schrodinger=_symbol(make_multiplier(grid, "schrodinger_group", t=epsilon * t).symbol),
+        cos=_symbol(np.cos(absxi * t)),
+        omega_sin=_symbol(absxi * np.sin(absxi * t)),
+        sinc=_symbol(make_multiplier(grid, "wave_source_propagator", t=t).symbol),
+    )
+
+
+@lru_cache(maxsize=8)
+def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _StepPropagators:
+    return _StepPropagators(
+        half=_linear_propagator(grid, dt / 2.0, epsilon),
+        dx=_symbol(make_multiplier(grid, "dx").symbol),
+        mask=_symbol(dealias_mask(grid)) if dealias else None,
+    )
+
+
+def _coefficients(state: ZRState) -> list[np.ndarray]:
+    return [to_frequency(getattr(state, name)).values for name in _FIELDS]
+
+
+def _like(state: ZRState, coeffs) -> ZRState:
+    """A state of the given coefficients, each field in the representation
+    of the same field of state."""
+    fields = []
+    for name, c in zip(_FIELDS, coeffs):
+        f = ComplexField(state.grid, c, FREQUENCY)
+        fields.append(f if getattr(state, name).space == FREQUENCY else to_physical(f))
+    return ZRState(*fields)
+
 
 def _linear_flow(state: ZRState, t: float, params: ModelParams) -> ZRState:
     """Exact spectral flow of the linear part over time t.
 
     psi by the free Schrodinger group (scaled by epsilon); (rho, phi) by the
     exact rotation of rho_t = -Lap phi, phi_t = -rho.  The zero mode keeps
-    rho constant and moves phi by -t*rho.
+    rho constant and moves phi by -t*rho.  Each field comes back in the
+    representation it was given in.
     """
-    grid = state.grid
-    xi2 = grid.xi_squared
-    absxi = grid.xi_modulus
+    flow = _linear_propagator(state.grid, t, params.epsilon)
+    return _like(state, flow.apply(*_coefficients(state)))
 
-    psi_h = to_frequency(state.psi).values * np.exp(-1j * params.epsilon * t * xi2)
 
-    rho_h = to_frequency(state.rho).values
-    phi_h = to_frequency(state.phi).values
-    c = np.cos(absxi * t)
-    s = np.sin(absxi * t)
-    sinc = np.empty_like(absxi)
-    nz = absxi > 0
-    sinc[nz] = s[nz] / absxi[nz]
-    sinc[~nz] = t
-    rho_new = c * rho_h + absxi * s * phi_h
-    phi_new = -sinc * rho_h + c * phi_h
+def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _StepPropagators):
+    """L(dt/2) N(dt) L(dt/2) on Fourier coefficients, with four FFTs.
 
-    return ZRState(
-        ComplexField(grid, psi_h, "frequency"),
-        to_physical(ComplexField(grid, rho_new, "frequency")),
-        to_physical(ComplexField(grid, phi_new, "frequency")),
-    )
+    The nonlinear substep uses that |psi|^2 is invariant under the phase
+    rotation: rho and phi are advanced with the frozen source, and psi is
+    rotated with the substep means of rho and phi_x.
+    """
+    psi_h, rho_h, phi_h = prop.half.apply(psi_h, rho_h, phi_h)
+
+    psi = np.fft.ifftn(psi_h, norm="ortho")
+    a2 = np.abs(psi) ** 2
+    a2_h = np.fft.fftn(a2, norm="ortho")
+    if prop.mask is not None:
+        a2_h *= prop.mask
+
+    rho_new = rho_h - (dt * params.D) * (prop.dx * a2_h)
+    phi_new = phi_h - dt * a2_h
+
+    # The source moves rho by -dt D (|psi|^2)_x and phi_x by -dt (|psi|^2)_x,
+    # so the substep mean rho_bar + D phi_x_bar equals rho_new + D (phi_h)_x.
+    coupling = np.fft.ifftn(rho_new + params.D * (prop.dx * phi_h), norm="ortho").real
+    phase = params.sigma2 * a2 + params.W * coupling
+    psi_h = np.fft.fftn(psi * np.exp(-1j * params.epsilon * dt * phase), norm="ortho")
+
+    return prop.half.apply(psi_h, rho_new, phi_new)
 
 
 def strang_step(state: ZRState, dt: float, params: ModelParams, dealias: bool = True) -> ZRState:
     """One Strang step L(dt/2) N(dt) L(dt/2).
 
-    The nonlinear substep exploits that |psi|^2 is invariant under the phase
-    rotation: rho and phi are advanced with the frozen source, and psi is
-    rotated with the substep-time-averaged rho and phi_x.
+    Works on Fourier coefficients: a state given in frequency space costs
+    four FFTs, and each field comes back in the representation it was
+    given in.  Raises DivergenceError when a field turns non-finite.
     """
     if dt == 0.0:
         return state.copy()
 
-    grid = state.grid
-    half = _linear_flow(state, dt / 2.0, params)
+    prop = _step_propagators(state.grid, dt, params.epsilon, dealias)
+    out = _like(state, _strang_coefficients(*_coefficients(state), dt, params, prop))
 
-    psi = to_physical(half.psi).values
-    rho = to_physical(half.rho).values.real
-    phi = to_physical(half.phi).values.real
-    a2 = np.abs(psi) ** 2
-
-    a2_h = np.fft.fftn(a2, norm="ortho")
-    if dealias:
-        a2_h = a2_h * dealias_mask(grid)
-    xi1 = grid.frequencies()[0]
-    a2_x = np.fft.ifftn(1j * xi1 * a2_h, norm="ortho").real
-    a2_smooth = np.fft.ifftn(a2_h, norm="ortho").real
-
-    rho_new = rho - dt * params.D * a2_x
-    phi_new = phi - dt * a2_smooth
-
-    phi_x = np.fft.ifftn(1j * xi1 * np.fft.fftn(phi, norm="ortho"), norm="ortho").real
-    phi_new_x = np.fft.ifftn(1j * xi1 * np.fft.fftn(phi_new, norm="ortho"), norm="ortho").real
-
-    rho_bar = 0.5 * (rho + rho_new)
-    phi_x_bar = 0.5 * (phi_x + phi_new_x)
-    phase = params.sigma2 * a2 + params.W * rho_bar + params.W * params.D * phi_x_bar
-    psi_new = psi * np.exp(-1j * params.epsilon * dt * phase)
-
-    mid = ZRState(
-        ComplexField(grid, psi_new, "physical"),
-        ComplexField(grid, rho_new + 0j, "physical"),
-        ComplexField(grid, phi_new + 0j, "physical"),
-    )
-    out = _linear_flow(mid, dt / 2.0, params)
-    out = ZRState(to_physical(out.psi), out.rho, out.phi)
-
-    for name in ("psi", "rho", "phi"):
-        vals = getattr(out, name).values
-        if not np.all(np.isfinite(vals)):
+    for name in _FIELDS:
+        if not np.all(np.isfinite(getattr(out, name).values)):
             raise DivergenceError(f"non-finite {name} after step", time=None)
     return out
 
@@ -180,9 +246,12 @@ class Trajectory:
 def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     """Integrate from t=0 to t_end, recording diagnostics every stride steps.
 
-    The divergence proxy stops the run as soon as any field's sup-norm
-    exceeds blowup_factor times its initial value; the partial trajectory is
-    attached to the raised DivergenceError.
+    The state is carried as Fourier coefficients from step to step.  The
+    divergence proxy stops the run as soon as any field's sup-norm exceeds
+    blowup_factor times its initial value; the partial trajectory is
+    attached to the raised DivergenceError.  The physical fields the proxy
+    needs after each step (three inverse FFTs) also feed the diagnostics
+    rows and the stored states.
     """
     state = make_initial_state(config)
     traj = Trajectory(store_states=store_states)
@@ -193,22 +262,24 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     n_steps = int(round(config.t_end / config.dt))
     raw_sup = {
         name: float(np.max(np.abs(to_physical(getattr(state, name)).values)))
-        for name in ("psi", "rho", "phi")
+        for name in _FIELDS
     }
     # Fields starting at zero are judged against the largest initial field,
     # otherwise any excitation at all would trip the proxy.
     floor = max(max(raw_sup.values()), 1e-300)
     initial_sup = {name: max(v, floor) for name, v in raw_sup.items()}
 
+    spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
     t = 0.0
     for k in range(n_steps):
         try:
-            state = strang_step(state, config.dt, config.params, dealias=config.dealias)
+            spectral = strang_step(spectral, config.dt, config.params, dealias=config.dealias)
         except DivergenceError as err:
             raise DivergenceError(str(err), time=t, trajectory=traj) from None
         t = (k + 1) * config.dt
+        state = ZRState(*(to_physical(getattr(spectral, name)) for name in _FIELDS))
         for name, sup0 in initial_sup.items():
-            sup = np.max(np.abs(to_physical(getattr(state, name)).values))
+            sup = np.max(np.abs(getattr(state, name).values))
             if sup > config.blowup_factor * sup0:
                 raise DivergenceError(
                     f"{name} sup-norm exceeded {config.blowup_factor:g} x initial",

@@ -95,13 +95,26 @@ def write_report(path: str, report: dict):
         fh.write("\n")
 
 
-def make_report(command: str, config_echo: dict, master_seed, payload: dict) -> dict:
+def _short_float(x: float) -> str:
+    """Shortest %g text that round-trips x, with an unpadded exponent (1e6)."""
+    for digits in range(1, 18):
+        text = f"{x:.{digits}g}"
+        if float(text) == x:
+            break
+    mantissa, _, exponent = text.partition("e")
+    return mantissa + (f"e{int(exponent)}" if exponent else "")
+
+
+def make_report(command: str, config_echo: dict, master_seed, payload: dict,
+                blowup_factor: float = 1e6) -> dict:
     return {
         "command": command,
         "config": config_echo,
         "tool_version": __version__,
         "master_seed": master_seed,
-        "divergence_proxy": "sup-norm growth factor 1e6 over the initial field",
+        "divergence_proxy": (
+            f"sup-norm growth factor {_short_float(blowup_factor)} over the initial field"
+        ),
         "payload": payload,
     }
 
@@ -226,7 +239,7 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
         "energy_initial": traj.energy[0] if traj.energy else 0.0,
         "energy_final": traj.energy[-1] if traj.energy else 0.0,
     }
-    report = make_report("simulate", echo, echo.get("seed"), payload)
+    report = make_report("simulate", echo, echo.get("seed"), payload, config.blowup_factor)
     write_report(os.path.join(out_dir, "report.json"), report)
     return code, report
 
@@ -283,7 +296,8 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
         "alpha_hat": alpha_hat,
         "t_proxy_nondecreasing": all(b >= a for a, b in zip(t_list, t_list[1:])),
     }
-    report = make_report("epsilon-scaling", echo, echo.get("seed"), payload)
+    report = make_report("epsilon-scaling", echo, echo.get("seed"), payload,
+                         config.blowup_factor)
     write_report(os.path.join(out_dir, "report.json"), report)
     return EXIT_OK, report
 

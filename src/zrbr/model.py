@@ -52,7 +52,8 @@ class ModelParams:
 
 @dataclass
 class ZRState:
-    """Physical triple (psi, rho, phi) with optional time-derivative slots."""
+    """The triple (psi, rho, phi), each field tagged physical or frequency,
+    with optional time-derivative slots."""
 
     psi: ComplexField
     rho: ComplexField
@@ -276,11 +277,12 @@ def energy(state: ZRState, params: ModelParams) -> float:
     grid = state.grid
     psi = to_physical(state.psi).values
     rho = to_physical(state.rho).values.real
-    phi = to_physical(state.phi).values.real
 
-    grad2_psi = _gradient_sq(state.psi)
-    grad2_phi = _gradient_sq(state.phi)
-    phi_x = to_physical(apply_symbol(grid, "dx", to_physical(state.phi))).values.real
+    grad2_psi, _ = _gradient_sq(state.psi)
+    grad2_phi, phi_x = _gradient_sq(state.phi)
+    # The real part drops the axis-0 Nyquist plane, whose contribution to
+    # the derivative of a real field is imaginary.
+    phi_x = phi_x.real
 
     a2 = np.abs(psi) ** 2
     dens = (
@@ -294,12 +296,17 @@ def energy(state: ZRState, params: ModelParams) -> float:
     return float(np.sum(dens) * grid.cell_volume)
 
 
-def _gradient_sq(f: ComplexField) -> np.ndarray:
-    """Pointwise |grad f|^2 computed spectrally."""
+def _gradient_sq(f: ComplexField) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise |grad f|^2 computed spectrally, and the axis-0 component
+    of grad f (physical space, complex) that it sums."""
     grid = f.grid
     fh = to_frequency(f)
-    total = np.zeros(grid.shape)
-    for xi in grid.frequencies():
-        comp = to_physical(ComplexField(grid, 1j * xi * fh.values, "frequency")).values
+    components = (
+        to_physical(ComplexField(grid, 1j * xi * fh.values, "frequency")).values
+        for xi in grid.frequencies()
+    )
+    d_x = next(components)
+    total = np.abs(d_x) ** 2
+    for comp in components:
         total += np.abs(comp) ** 2
-    return total
+    return total, d_x

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,17 @@ from zrbr.evolution import (
     smooth_cutoff,
     strang_step,
 )
-from zrbr.model import ModelParams, PlusMinusState, ZRState
-from zrbr.spectral import ComplexField, Grid, to_physical, zero_field
+from zrbr.model import ModelParams, PlusMinusState, ZRState, mass
+from zrbr.spectral import (
+    ComplexField,
+    Grid,
+    dealias_mask,
+    to_frequency,
+    to_physical,
+    zero_field,
+)
+
+FIELDS = ("psi", "rho", "phi")
 
 
 def small_grid():
@@ -37,6 +48,106 @@ def random_state(grid, seed, scale=1.0):
         ComplexField(grid, rho + 0j),
         ComplexField(grid, phi + 0j),
     )
+
+
+def random_state_nd(grid, seed, scale=1.0, band=3):
+    """Smooth random state on a 2D or 3D grid: complex psi, real rho, phi."""
+    rng = np.random.default_rng(seed)
+
+    def smooth():
+        hat = np.zeros(grid.shape, dtype=np.complex128)
+        for m in itertools.product(range(-band, band + 1), repeat=grid.dim):
+            hat[tuple(np.mod(m, grid.n))] = rng.normal() + 1j * rng.normal()
+        vals = np.fft.ifftn(hat, norm="ortho")
+        return scale * vals / np.max(np.abs(vals))
+
+    psi, rho, phi = smooth(), smooth().real, smooth().real
+    return ZRState(
+        ComplexField(grid, psi),
+        ComplexField(grid, rho + 0j),
+        ComplexField(grid, phi + 0j),
+    )
+
+
+def in_frequency(state):
+    return ZRState(*(to_frequency(getattr(state, name)) for name in FIELDS))
+
+
+def max_rel_diff(a, b):
+    """max |a - b| / max |b| over physical values."""
+    a = to_physical(a).values
+    b = to_physical(b).values
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+# ---------------------------------------------------------------------------
+# Reference integrator: a frozen copy of the physical-space Strang step that
+# the Fourier-space integrator replaced (19 FFTs a step).  The equivalence
+# tests below hold the package to it.
+# ---------------------------------------------------------------------------
+
+def reference_linear_flow(state, t, params):
+    grid = state.grid
+    xi2 = grid.xi_squared
+    absxi = grid.xi_modulus
+
+    psi_h = to_frequency(state.psi).values * np.exp(-1j * params.epsilon * t * xi2)
+
+    rho_h = to_frequency(state.rho).values
+    phi_h = to_frequency(state.phi).values
+    c = np.cos(absxi * t)
+    s = np.sin(absxi * t)
+    sinc = np.empty_like(absxi)
+    nz = absxi > 0
+    sinc[nz] = s[nz] / absxi[nz]
+    sinc[~nz] = t
+    rho_new = c * rho_h + absxi * s * phi_h
+    phi_new = -sinc * rho_h + c * phi_h
+
+    return ZRState(
+        ComplexField(grid, psi_h, "frequency"),
+        to_physical(ComplexField(grid, rho_new, "frequency")),
+        to_physical(ComplexField(grid, phi_new, "frequency")),
+    )
+
+
+def reference_strang_step(state, dt, params, dealias=True):
+    if dt == 0.0:
+        return state.copy()
+
+    grid = state.grid
+    half = reference_linear_flow(state, dt / 2.0, params)
+
+    psi = to_physical(half.psi).values
+    rho = to_physical(half.rho).values.real
+    phi = to_physical(half.phi).values.real
+    a2 = np.abs(psi) ** 2
+
+    a2_h = np.fft.fftn(a2, norm="ortho")
+    if dealias:
+        a2_h = a2_h * dealias_mask(grid)
+    xi1 = grid.frequencies()[0]
+    a2_x = np.fft.ifftn(1j * xi1 * a2_h, norm="ortho").real
+    a2_smooth = np.fft.ifftn(a2_h, norm="ortho").real
+
+    rho_new = rho - dt * params.D * a2_x
+    phi_new = phi - dt * a2_smooth
+
+    phi_x = np.fft.ifftn(1j * xi1 * np.fft.fftn(phi, norm="ortho"), norm="ortho").real
+    phi_new_x = np.fft.ifftn(1j * xi1 * np.fft.fftn(phi_new, norm="ortho"), norm="ortho").real
+
+    rho_bar = 0.5 * (rho + rho_new)
+    phi_x_bar = 0.5 * (phi_x + phi_new_x)
+    phase = params.sigma2 * a2 + params.W * rho_bar + params.W * params.D * phi_x_bar
+    psi_new = psi * np.exp(-1j * params.epsilon * dt * phase)
+
+    mid = ZRState(
+        ComplexField(grid, psi_new, "physical"),
+        ComplexField(grid, rho_new + 0j, "physical"),
+        ComplexField(grid, phi_new + 0j, "physical"),
+    )
+    out = reference_linear_flow(mid, dt / 2.0, params)
+    return ZRState(to_physical(out.psi), out.rho, out.phi)
 
 
 class TestSmoothCutoff:
@@ -128,6 +239,103 @@ class TestStrangStep:
         e1 = np.max(np.abs(final_psi(2e-3) - ref))
         e2 = np.max(np.abs(final_psi(1e-3) - ref))
         assert 3.5 <= e1 / e2 <= 4.7
+
+
+EQUIVALENCE_PARAMS = ModelParams(sigma2=-1.0, W=1.3, D=0.5, epsilon=0.7)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("space", ["frequency", "physical"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("grid", [Grid(2, 32, 4 * np.pi), Grid(3, 16, 4 * np.pi)],
+                             ids=["2d", "3d"])
+    def test_fifty_steps_match_reference(self, grid, dealias, space):
+        start = random_state_nd(grid, 5, scale=2.0)
+        ref = start
+        cur = in_frequency(start) if space == "frequency" else start
+        for _ in range(50):
+            ref = reference_strang_step(ref, 1e-2, EQUIVALENCE_PARAMS, dealias)
+            cur = strang_step(cur, 1e-2, EQUIVALENCE_PARAMS, dealias)
+        for name in FIELDS:
+            assert getattr(cur, name).space == space
+            assert max_rel_diff(getattr(cur, name), getattr(ref, name)) <= 1e-12, name
+
+    def test_linear_flow_matches_reference(self):
+        st = random_state_nd(Grid(3, 16, 4 * np.pi), 6)
+        new = _linear_flow(st, 0.37, EQUIVALENCE_PARAMS)
+        ref = reference_linear_flow(st, 0.37, EQUIVALENCE_PARAMS)
+        for name in FIELDS:
+            assert max_rel_diff(getattr(new, name), getattr(ref, name)) <= 1e-12, name
+
+    def test_diagnostics_match_reference_loop(self):
+        cfg = SimConfig(dim=2, n=32, length=8 * np.pi, dt=1e-2, t_end=0.5,
+                        params=EQUIVALENCE_PARAMS, recipe="gaussian", width=1.5,
+                        normalize_h1=2.0, diagnostics_stride=7)
+        traj = run_simulation(cfg)
+
+        ref = Trajectory()
+        state = make_initial_state(cfg)
+        ref.record(0.0, state, cfg.params)
+        for k in range(50):
+            state = reference_strang_step(state, cfg.dt, cfg.params, cfg.dealias)
+            if (k + 1) % 7 == 0 or k == 49:
+                ref.record((k + 1) * cfg.dt, state, cfg.params)
+
+        assert traj.times == ref.times
+        for column in ("mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"):
+            a, b = np.array(getattr(traj, column)), np.array(getattr(ref, column))
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), column
+        for name in FIELDS:
+            assert max_rel_diff(getattr(traj.states[-1], name), getattr(state, name)) <= 1e-12
+
+
+class TestStrangProperties:
+    """Seeded random states, couplings and times."""
+
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid(int(rng.integers(2, 4)), 16, float(rng.uniform(2.0, 8.0)) * np.pi)
+        params = ModelParams(
+            sigma2=float(rng.uniform(-2.0, 2.0)),
+            W=float(rng.uniform(0.0, 2.0)),
+            D=float(rng.uniform(-1.0, 1.0)),
+            epsilon=float(rng.uniform(0.2, 2.0)),
+        )
+        state = random_state_nd(grid, seed + 100, scale=float(rng.uniform(0.1, 2.0)))
+        return rng, grid, params, state
+
+    @staticmethod
+    def _wave_energy(state):
+        grid = state.grid
+        phi_h = to_frequency(state.phi).values
+        grad2 = np.sum(grid.xi_squared * np.abs(phi_h) ** 2) * grid.cell_volume
+        return state.rho.l2_norm() ** 2 + grad2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_flow_is_unitary(self, seed):
+        rng, _, params, st = self._case(seed)
+        out = _linear_flow(st, float(rng.uniform(-2.0, 2.0)), params)
+        assert out.psi.l2_norm() == pytest.approx(st.psi.l2_norm(), rel=1e-12)
+        assert self._wave_energy(out) == pytest.approx(self._wave_energy(st), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_flow_is_reversible(self, seed):
+        rng, _, params, st = self._case(seed)
+        t = float(rng.uniform(-2.0, 2.0))
+        back = _linear_flow(_linear_flow(st, t, params), -t, params)
+        for name in FIELDS:
+            assert max_rel_diff(getattr(back, name), getattr(st, name)) <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_strang_step_conserves_mass(self, seed):
+        rng, _, params, st = self._case(seed)
+        dt = float(rng.uniform(1e-3, 2e-2))
+        dealias = bool(rng.integers(2))
+        cur = in_frequency(st)
+        for _ in range(20):
+            cur = strang_step(cur, dt, params, dealias)
+        assert mass(cur) == pytest.approx(mass(st), rel=1e-12)
 
 
 class TestRunSimulation:

@@ -107,6 +107,16 @@ class TestSnapshots:
             read_snapshot(str(path))
 
 
+class TestHorizon:
+    def test_horizon_must_be_whole_steps(self, tmp_path):
+        # 1.0 / 0.3 steps would silently stop at t = 0.9.
+        doc = {**BASE_DOC, "dt": 0.3, "t_end": 1.0}
+        with pytest.raises(ConfigurationError, match="whole number of steps"):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
+
+
 class TestSimulate:
     def test_zero_horizon_emits_single_row(self, tmp_path):
         cfg, echo = config_from_dict({**BASE_DOC, "t_end": 0.0})
@@ -132,6 +142,22 @@ class TestSimulate:
         code, report = cmd_simulate(cfg, echo, str(tmp_path / "out"))
         assert code == 3
         assert report["payload"]["diverged_at"] is not None
+
+
+    def test_report_names_configured_blowup_factor(self, tmp_path):
+        _, report = cmd_simulate(*config_from_dict(BASE_DOC), str(tmp_path / "a"))
+        assert report["divergence_proxy"] == (
+            "sup-norm growth factor 1e6 over the initial field"
+        )
+        doc = {**BASE_DOC, "blowup_factor": 0.5, "t_end": 0.01}
+        _, report = cmd_simulate(*config_from_dict(doc), str(tmp_path / "b"))
+        assert report["divergence_proxy"] == (
+            "sup-norm growth factor 0.5 over the initial field"
+        )
+        _, report = cmd_epsilon_scaling(*config_from_dict(doc), [1.0, 0.5], str(tmp_path / "c"))
+        assert report["divergence_proxy"] == (
+            "sup-norm growth factor 0.5 over the initial field"
+        )
 
 
 class TestEpsilonScaling:

@@ -15,7 +15,14 @@ from zrbr.model import (
     psi_time_derivative,
     recombine,
 )
-from zrbr.spectral import ComplexField, Grid, apply_symbol, to_frequency, zero_field
+from zrbr.spectral import (
+    ComplexField,
+    Grid,
+    apply_symbol,
+    to_frequency,
+    to_physical,
+    zero_field,
+)
 
 
 def random_field(grid, seed, band=3):
@@ -249,6 +256,45 @@ class TestConservedQuantities:
         )
         expected = np.sum(dens) * grid.cell_volume
         assert energy(st, params) == pytest.approx(expected, rel=1e-10)
+
+
+def reference_energy(state, params):
+    """Frozen copy of the energy functional that took phi_x through its own
+    "dx" multiplier round trip."""
+    grid = state.grid
+    psi = to_physical(state.psi).values
+    rho = to_physical(state.rho).values.real
+
+    def grad_sq(f):
+        fh = to_frequency(f)
+        total = np.zeros(grid.shape)
+        for xi in grid.frequencies():
+            comp = to_physical(ComplexField(grid, 1j * xi * fh.values, "frequency")).values
+            total += np.abs(comp) ** 2
+        return total
+
+    phi_x = to_physical(apply_symbol(grid, "dx", to_physical(state.phi))).values.real
+    a2 = np.abs(psi) ** 2
+    dens = (
+        grad_sq(state.psi)
+        + 0.5 * params.W * rho**2
+        + 0.5 * params.W * grad_sq(state.phi)
+        + 0.5 * params.sigma2 * a2**2
+        + params.W * rho * a2
+        + params.D * params.W * a2 * phi_x
+    )
+    return float(np.sum(dens) * grid.cell_volume)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_energy_matches_reference_functional(dim):
+    grid = Grid(dim, 16, 4 * np.pi)
+    params = ModelParams(sigma2=-1.0, W=2.0, D=0.5)
+    phi = real_random_field(grid, 52)
+    # A round-off imaginary part, as the integrator leaves on phi.
+    phi = ComplexField(grid, phi.values + 1e-15j * random_field(grid, 53).values.real)
+    st = ZRState(random_field(grid, 50), real_random_field(grid, 51), phi)
+    assert energy(st, params) == pytest.approx(reference_energy(st, params), rel=1e-12)
 
 
 def test_psi_time_derivative_scales_with_epsilon(grid):
