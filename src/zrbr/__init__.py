@@ -16,6 +16,7 @@ from .bourgain import (
     mixed_norm,
     random_band_limited,
     retarded_convolution,
+    smooth_cutoff,
     strichartz_ratio,
     xsb_norm,
     ys_norm,
@@ -32,10 +33,8 @@ from .errors import (
 from .evolution import (
     PicardReport,
     Trajectory,
-    make_cutoff,
     picard_iterate,
     run_simulation,
-    smooth_cutoff,
     strang_step,
 )
 from .exponents import (

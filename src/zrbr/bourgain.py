@@ -18,11 +18,28 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
-from .evolution import smooth_cutoff
 from .exponents import strichartz_exponents
 from .spectral import ComplexField, Grid
 
 _TWO_PI = 2.0 * np.pi
+
+
+def smooth_cutoff(t):
+    """Even C-infinity bump: 1 on |t| <= 1, 0 on |t| >= 2.
+
+    The bridge on 1 < |t| < 2 is the standard exp(-1/x) partition of unity.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    out[a <= 1.0] = 1.0
+    mid = (a > 1.0) & (a < 2.0)
+    if np.any(mid):
+        s = a[mid] - 1.0  # in (0, 1)
+        f_up = np.exp(-1.0 / (1.0 - s))
+        f_down = np.exp(-1.0 / s)
+        out[mid] = f_up / (f_up + f_down)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -194,10 +211,9 @@ def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion
     grid = g.grid
     ghat = np.fft.fftn(np.asarray(g.values, dtype=np.complex128), norm="ortho") \
         if g.space == "physical" else g.values
-    p = disp.phase(grid)
     proto = SpaceTimeField(grid, t_half, np.zeros((n_time,) + grid.shape, dtype=np.complex128))
-    prop = np.exp(-1j * proto.times.reshape((-1,) + (1,) * grid.dim) * p[None])
-    vals = np.fft.ifftn(prop * ghat[None], axes=tuple(range(1, grid.dim + 1)), norm="ortho")
+    vals = np.fft.ifftn(_group(proto.times, disp.phase(grid)) * ghat[None],
+                        axes=tuple(range(1, grid.dim + 1)), norm="ortho")
     return SpaceTimeField(grid, t_half, vals)
 
 
@@ -248,19 +264,36 @@ def _low_modes(dim: int, band: int):
 # Retarded convolution and the linear estimate check
 # ---------------------------------------------------------------------------
 
+# The space-time kernel shared with evolution.picard_iterate.  Both work on
+# spatial Fourier coefficients sampled at the window times, so the free group
+# and the retarded integral are pointwise in xi.
+
+def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""
+    return np.exp(-1j * times.reshape((-1,) + (1,) * phase.ndim) * phase[None])
+
+
+def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int) -> np.ndarray:
+    """int_0^t exp(-i (t-s) p) q_hat(s) ds, given group = exp(-i t p).
+
+    Trapezoid rule in s, anchored so the integral vanishes at zero_index.
+    q_hat is left untouched.
+    """
+    integrand = np.conj(group) * q_hat
+    seg = integrand[1:] + integrand[:-1]
+    seg *= 0.5 * dt
+    integrand[0] = 0.0
+    np.cumsum(seg, axis=0, out=integrand[1:])
+    integrand -= integrand[zero_index]
+    return np.multiply(group, integrand, out=integrand)
+
+
 def retarded_convolution(q: SpaceTimeField, disp: Dispersion) -> SpaceTimeField:
     """int_0^t exp(-i (t-s) p) q(s) ds, trapezoid in s, anchored at t = 0."""
     grid = q.grid
-    p = disp.phase(grid)
     axes = tuple(range(1, grid.dim + 1))
     q_hat = np.fft.fftn(q.values, axes=axes, norm="ortho")
-    tshape = (-1,) + (1,) * grid.dim
-    integrand = np.exp(1j * q.times.reshape(tshape) * p[None]) * q_hat
-    seg = 0.5 * q.dt * (integrand[1:] + integrand[:-1])
-    cum = np.zeros_like(integrand)
-    np.cumsum(seg, axis=0, out=cum[1:])
-    cum -= cum[q.zero_index]
-    out_hat = np.exp(-1j * q.times.reshape(tshape) * p[None]) * cum
+    out_hat = _retarded(q_hat, _group(q.times, disp.phase(grid)), q.dt, q.zero_index)
     return SpaceTimeField(grid, q.t_half, np.fft.ifftn(out_hat, axes=axes, norm="ortho"))
 
 

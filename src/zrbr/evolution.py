@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bourgain import _group, _retarded, smooth_cutoff
 from .config import SimConfig, make_initial_state
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .model import (
@@ -16,60 +17,26 @@ from .model import (
     PlusMinusState,
     ZRState,
     energy,
+    envelope_rate,
+    envelope_source,
+    half_wave_sources,
     mass,
-    nonlinearity_F,
+    nonlinearity_F,  # the per-slice sources stay importable from here
     nonlinearity_G,
     nonlinearity_H,
     psi_time_derivative,
+    source_symbols,
 )
 from .spectral import (
     FREQUENCY,
     ComplexField,
     Grid,
     dealias_mask,
+    frozen_symbol,
     make_multiplier,
     to_frequency,
     to_physical,
 )
-
-
-# ---------------------------------------------------------------------------
-# Smooth time cutoff
-# ---------------------------------------------------------------------------
-
-def smooth_cutoff(t):
-    """Even C-infinity bump: 1 on |t| <= 1, 0 on |t| >= 2.
-
-    The bridge on 1 < |t| < 2 is the standard exp(-1/x) partition of unity.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    out[a <= 1.0] = 1.0
-    mid = (a > 1.0) & (a < 2.0)
-    if np.any(mid):
-        s = a[mid] - 1.0  # in (0, 1)
-        f_up = np.exp(-1.0 / (1.0 - s))
-        f_down = np.exp(-1.0 / s)
-        out[mid] = f_up / (f_up + f_down)
-    return out if out.ndim else float(out)
-
-
-@dataclass
-class CutoffProfile:
-    """lambda(t) and lambda_T(t) = lambda(t/T) sampled on a time grid."""
-
-    T: float
-    times: np.ndarray
-    lam: np.ndarray
-    lam_T: np.ndarray
-
-
-def make_cutoff(T: float, times) -> CutoffProfile:
-    if not (0.0 < T <= 1.0):
-        raise ConfigurationError(f"cut scale T must be in (0, 1], got {T}")
-    times = np.asarray(times, dtype=np.float64)
-    return CutoffProfile(T, times, smooth_cutoff(times), smooth_cutoff(times / T))
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +80,15 @@ class _StepPropagators:
     mask: np.ndarray | None  # the 2/3 rule, None without dealiasing
 
 
-def _symbol(a: np.ndarray) -> np.ndarray:
-    """A cached symbol: complex128, because numpy multiplies two complex
-    arrays faster than a real one by a complex one, and read-only, because
-    every caller shares it."""
-    a = np.asarray(a, dtype=np.complex128)
-    a.setflags(write=False)
-    return a
-
-
 @lru_cache(maxsize=8)
 def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagator:
     absxi = grid.xi_modulus
+    schrodinger = make_multiplier(grid, "schrodinger_group", t=epsilon * t).symbol
     return _LinearPropagator(
-        schrodinger=_symbol(make_multiplier(grid, "schrodinger_group", t=epsilon * t).symbol),
-        cos=_symbol(np.cos(absxi * t)),
-        omega_sin=_symbol(absxi * np.sin(absxi * t)),
-        sinc=_symbol(make_multiplier(grid, "wave_source_propagator", t=t).symbol),
+        schrodinger=frozen_symbol(schrodinger),
+        cos=frozen_symbol(np.cos(absxi * t)),
+        omega_sin=frozen_symbol(absxi * np.sin(absxi * t)),
+        sinc=frozen_symbol(make_multiplier(grid, "wave_source_propagator", t=t).symbol),
     )
 
 
@@ -137,8 +96,8 @@ def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagato
 def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _StepPropagators:
     return _StepPropagators(
         half=_linear_propagator(grid, dt / 2.0, epsilon),
-        dx=_symbol(make_multiplier(grid, "dx").symbol),
-        mask=_symbol(dealias_mask(grid)) if dealias else None,
+        dx=frozen_symbol(make_multiplier(grid, "dx").symbol),
+        mask=frozen_symbol(dealias_mask(grid)) if dealias else None,
     )
 
 
@@ -304,31 +263,17 @@ _COMPONENTS = ("psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus")
 class PicardReport:
     T: float
     n_time: int
-    diffs: list
+    diffs: list  # per iteration, the max of component_diffs
     ratios: list
     contraction_factor: float
     contracting: bool
+    component_diffs: dict = field(default_factory=dict)  # component -> diffs
 
 
-def _phase_functions(grid: Grid, epsilon: float) -> dict:
-    """Dispersion symbol p(xi) per component; free group is exp(-i t p)."""
-    xi2 = grid.xi_squared
-    absxi = grid.xi_modulus
-    return {
-        "psi": epsilon * xi2,
-        "rho_plus": absxi,
-        "rho_minus": -absxi,
-        "varphi_plus": absxi,
-        "varphi_minus": -absxi,
-    }
-
-
-def _anchored_cumtrapz(values: np.ndarray, dt: float, zero_index: int) -> np.ndarray:
-    """Trapezoid cumulative integral along axis 0, zero at the given index."""
-    seg = 0.5 * dt * (values[1:] + values[:-1])
-    out = np.zeros_like(values)
-    np.cumsum(seg, axis=0, out=out[1:])
-    return out - out[zero_index]
+def _sup_l2(values: np.ndarray, grid: Grid) -> float:
+    """sup over time slices of the spatial L2 norm of a contiguous stack."""
+    pairs = values.reshape(len(values), -1).view(np.float64)  # (re, im) per point
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", pairs, pairs)) * grid.cell_volume))
 
 
 def picard_iterate(
@@ -346,6 +291,12 @@ def picard_iterate(
     nonlinearity screened by lambda_{2T}(s).  Returns the list of iterates
     (dicts of space-time value arrays, physical space) and a PicardReport of
     successive-difference norms and the empirical contraction factor.
+
+    Each iteration works on whole (n_time, *grid) stacks: the sources take
+    five FFTs (psi_t needs two, |psi|^2 and its rate one each, F one) and
+    the five components one inverse FFT each.  G_- = -G_+ and H_- = -H_+,
+    so the minus components reuse the plus sources with the opposite
+    Duhamel sign (with extra_cutoff_terms each sign adds its own term).
     """
     if not (0.0 < T <= 1.0):
         raise ConfigurationError(f"T must be in (0, 1], got {T}")
@@ -356,92 +307,72 @@ def picard_iterate(
     dt = 4.0 * T / n_time
     times = -2.0 * T + dt * np.arange(n_time)
     zero_index = n_time // 2
+    axes = tuple(range(1, grid.dim + 1))
+    tshape = (-1,) + (1,) * grid.dim
 
-    lam = smooth_cutoff(times)
-    lam_T = smooth_cutoff(times / T)
-    lam_2T = smooth_cutoff(times / (2.0 * T))
+    lam = smooth_cutoff(times).reshape(tshape)
+    lam_T = smooth_cutoff(times / T).reshape(tshape)
+    lam_2T = smooth_cutoff(times / (2.0 * T)).reshape(tshape)
 
-    phases = _phase_functions(grid, params.epsilon)
-    init_hat = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
+    # Per component: exp(-i t p), the source it reuses, and its Duhamel
+    # coefficient -i epsilon (psi) or -i times the sign of the source.
+    wave = _group(times, grid.xi_modulus)
+    minus = np.conj(wave)
+    plan = {
+        "psi": (_group(times, params.epsilon * grid.xi_squared), "F", -1j * params.epsilon),
+        "rho_plus": (wave, "G", -1j),
+        "rho_minus": (minus, "G", 1j),
+        "varphi_plus": (wave, "H", -1j),
+        "varphi_minus": (minus, "H", 1j),
+    }
 
-    # Free part lambda(t) * exp(-i t p) * u0_hat, evaluated in physical space.
-    free = {}
-    for name in _COMPONENTS:
-        p = phases[name]
-        prop = np.exp(-1j * times.reshape((-1,) + (1,) * grid.dim) * p[None])
-        free[name] = np.fft.ifftn(
-            lam.reshape((-1,) + (1,) * grid.dim) * prop * init_hat[name][None],
-            axes=tuple(range(1, grid.dim + 1)),
-            norm="ortho",
-        )
-
-    duhamel_coef = {name: (params.epsilon if name == "psi" else 1.0) for name in _COMPONENTS}
-    sign_of = {"rho_plus": 1, "rho_minus": -1, "varphi_plus": 1, "varphi_minus": -1}
-
-    def sources(current: dict) -> dict:
-        """Nonlinear sources at every time sample, screened by lambda_2T."""
-        out = {name: np.empty_like(current[name]) for name in _COMPONENTS}
-        for j in range(n_time):
-            s = lam_2T[j]
-            pm = PlusMinusState(
-                *[ComplexField(grid, s * current[name][j], "physical") for name in _COMPONENTS]
-            )
-            psi_t = psi_time_derivative(pm, params)
-            out["psi"][j] = nonlinearity_F(pm, params).values
-            for name in ("rho_plus", "rho_minus"):
-                out[name][j] = nonlinearity_G(
-                    pm.psi, psi_t, params, sign_of[name],
-                    rho_pm=getattr(pm, name) if params.extra_cutoff_terms else None,
-                ).values
-            for name in ("varphi_plus", "varphi_minus"):
-                out[name][j] = nonlinearity_H(
-                    pm.psi, psi_t, params, sign_of[name],
-                    varphi_pm=getattr(pm, name) if params.extra_cutoff_terms else None,
-                ).values
-        return out
+    free = {name: lam * np.fft.ifftn(plan[name][0] * to_frequency(f).values[None],
+                                     axes=axes, norm="ortho")
+            for name, f in zip(_COMPONENTS, initial.fields())}
 
     iterates = [free]
-    diffs = []
-    spatial_axes = tuple(range(1, grid.dim + 1))
-    tshape = (-1,) + (1,) * grid.dim
+    component_diffs = {name: [] for name in _COMPONENTS}
+    largest = max(_sup_l2(free[name], grid) for name in _COMPONENTS)
 
     for _ in range(n_iters):
         current = iterates[-1]
-        q = sources(current)
+        screened = [lam_2T * current[name] for name in _COMPONENTS]
+        psi = screened[0]
+        F = envelope_source(*screened, params)
+        extra = {}
+        if params.extra_cutoff_terms:
+            # G_pm = ±(G_+ - omega^{-1} rho_pm), and H_pm likewise with varphi_pm.
+            winv = source_symbols(grid, params.D).omega_inv
+            extra = {name: winv * np.fft.fftn(f, axes=axes, norm="ortho")
+                     for name, f in zip(_COMPONENTS[1:], screened[1:])}
+        del screened
+        hats = dict(zip("GH", half_wave_sources(psi, envelope_rate(psi, F, grid, params),
+                                                grid, params)))
+        hats["F"] = np.fft.fftn(F, axes=axes, norm="ortho")
+        del psi, F
+
         nxt = {}
-        for name in _COMPONENTS:
-            p = phases[name]
-            q_hat = np.fft.fftn(q[name], axes=spatial_axes, norm="ortho")
-            integrand = np.exp(1j * times.reshape(tshape) * p[None]) * q_hat
-            integral = _anchored_cumtrapz(integrand, dt, zero_index)
-            retarded = np.exp(-1j * times.reshape(tshape) * p[None]) * integral
-            conv_hat = lam_T.reshape(tshape) * retarded
-            nxt[name] = (
-                free[name]
-                - 1j
-                * duhamel_coef[name]
-                * np.fft.ifftn(conv_hat, axes=spatial_axes, norm="ortho")
-            )
-        d = max(
-            float(
-                np.max(
-                    np.sqrt(
-                        np.sum(np.abs(nxt[name] - current[name]) ** 2, axis=spatial_axes)
-                        * grid.cell_volume
-                    )
-                )
-            )
-            for name in _COMPONENTS
-        )
-        diffs.append(d)
+        for name, (group, source, coef) in plan.items():
+            q_hat = hats[source]
+            if name in extra:
+                q_hat = q_hat - extra.pop(name)
+            out = _retarded(q_hat, group, dt, zero_index)
+            out *= lam_T
+            out = np.fft.ifftn(out, axes=axes, norm="ortho")
+            out *= coef
+            out += free[name]
+            nxt[name] = out
+            component_diffs[name].append(_sup_l2(out - current[name], grid))
+            largest = max(largest, _sup_l2(out, grid))
         iterates.append(nxt)
 
+    diffs = [max(d) for d in zip(*component_diffs.values())]
     ratios = []
     for a, b in zip(diffs[:-1], diffs[1:]):
         ratios.append(0.0 if a == 0.0 else b / a)
-    # Ratios whose predecessor difference has fallen to round-off noise say
-    # nothing about contraction; exclude them from the measured factor.
-    floor = diffs[0] * 1e-12 if diffs else 0.0
+    # Differences within 64 ulps of the largest iterate are round-off, and
+    # ratios taken from them say nothing about contraction.
+    floor = 64 * np.finfo(np.float64).eps * largest
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[burn_in - 1 :] if len(tail) >= burn_in else tail
     factor = max(tail) if tail else 0.0
@@ -452,4 +383,5 @@ def picard_iterate(
         ratios=ratios,
         contraction_factor=factor,
         contracting=factor < 1.0,
+        component_diffs=component_diffs,
     )

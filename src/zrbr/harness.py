@@ -31,6 +31,7 @@ from .bourgain import (
     free_evolution,
     mixed_norm,
     random_band_limited,
+    smooth_cutoff,
     spatial_sobolev_sup,
     xsb_norm,
     ys_norm,
@@ -48,6 +49,13 @@ INEQUALITY_CAPS = {
     "ineq3": 10.0,
     "ineq4": 1.01,
     "ineq5": 10.0,
+}
+
+# Inequalities false as stated, with the closed-form family that shows it.
+# Their results are reported against the caps but do not set the exit code.
+KNOWN_FALSE = {
+    "ineq3": "tau = -s|xi|, tau1 = |xi1|^2, xi1 parallel to xi, |xi1| = (|xi| - s)/2 "
+             "makes every right-hand bracket 1, so the ratio is (1+|xi|^2)/3",
 }
 
 _CONFIG_KEYS = {
@@ -333,15 +341,18 @@ def cmd_region(d: int, resolution: float, out_dir: str):
 
 
 def cmd_fuzz(n: int, seed: int, out_dir: str):
-    """Randomized worst-constant search for the elementary inequalities."""
+    """Randomized worst-constant search for the elementary inequalities;
+    EXIT_CAP_EXCEEDED when an inequality not in KNOWN_FALSE is over its cap."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"n_samples": n, "results": [], "caps": INEQUALITY_CAPS}
+    payload = {"n_samples": n, "results": [], "caps": INEQUALITY_CAPS,
+               "known_false": KNOWN_FALSE}
     exceeded = False
     for d in (2, 3):
         for res in verify_symbolic_inequalities(n, seed, d):
             cap = INEQUALITY_CAPS[res.inequality]
             ok = res.max_ratio <= cap
-            exceeded = exceeded or not ok
+            known_false = res.inequality in KNOWN_FALSE
+            exceeded = exceeded or not (ok or known_false)
             payload["results"].append(
                 {
                     "inequality": res.inequality,
@@ -350,6 +361,7 @@ def cmd_fuzz(n: int, seed: int, out_dir: str):
                     "max_ratio": res.max_ratio,
                     "cap": cap,
                     "within_cap": ok,
+                    "known_false": known_false,
                     "argmax": res.argmax,
                 }
             )
@@ -383,6 +395,7 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
                 "ratios": rep.ratios,
                 "contraction_factor": rep.contraction_factor,
                 "contracting": rep.contracting,
+                "component_diffs": rep.component_diffs,
             }
         )
     write_csv(
@@ -421,8 +434,6 @@ def _norms_field(recipe: str, seed: int, n: int = 16, n_time: int = 64) -> Space
         for k in ((0, 1), (1, 0), (2, 1), (1, 3)):
             hat[k] = rng.normal() + 1j * rng.normal()
         f = free_evolution(ComplexField(grid, hat, "frequency"), t_half, n_time, SCHRODINGER)
-        from .evolution import smooth_cutoff
-
         lam = smooth_cutoff(f.times).reshape((-1, 1, 1))
         return SpaceTimeField(grid, t_half, lam * f.values)
     if recipe == "random-band-limited":

@@ -16,6 +16,7 @@ rho_pm = rho ± i omega^{-1} rho_t and varphi_pm = d/dx (phi ± i omega^{-1} phi
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import ContractViolationError
 from .spectral import (
     ComplexField,
     Grid,
-    apply_symbol,
+    frozen_symbol,
     make_multiplier,
     to_frequency,
     to_physical,
@@ -156,29 +157,85 @@ def recombine(pm: PlusMinusState):
     return rho, varphi, rho_t, varphi_t
 
 
-def nonlinearity_F(pm: PlusMinusState, params: ModelParams) -> ComplexField:
-    """Source of the envelope equation:
+# The source formulas act on value arrays whose trailing axes are the grid,
+# so the same code serves one time slice (the ComplexField API below) and a
+# whole (n_time, *grid) stack (evolution.picard_iterate).
 
-    F = sigma2 |psi|^2 psi + (W/2)(rho_+ + rho_-) psi + (W D/2)(varphi_+ + varphi_-) psi
-    """
-    psi = to_physical(pm.psi).values
-    rp = to_physical(pm.rho_plus).values
-    rm = to_physical(pm.rho_minus).values
-    vp = to_physical(pm.varphi_plus).values
-    vm = to_physical(pm.varphi_minus).values
-    out = (
-        params.sigma2 * np.abs(psi) ** 2 * psi
-        + 0.5 * params.W * (rp + rm) * psi
-        + 0.5 * params.W * params.D * (vp + vm) * psi
+
+@dataclass(frozen=True, eq=False)
+class SourceSymbols:
+    """Fourier symbols of the nonlinear sources on one grid, for one D."""
+
+    laplacian: np.ndarray  # -|xi|^2
+    omega_inv: np.ndarray  # 1/|xi|, 0 at xi = 0
+    g: tuple  # G_+ = g[0] (|psi|^2)^ + g[1] (d/dt |psi|^2)^
+    h: tuple  # H_+ = h[0] (|psi|^2)^ + h[1] (d/dt |psi|^2)^
+
+
+@lru_cache(maxsize=8)
+def source_symbols(grid: Grid, D: float) -> SourceSymbols:
+    lap, winv, dx = (make_multiplier(grid, n).symbol for n in ("laplacian", "omega_inv", "dx"))
+    return SourceSymbols(
+        laplacian=frozen_symbol(lap),
+        omega_inv=frozen_symbol(winv),
+        g=(frozen_symbol(winv * lap), frozen_symbol(D * winv * dx)),
+        h=(frozen_symbol(-D * winv * dx * dx), frozen_symbol(winv * dx)),
     )
-    return ComplexField(pm.grid, out, "physical")
 
 
-def _abs2_and_rate(psi: ComplexField, psi_t: ComplexField):
-    """|psi|^2 and its time derivative 2 Re(conj(psi) psi_t), physical space."""
-    p = to_physical(psi).values
-    pt = to_physical(psi_t).values
-    return np.abs(p) ** 2, 2.0 * np.real(np.conj(p) * pt)
+def envelope_source(psi, rho_plus, rho_minus, varphi_plus, varphi_minus, params: ModelParams):
+    """F = sigma2 |psi|^2 psi + (W/2)(rho_+ + rho_-) psi + (W D/2)(varphi_+ + varphi_-) psi."""
+    return (
+        params.sigma2 * np.abs(psi) ** 2 * psi
+        + 0.5 * params.W * (rho_plus + rho_minus) * psi
+        + 0.5 * params.W * params.D * (varphi_plus + varphi_minus) * psi
+    )
+
+
+def envelope_rate(psi, F, grid: Grid, params: ModelParams):
+    """psi_t = epsilon (i Lap psi - i F), with two FFTs over the spatial axes."""
+    axes = tuple(range(-grid.dim, 0))  # the trailing grid axes
+    psi_hat = np.fft.fftn(psi, axes=axes, norm="ortho")
+    lap = np.fft.ifftn(source_symbols(grid, params.D).laplacian * psi_hat, axes=axes, norm="ortho")
+    lap -= F
+    lap *= params.epsilon * 1j
+    return lap
+
+
+def half_wave_sources(psi, psi_t, grid: Grid, params: ModelParams):
+    """Fourier coefficients of the '+' sources G_+ and H_+.
+
+    G_+ = omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
+    H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt, from one FFT of
+    |psi|^2 and one of its rate 2 Re(conj(psi) psi_t).  The '-' sources are
+    their negatives; the extra cutoff terms are not included.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    sym = source_symbols(grid, params.D)
+    a2_hat = np.fft.fftn(np.abs(psi) ** 2, axes=axes, norm="ortho")
+    rate_hat = np.fft.fftn(2.0 * np.real(np.conj(psi) * psi_t), axes=axes, norm="ortho")
+    return (
+        sym.g[0] * a2_hat + sym.g[1] * rate_hat,
+        sym.h[0] * a2_hat + sym.h[1] * rate_hat,
+    )
+
+
+def nonlinearity_F(pm: PlusMinusState, params: ModelParams) -> ComplexField:
+    """Source of the envelope equation (see envelope_source)."""
+    values = [to_physical(f).values for f in pm.fields()]
+    return ComplexField(pm.grid, envelope_source(*values, params), "physical")
+
+
+def _half_wave_source(which, psi, psi_t, params, sign, field, field_name):
+    s = _check_sign(sign)
+    grid = psi.grid
+    psi, psi_t = to_physical(psi).values, to_physical(psi_t).values
+    out = half_wave_sources(psi, psi_t, grid, params)[which]
+    if params.extra_cutoff_terms:
+        if field is None:
+            raise ContractViolationError(f"extra_cutoff_terms requires {field_name}")
+        out = out - source_symbols(grid, params.D).omega_inv * to_frequency(field).values
+    return ComplexField(grid, s * np.fft.ifftn(out, norm="ortho"), "physical")
 
 
 def nonlinearity_G(
@@ -193,23 +250,7 @@ def nonlinearity_G(
     sign is +1 or -1.  With params.extra_cutoff_terms the term
     ∓ omega^{-1} rho_pm is added (rho_pm must then be supplied).
     """
-    s = _check_sign(sign)
-    grid = psi.grid
-    a2, a2t = _abs2_and_rate(psi, psi_t)
-    f = ComplexField(grid, a2, "physical")
-    ft = ComplexField(grid, a2t, "physical")
-
-    term1 = apply_symbol(grid, "laplacian", f)
-    term1 = apply_symbol(grid, "omega_inv", term1)
-    term2 = apply_symbol(grid, "dx", ft)
-    term2 = apply_symbol(grid, "omega_inv", term2)
-
-    out = s * (term1.values + params.D * term2.values)
-    if params.extra_cutoff_terms:
-        if rho_pm is None:
-            raise ContractViolationError("extra_cutoff_terms requires rho_pm")
-        out = out - s * apply_symbol(grid, "omega_inv", to_physical(rho_pm)).values
-    return ComplexField(grid, out, "physical")
+    return _half_wave_source(0, psi, psi_t, params, sign, rho_pm, "rho_pm")
 
 
 def nonlinearity_H(
@@ -219,24 +260,11 @@ def nonlinearity_H(
     sign: int,
     varphi_pm: ComplexField | None = None,
 ) -> ComplexField:
-    """Half-wave velocity source: ∓ D omega^{-1} (|psi|^2)_xx ± omega^{-1} (|psi|^2)_xt."""
-    s = _check_sign(sign)
-    grid = psi.grid
-    a2, a2t = _abs2_and_rate(psi, psi_t)
-    f = ComplexField(grid, a2, "physical")
-    ft = ComplexField(grid, a2t, "physical")
+    """Half-wave velocity source: ∓ D omega^{-1} (|psi|^2)_xx ± omega^{-1} (|psi|^2)_xt.
 
-    term1 = apply_symbol(grid, "dx", apply_symbol(grid, "dx", f))
-    term1 = apply_symbol(grid, "omega_inv", term1)
-    term2 = apply_symbol(grid, "dx", ft)
-    term2 = apply_symbol(grid, "omega_inv", term2)
-
-    out = -s * params.D * term1.values + s * term2.values
-    if params.extra_cutoff_terms:
-        if varphi_pm is None:
-            raise ContractViolationError("extra_cutoff_terms requires varphi_pm")
-        out = out - s * apply_symbol(grid, "omega_inv", to_physical(varphi_pm)).values
-    return ComplexField(grid, out, "physical")
+    With params.extra_cutoff_terms the term ∓ omega^{-1} varphi_pm is added.
+    """
+    return _half_wave_source(1, psi, psi_t, params, sign, varphi_pm, "varphi_pm")
 
 
 def _check_sign(sign) -> float:
@@ -255,11 +283,9 @@ def psi_time_derivative(pm: PlusMinusState, params: ModelParams) -> ComplexField
     The epsilon scaling multiplies both the linear and nonlinear terms of
     the envelope equation; the acoustic equations are unaffected.
     """
-    grid = pm.grid
-    lap = apply_symbol(grid, "laplacian", to_physical(pm.psi))
-    F = nonlinearity_F(pm, params)
-    vals = params.epsilon * 1j * (lap.values - F.values)
-    return ComplexField(grid, vals, "physical")
+    psi = to_physical(pm.psi).values
+    F = nonlinearity_F(pm, params).values
+    return ComplexField(pm.grid, envelope_rate(psi, F, pm.grid, params), "physical")
 
 
 def mass(state: ZRState) -> float:

@@ -17,19 +17,6 @@ from .errors import ConfigurationError, ContractViolationError
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 
-MULTIPLIER_NAMES = (
-    "laplacian",
-    "omega",
-    "omega_inv",
-    "dx",
-    "omega_inv_dx",
-    "bracket_pow",
-    "schrodinger_group",
-    "wave_group",
-    "wave_source_propagator",
-)
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -231,6 +218,15 @@ def _finite_time(params) -> float:
     if t is None or not np.isfinite(t):
         raise ConfigurationError("group symbols require a finite time parameter t")
     return float(t)
+
+
+def frozen_symbol(a) -> np.ndarray:
+    """A symbol to cache and share: complex128, because numpy multiplies two
+    complex arrays faster than a real one by a complex one, and read-only,
+    because every caller shares it."""
+    a = np.asarray(a, dtype=np.complex128)
+    a.setflags(write=False)
+    return a
 
 
 def apply_multiplier(m: Multiplier, f: ComplexField) -> ComplexField:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from zrbr import harness
 from zrbr.cli import main
 from zrbr.config import SimConfig
 from zrbr.errors import ConfigurationError
@@ -214,6 +216,25 @@ class TestFuzzCommand:
         flagged = [r for r in report["payload"]["results"] if not r["within_cap"]]
         assert flagged
 
+    def test_known_false_ineq3_does_not_decide_exit_code(self, tmp_path, monkeypatch):
+        # ineq3 over its default cap, as the resonant witness (1+|xi|^2)/3 at
+        # |xi| = 10 puts it; every other result is the real fuzz at small n
+        fuzz = harness.verify_symbolic_inequalities
+
+        def resonant_ineq3(n, seed, d):
+            return [dataclasses.replace(r, max_ratio=101.0 / 3.0) if r.inequality == "ineq3"
+                    else r for r in fuzz(n, seed, d)]
+
+        monkeypatch.setattr(harness, "verify_symbolic_inequalities", resonant_ineq3)
+        code, report = cmd_fuzz(200, 77, str(tmp_path / "out"))
+        assert code == EXIT_OK
+        results = report["payload"]["results"]
+        over = [r for r in results if not r["within_cap"]]
+        assert len(over) == 4  # d = 2, 3 and both branches
+        assert all(r["inequality"] == "ineq3" and r["known_false"] for r in over)
+        assert not any(r["known_false"] for r in results if r["inequality"] != "ineq3")
+        assert "(1+|xi|^2)/3" in report["payload"]["known_false"]["ineq3"]
+
 
 class TestPicardCommand:
     def test_contraction_table(self, tmp_path):
@@ -224,6 +245,20 @@ class TestPicardCommand:
         per_T = report["payload"]["per_T"]
         assert len(per_T) == 1
         assert per_T[0]["contraction_factor"] < 1.0
+
+    def test_component_diffs_table(self, tmp_path):
+        doc = {**BASE_DOC, "normalize_h1": 1e-3, "t_end": 0.0}
+        cfg, echo = config_from_dict(doc)
+        for tag in ("a", "b"):
+            _, report = cmd_picard(cfg, echo, [0.1, 0.2], 3, str(tmp_path / tag), n_time=32)
+        for row in report["payload"]["per_T"]:
+            table = row["component_diffs"]
+            assert sorted(table) == sorted(
+                ["psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus"])
+            assert [max(d) for d in zip(*table.values())] == row["diffs"]
+        assert (tmp_path / "a" / "report.json").read_bytes() == (
+            tmp_path / "b" / "report.json"
+        ).read_bytes()
 
 
 class TestNormsCommand:
