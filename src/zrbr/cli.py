@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
     parser.add_argument("--seed", type=int, metavar="U64", help="master seed override")
     parser.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker count hint (results are order-stable regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="split-step run with diagnostics CSV")

@@ -186,12 +186,15 @@ class Trajectory:
     states: list = field(default_factory=list)
     store_states: bool = False
 
-    def record(self, t: float, state: ZRState, params: ModelParams):
+    def record(self, t: float, state: ZRState, params: ModelParams,
+               spectral: ZRState | None = None):
+        """Append one diagnostics row; spectral, the same state in frequency
+        space, saves energy its forward transforms."""
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
         self.times.append(t)
         self.mass.append(mass(state))
-        self.energy.append(energy(state, params))
+        self.energy.append(energy(state, params, spectral))
         self.max_abs_psi.append(float(np.max(np.abs(to_physical(state.psi).values))))
         self.l2_rho.append(state.rho.l2_norm())
         self.l2_phi.append(state.phi.l2_norm())
@@ -210,11 +213,12 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     blowup_factor times its initial value; the partial trajectory is
     attached to the raised DivergenceError.  The physical fields the proxy
     needs after each step (three inverse FFTs) also feed the diagnostics
-    rows and the stored states.
+    rows and the stored states; with the coefficients, a row costs one FFT.
     """
     state = make_initial_state(config)
+    spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
     traj = Trajectory(store_states=store_states)
-    traj.record(0.0, state, config.params)
+    traj.record(0.0, state, config.params, spectral)
     if not store_states:
         traj.states = [state.copy()]
 
@@ -228,7 +232,6 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     floor = max(max(raw_sup.values()), 1e-300)
     initial_sup = {name: max(v, floor) for name, v in raw_sup.items()}
 
-    spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
     t = 0.0
     for k in range(n_steps):
         try:
@@ -246,7 +249,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
                     trajectory=traj,
                 )
         if (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1:
-            traj.record(t, state, config.params)
+            traj.record(t, state, config.params, spectral)
     if not store_states:
         traj.states.append(state.copy())
     return traj
@@ -288,9 +291,10 @@ def picard_iterate(
 
     Iterate 0 is the cutoff free flow lambda(t) * group(t) * u0 per
     component; each following iterate applies the retarded integral with the
-    nonlinearity screened by lambda_{2T}(s).  Returns the list of iterates
-    (dicts of space-time value arrays, physical space) and a PicardReport of
-    successive-difference norms and the empirical contraction factor.
+    nonlinearity screened by lambda_{2T}(s), which is 1 on the window.
+    Returns the list of iterates (dicts of space-time value arrays, physical
+    space) and a PicardReport of successive-difference norms and the
+    empirical contraction factor.
 
     Each iteration works on whole (n_time, *grid) stacks: the sources take
     five FFTs (psi_t needs two, |psi|^2 and its rate one each, F one) and
@@ -312,7 +316,9 @@ def picard_iterate(
 
     lam = smooth_cutoff(times).reshape(tshape)
     lam_T = smooth_cutoff(times / T).reshape(tshape)
-    lam_2T = smooth_cutoff(times / (2.0 * T)).reshape(tshape)
+    # The screening lambda_{2T}(s) of the sources is exactly 1.0 on the
+    # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
+    # multiplying by it would change no bit.  It is left out.
 
     # Per component: exp(-i t p), the source it reuses, and its Duhamel
     # coefficient -i epsilon (psi) or -i times the sign of the source.
@@ -336,16 +342,15 @@ def picard_iterate(
 
     for _ in range(n_iters):
         current = iterates[-1]
-        screened = [lam_2T * current[name] for name in _COMPONENTS]
-        psi = screened[0]
-        F = envelope_source(*screened, params)
+        fields = [current[name] for name in _COMPONENTS]
+        psi = fields[0]
+        F = envelope_source(*fields, params)
         extra = {}
         if params.extra_cutoff_terms:
             # G_pm = ±(G_+ - omega^{-1} rho_pm), and H_pm likewise with varphi_pm.
             winv = source_symbols(grid, params.D).omega_inv
             extra = {name: winv * np.fft.fftn(f, axes=axes, norm="ortho")
-                     for name, f in zip(_COMPONENTS[1:], screened[1:])}
-        del screened
+                     for name, f in zip(_COMPONENTS[1:], fields[1:])}
         hats = dict(zip("GH", half_wave_sources(psi, envelope_rate(psi, F, grid, params),
                                                 grid, params)))
         hats["F"] = np.fft.fftn(F, axes=axes, norm="ortho")

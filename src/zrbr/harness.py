@@ -9,6 +9,7 @@ the report files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -193,21 +194,37 @@ def write_snapshot(path: str, state: ZRState):
 
 
 def read_snapshot(path: str) -> ZRState:
+    """Parse a snapshot; a file that is not exactly one well-formed snapshot
+    (truncated, trailing bytes, a non-cubic or invalid grid) raises
+    ConfigurationError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != SNAPSHOT_MAGIC:
-            raise ConfigurationError(f"{path}: not a state snapshot")
-        version, dim = struct.unpack("<II", fh.read(8))
-        if version != SNAPSHOT_VERSION:
-            raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
-        shape = struct.unpack("<" + "I" * dim, fh.read(4 * dim))
-        (length,) = struct.unpack("<d", fh.read(8))
-        grid = Grid(dim, shape[0], length)
-        fields = []
-        count = int(np.prod(shape)) * 2
-        for _ in range(3):
-            flat = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape + (2,))
-            fields.append(ComplexField(grid, flat[..., 0] + 1j * flat[..., 1], "physical"))
-    return ZRState(*fields)
+        data = fh.read()
+    if data[:4] != SNAPSHOT_MAGIC:
+        raise ConfigurationError(f"{path}: not a state snapshot")
+    if len(data) < 12:
+        raise ConfigurationError(f"{path}: snapshot header is truncated")
+    version, dim = struct.unpack_from("<II", data, 4)
+    if version != SNAPSHOT_VERSION:
+        raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
+    if dim not in (2, 3):
+        raise ConfigurationError(f"{path}: snapshot dimension must be 2 or 3, got {dim}")
+    header = 12 + 4 * dim + 8
+    if len(data) < header:
+        raise ConfigurationError(f"{path}: snapshot header is truncated")
+    shape = struct.unpack_from(f"<{dim}I", data, 12)
+    (length,) = struct.unpack_from("<d", data, 12 + 4 * dim)
+    if len(set(shape)) != 1:
+        raise ConfigurationError(f"{path}: snapshot grid {shape} is not cubic")
+    grid = Grid(dim, shape[0], length)
+    expected = 3 * 16 * grid.n**dim  # three fields of (re, im) f64 pairs
+    found = len(data) - header
+    if found != expected:
+        kind = "truncated" if found < expected else "followed by trailing bytes"
+        raise ConfigurationError(
+            f"{path}: snapshot fields are {kind} ({found} bytes, expected {expected})"
+        )
+    pairs = np.frombuffer(data, dtype="<f8", offset=header).reshape((3,) + grid.shape + (2,))
+    return ZRState(*(ComplexField(grid, p[..., 0] + 1j * p[..., 1], "physical") for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +280,7 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
 
     rows = []
     for eps in eps_list:
-        params = ModelParams(
-            sigma2=config.params.sigma2,
-            W=config.params.W,
-            D=config.params.D,
-            epsilon=eps,
-            extra_cutoff_terms=config.params.extra_cutoff_terms,
-        )
-        cfg = SimConfig(
-            dim=config.dim, n=config.n, length=config.length, dt=config.dt,
-            t_end=config.t_end, params=params, recipe=config.recipe,
-            amplitude=config.amplitude, width=config.width, mode=config.mode,
-            normalize_h1=config.normalize_h1, seed=config.seed,
-            diagnostics_stride=config.diagnostics_stride, dealias=config.dealias,
-            blowup_factor=config.blowup_factor,
-        )
+        cfg = dataclasses.replace(config, params=dataclasses.replace(config.params, epsilon=eps))
         try:
             run_simulation(cfg)
             t_proxy = cfg.t_end

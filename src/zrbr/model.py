@@ -294,45 +294,36 @@ def mass(state: ZRState) -> float:
     return float(np.sum(np.abs(p) ** 2) * state.grid.cell_volume)
 
 
-def energy(state: ZRState, params: ModelParams) -> float:
+def energy(state: ZRState, params: ModelParams, spectral: ZRState | None = None) -> float:
     """Conserved energy functional, specialized to delta=sigma1=M=1, sigma3=0:
 
     E = int |grad psi|^2 + (W/2) rho^2 + (W/2) |grad phi|^2
         + (sigma2/2) |psi|^4 + W rho |psi|^2 + D W |psi|^2 phi_x  dx
+
+    The gradient terms come by discrete Plancherel, int |grad f|^2 =
+    cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), the local
+    terms from psi and rho in physical space.  spectral, the same state in
+    frequency space, saves the forward transforms: with it the only FFT is
+    the inverse one giving phi_x.
     """
     grid = state.grid
+    coeffs = state if spectral is None else spectral
     psi = to_physical(state.psi).values
     rho = to_physical(state.rho).values.real
+    psi_h = to_frequency(coeffs.psi).values
+    phi_h = to_frequency(coeffs.phi).values
 
-    grad2_psi, _ = _gradient_sq(state.psi)
-    grad2_phi, phi_x = _gradient_sq(state.phi)
+    xi1 = grid.axis_frequencies.reshape((-1,) + (1,) * (grid.dim - 1))
     # The real part drops the axis-0 Nyquist plane, whose contribution to
     # the derivative of a real field is imaginary.
-    phi_x = phi_x.real
+    phi_x = np.fft.ifftn(1j * xi1 * phi_h, norm="ortho").real
 
     a2 = np.abs(psi) ** 2
-    dens = (
-        grad2_psi
-        + 0.5 * params.W * rho**2
-        + 0.5 * params.W * grad2_phi
+    local = (
+        0.5 * params.W * rho**2
         + 0.5 * params.sigma2 * a2**2
         + params.W * rho * a2
         + params.D * params.W * a2 * phi_x
     )
-    return float(np.sum(dens) * grid.cell_volume)
-
-
-def _gradient_sq(f: ComplexField) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise |grad f|^2 computed spectrally, and the axis-0 component
-    of grad f (physical space, complex) that it sums."""
-    grid = f.grid
-    fh = to_frequency(f)
-    components = (
-        to_physical(ComplexField(grid, 1j * xi * fh.values, "frequency")).values
-        for xi in grid.frequencies()
-    )
-    d_x = next(components)
-    total = np.abs(d_x) ** 2
-    for comp in components:
-        total += np.abs(comp) ** 2
-    return total, d_x
+    gradients = grid.xi_squared * (np.abs(psi_h) ** 2 + 0.5 * params.W * np.abs(phi_h) ** 2)
+    return float((np.sum(local) + np.sum(gradients)) * grid.cell_volume)

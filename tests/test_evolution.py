@@ -349,6 +349,18 @@ class TestRunSimulation:
         assert err.value.time is not None
         assert err.value.trajectory is not None
 
+    def test_fft_budget(self, fft_calls):
+        # 3 forward transforms of the initial state, 4 FFTs per step, 3 inverse
+        # ones per step for the divergence proxy, and 1 per diagnostics row
+        cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
+                        params=ModelParams(sigma2=-1.0, W=1.0, D=0.5),
+                        recipe="gaussian", diagnostics_stride=3)
+        make_initial_state(cfg)
+        setup = len(fft_calls)
+        traj = run_simulation(cfg)
+        assert len(traj) == 5  # t = 0, three strides and the last step
+        assert len(fft_calls) - 2 * setup == 3 + 7 * 10 + len(traj)
+
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
         st = random_state(small_grid(), 2)
@@ -435,6 +447,15 @@ class TestPicard:
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         _, report = picard_iterate(init, T=0.1, n_iters=6, params=params, n_time=64)
         assert report.contraction_factor < 0.5
+
+    @pytest.mark.parametrize("n_time", [4, 6, 32, 64, 66, 128])
+    @pytest.mark.parametrize("T", [1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 0.123456789])
+    def test_source_screening_is_one_on_the_window(self, T, n_time):
+        # picard_iterate leaves out lambda_{2T}(s) because it is exactly 1.0
+        # on its window; these are the window's times as it builds them.
+        dt = 4.0 * T / n_time
+        times = -2.0 * T + dt * np.arange(n_time)
+        assert np.all(smooth_cutoff(times / (2.0 * T)) == 1.0)
 
     def test_parameter_validation(self):
         grid = small_grid()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zrbr.harness import (
     EXIT_OK,
     EXIT_VALIDATION,
     INEQUALITY_CAPS,
+    SNAPSHOT_MAGIC,
     cmd_epsilon_scaling,
     cmd_fuzz,
     cmd_norms,
@@ -102,6 +104,53 @@ class TestSnapshots:
         np.testing.assert_array_equal(back.rho.values, st.rho.values)
         assert back.grid == grid
 
+    @staticmethod
+    def _snapshot_bytes(tmp_path, dim=2):
+        grid = Grid(dim, 8, 5.0)
+        rng = np.random.default_rng(2)
+        st = ZRState(*(ComplexField(grid, rng.normal(size=grid.shape) + 0j) for _ in range(3)))
+        path = str(tmp_path / "good.bin")
+        write_snapshot(path, st)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def _read_bytes(self, tmp_path, data):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        return read_snapshot(str(path))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_truncated_header_rejected(self, tmp_path, dim):
+        data = self._snapshot_bytes(tmp_path, dim)
+        header = 12 + 4 * dim + 8
+        for cut in (6, 12, 14, header - 1):
+            with pytest.raises(ConfigurationError, match="header is truncated"):
+                self._read_bytes(tmp_path, data[:cut])
+
+    def test_truncated_field_rejected(self, tmp_path):
+        data = self._snapshot_bytes(tmp_path)
+        # inside the first field, and one byte short of the last
+        for cut in (len(data) // 4, len(data) - 1):
+            with pytest.raises(ConfigurationError, match="truncated"):
+                self._read_bytes(tmp_path, data[:cut])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        data = self._snapshot_bytes(tmp_path)
+        with pytest.raises(ConfigurationError, match="trailing bytes"):
+            self._read_bytes(tmp_path, data + bytes(16))
+
+    def test_non_cubic_shape_rejected(self, tmp_path):
+        # a well-sized body for an 8 x 16 grid, which Grid(2, 8) cannot hold
+        data = (SNAPSHOT_MAGIC + struct.pack("<IIIId", 1, 2, 8, 16, 5.0)
+                + bytes(3 * 16 * 8 * 16))
+        with pytest.raises(ConfigurationError, match="not cubic"):
+            self._read_bytes(tmp_path, data)
+
+    def test_bad_dimension_rejected(self, tmp_path):
+        data = SNAPSHOT_MAGIC + struct.pack("<IIIIIId", 1, 4, 8, 8, 8, 8, 5.0)
+        with pytest.raises(ConfigurationError, match="dimension"):
+            self._read_bytes(tmp_path, data)
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a snapshot at all")
@@ -171,6 +220,18 @@ class TestEpsilonScaling:
         assert [r["T_proxy"] for r in rows] == [BASE_DOC["t_end"]] * 2
         assert report["payload"]["alpha_hat"] == 0.0
         assert report["payload"]["t_proxy_nondecreasing"]
+
+    def test_runs_differ_from_config_only_in_epsilon(self, tmp_path, monkeypatch):
+        doc = {**BASE_DOC, "blowup_factor": 50.0, "dealias": False, "seed": 4}
+        cfg, echo = config_from_dict(doc)
+        cfg.params = dataclasses.replace(cfg.params, extra_cutoff_terms=True)
+        seen = []
+        monkeypatch.setattr(harness, "run_simulation", seen.append)
+        cmd_epsilon_scaling(cfg, echo, [1.0, 0.25], str(tmp_path / "out"))
+        assert [c.params.epsilon for c in seen] == [1.0, 0.25]
+        for run in seen:
+            assert dataclasses.replace(run, params=cfg.params) == cfg
+            assert dataclasses.replace(run.params, epsilon=cfg.params.epsilon) == cfg.params
 
     def test_list_must_descend(self, tmp_path):
         cfg, echo = config_from_dict(BASE_DOC)
@@ -283,6 +344,11 @@ class TestCli:
     def test_validation_exit_code(self, tmp_path):
         path = write_config(tmp_path, {**BASE_DOC, "bogus": 1})
         assert main(["--config", path, "simulate"]) == EXIT_VALIDATION
+
+    def test_threads_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", "2", "simulate"])
+        assert err.value.code == EXIT_VALIDATION
 
     def test_missing_config_is_validation_error(self):
         assert main(["simulate"]) == EXIT_VALIDATION

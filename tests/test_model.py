@@ -308,3 +308,75 @@ def test_psi_time_derivative_scales_with_epsilon(grid):
     base = psi_time_derivative(pm, ModelParams(sigma2=-1.0, W=1.0, D=0.2, epsilon=1.0))
     half = psi_time_derivative(pm, ModelParams(sigma2=-1.0, W=1.0, D=0.2, epsilon=0.5))
     np.testing.assert_allclose(half.values, 0.5 * base.values, atol=1e-13)
+
+
+def full_spectrum_state(grid, seed):
+    """psi complex and rho, phi real, white noise: every mode is occupied,
+    the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    return ZRState(
+        ComplexField(grid, psi),
+        ComplexField(grid, rng.normal(size=grid.shape) + 0j),
+        ComplexField(grid, rng.normal(size=grid.shape) + 0j),
+    )
+
+
+def in_frequency(state):
+    return ZRState(*(to_frequency(getattr(state, name)) for name in ("psi", "rho", "phi")))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_energy_from_coefficients_matches_reference(dim):
+    grid = Grid(dim, 8, 3 * np.pi)
+    params = ModelParams(sigma2=-1.0, W=2.0, D=0.5)
+    st = full_spectrum_state(grid, 60 + dim)
+    spectral = in_frequency(st)
+    expected = reference_energy(st, params)
+    assert energy(st, params, spectral) == pytest.approx(expected, rel=1e-12)
+    assert energy(st, params) == pytest.approx(expected, rel=1e-12)
+    assert energy(spectral, params) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_energy_fft_budget(dim, fft_calls):
+    grid = Grid(dim, 8, 3 * np.pi)
+    params = ModelParams(sigma2=-1.0, W=2.0, D=0.5)
+    st = full_spectrum_state(grid, 70 + dim)
+    spectral = in_frequency(st)
+    budget = []
+    for args in ((st, params, spectral), (st, params), (spectral, params)):
+        fft_calls.clear()
+        energy(*args)
+        budget.append(len(fft_calls))
+    # phi_x alone, then the forward transforms of psi and phi, then the
+    # inverse transforms of psi and rho
+    assert budget == [1, 3, 3]
+
+
+class TestDecomposeProperties:
+    """Seeded random grids and full-spectrum fields."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_roundtrip_modulo_zero_mode_of_rates(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid(int(rng.integers(2, 4)), int(rng.choice([4, 8, 16])),
+                    float(rng.uniform(1.0, 10.0)) * np.pi)
+        rho, phi, rho_t, phi_t = (
+            ComplexField(grid, float(rng.uniform(0.1, 10.0)) * rng.normal(size=grid.shape) + 0j)
+            for _ in range(4)
+        )
+        st = ZRState(random_field(grid, seed), rho, phi, rho_t=rho_t, phi_t=phi_t)
+        rho_b, varphi_b, rho_t_b, varphi_t_b = recombine(decompose(st))
+
+        def close(a, b):
+            scale = np.max(np.abs(b))
+            np.testing.assert_allclose(a.values, b, rtol=0, atol=1e-12 * scale)
+
+        def demean(values):
+            return values - np.mean(values)
+
+        close(rho_b, rho.values)
+        close(varphi_b, apply_symbol(grid, "dx", phi).values)
+        close(rho_t_b, demean(rho_t.values))
+        close(varphi_t_b, demean(apply_symbol(grid, "dx", phi_t).values))

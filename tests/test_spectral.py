@@ -195,3 +195,39 @@ def test_round_trip_preserves_space_tags():
     f = ComplexField(g, np.ones(g.shape))
     assert to_physical(f) is f
     assert to_frequency(to_frequency(f)).space == "frequency"
+
+
+class TestPlancherelProperties:
+    """Seeded random grids and white-noise fields, Nyquist modes included."""
+
+    @staticmethod
+    def _case(seed, dim):
+        rng = np.random.default_rng(seed)
+        grid = Grid(dim, int(rng.choice([4, 8, 16])), float(rng.uniform(0.5, 20.0)))
+        values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        return grid, values * float(rng.uniform(0.1, 10.0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ortho_transform_preserves_sum_of_squares(self, seed, dim):
+        _, f = self._case(seed, dim)
+        f_hat = np.fft.fftn(f, norm="ortho")
+        assert np.sum(np.abs(f_hat) ** 2) == pytest.approx(np.sum(np.abs(f) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_norm_from_coefficients(self, seed, dim):
+        grid, f = self._case(10 + seed, dim)
+        # a real field plus odd content on every Nyquist plane, where the
+        # derivative of the real part is imaginary and that of the rest real
+        nyquist = np.zeros(grid.shape, dtype=bool)
+        for axis in range(dim):
+            index = [slice(None)] * dim
+            index[axis] = grid.n // 2
+            nyquist[tuple(index)] = True
+        f_hat = np.fft.fftn(f.real, norm="ortho")
+        f_hat[nyquist] += 1j * f_hat[nyquist]
+        pointwise = sum(np.abs(np.fft.ifftn(1j * xi * f_hat, norm="ortho")) ** 2
+                        for xi in grid.frequencies())
+        by_plancherel = grid.cell_volume * np.sum(grid.xi_squared * np.abs(f_hat) ** 2)
+        assert by_plancherel == pytest.approx(grid.cell_volume * np.sum(pointwise), rel=1e-12)
