@@ -34,6 +34,11 @@ class SimConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "blowup_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.blowup_factor <= 0:
+            raise ConfigurationError(f"blowup_factor must be positive, got {self.blowup_factor}")
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:

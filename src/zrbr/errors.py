@@ -24,10 +24,14 @@ class SingularityError(ZRBRError):
 class DivergenceError(ZRBRError):
     """A simulation produced non-finite or runaway values.
 
-    Carries the last good time and, when available, the partial trajectory.
+    Carries the last good time and, when available, the partial trajectory,
+    the field that diverged and its sup-norm growth factor over the initial
+    value (None for a field that turned non-finite).
     """
 
-    def __init__(self, message, time=None, trajectory=None):
+    def __init__(self, message, time=None, trajectory=None, field=None, growth=None):
         super().__init__(message)
         self.time = time
         self.trajectory = trajectory
+        self.field = field
+        self.growth = growth

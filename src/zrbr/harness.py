@@ -235,12 +235,12 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
     """Run the split-step integrator; emit diagnostics CSV and a report."""
     os.makedirs(out_dir, exist_ok=True)
     code = EXIT_OK
-    diverged_at = None
+    diverged_at = diverged_field = growth_factor = None
     try:
         traj = run_simulation(config, store_states=snapshots)
     except DivergenceError as err:
         traj = err.trajectory
-        diverged_at = err.time
+        diverged_at, diverged_field, growth_factor = err.time, err.field, err.growth
         code = EXIT_DIVERGENCE
 
     rows = list(
@@ -263,6 +263,8 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
         "mass_final": traj.mass[-1] if traj.mass else 0.0,
         "energy_initial": traj.energy[0] if traj.energy else 0.0,
         "energy_final": traj.energy[-1] if traj.energy else 0.0,
+        "diverged_field": diverged_field,
+        "growth_factor": growth_factor,
     }
     report = make_report("simulate", echo, echo.get("seed"), payload, config.blowup_factor)
     write_report(os.path.join(out_dir, "report.json"), report)

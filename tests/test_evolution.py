@@ -6,6 +6,7 @@ import pytest
 from zrbr.config import SimConfig, h1_norm, make_initial_state
 from zrbr.errors import ConfigurationError, ContractViolationError, DivergenceError
 from zrbr.evolution import (
+    _BOUND_MARGIN,
     Trajectory,
     _linear_flow,
     picard_iterate,
@@ -147,6 +148,69 @@ def reference_strang_step(state, dt, params, dealias=True):
     )
     out = reference_linear_flow(mid, dt / 2.0, params)
     return ZRState(to_physical(out.psi), out.rho, out.phi)
+
+
+# ---------------------------------------------------------------------------
+# Reference proxy loop: a frozen copy of run_simulation as it was when the
+# divergence proxy took three inverse FFTs and an exact sup after every step.
+# ---------------------------------------------------------------------------
+
+def reference_run_simulation(config, store_states=False):
+    state = make_initial_state(config)
+    spectral = ZRState(*(to_frequency(getattr(state, name)) for name in FIELDS))
+    traj = Trajectory(store_states=store_states)
+    traj.record(0.0, state, config.params, spectral)
+    if not store_states:
+        traj.states = [state.copy()]
+
+    n_steps = int(round(config.t_end / config.dt))
+    raw_sup = {
+        name: float(np.max(np.abs(to_physical(getattr(state, name)).values)))
+        for name in FIELDS
+    }
+    floor = max(max(raw_sup.values()), 1e-300)
+    initial_sup = {name: max(v, floor) for name, v in raw_sup.items()}
+
+    t = 0.0
+    for k in range(n_steps):
+        try:
+            spectral = strang_step(spectral, config.dt, config.params, dealias=config.dealias)
+        except DivergenceError as err:
+            raise DivergenceError(str(err), time=t, trajectory=traj) from None
+        t = (k + 1) * config.dt
+        state = ZRState(*(to_physical(getattr(spectral, name)) for name in FIELDS))
+        for name, sup0 in initial_sup.items():
+            sup = np.max(np.abs(getattr(state, name).values))
+            if sup > config.blowup_factor * sup0:
+                raise DivergenceError(
+                    f"{name} sup-norm exceeded {config.blowup_factor:g} x initial",
+                    time=t,
+                    trajectory=traj,
+                )
+        if (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1:
+            traj.record(t, state, config.params, spectral)
+    if not store_states:
+        traj.states.append(state.copy())
+    return traj
+
+
+def outcome(run, config, store_states=False):
+    """(trajectory, error): the trajectory returned or attached to the
+    raised DivergenceError, and that error (None for a run to t_end)."""
+    try:
+        return run(config, store_states), None
+    except DivergenceError as err:
+        return err.trajectory, err
+
+
+def assert_same_trajectory(a, b):
+    assert a.times == b.times
+    for column in ("mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"):
+        assert getattr(a, column) == getattr(b, column), column
+    assert len(a.states) == len(b.states)
+    for x, y in zip(a.states, b.states):
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(x, name).values, getattr(y, name).values)
 
 
 class TestSmoothCutoff:
@@ -349,17 +413,41 @@ class TestRunSimulation:
         assert err.value.time is not None
         assert err.value.trajectory is not None
 
-    def test_fft_budget(self, fft_calls):
-        # 3 forward transforms of the initial state, 4 FFTs per step, 3 inverse
-        # ones per step for the divergence proxy, and 1 per diagnostics row
+    @staticmethod
+    def _ten_steps(fft_calls, stride):
+        """(rows, FFTs) of a 10-step run."""
         cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
                         params=ModelParams(sigma2=-1.0, W=1.0, D=0.5),
-                        recipe="gaussian", diagnostics_stride=3)
+                        recipe="gaussian", diagnostics_stride=stride)
         make_initial_state(cfg)
         setup = len(fft_calls)
         traj = run_simulation(cfg)
-        assert len(traj) == 5  # t = 0, three strides and the last step
-        assert len(fft_calls) - 2 * setup == 3 + 7 * 10 + len(traj)
+        return len(traj), len(fft_calls) - 2 * setup
+
+    def test_fft_budget(self, fft_calls):
+        # 3 forward transforms of the initial state, 4 FFTs per step, 3 inverse
+        # ones per row step after t = 0 for the physical fields, and 1 per
+        # diagnostics row
+        rows, ffts = self._ten_steps(fft_calls, 3)
+        assert rows == 5  # t = 0, three strides and the last step
+        assert ffts == 3 + 4 * 10 + 3 * (rows - 1) + rows
+
+    def test_fft_budget_between_rows(self, fft_calls):
+        # a stride beyond the 10 steps: only the last step writes a row, and
+        # the other nine cost the 4 FFTs of the step each
+        rows, ffts = self._ten_steps(fft_calls, 20)
+        assert rows == 2
+        assert ffts == 3 + 4 * 10 + 3 * 1 + rows
+
+    def test_non_finite_field_names_the_field(self):
+        # |psi|^2 overflows in the first step, so psi turns non-finite
+        cfg = SimConfig(dim=2, n=16, length=4 * np.pi, dt=1e-3, t_end=0.01,
+                        recipe="gaussian", amplitude=1e160)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_simulation(cfg)
+        assert str(err.value) == "non-finite psi after step"
+        assert (err.value.time, err.value.field, err.value.growth) == (0.0, "psi", None)
+        assert err.value.trajectory.times == [0.0]
 
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
@@ -367,6 +455,97 @@ class TestRunSimulation:
         traj.record(0.0, st, ModelParams())
         with pytest.raises(ContractViolationError):
             traj.record(0.0, st, ModelParams())
+
+
+PROXY_PARAMS = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
+
+
+def proxy_config(blowup_factor, stride):
+    """A focusing Gaussian whose psi sup-norm grows to about 2x and rho's to
+    about 5.7x its initial value over 200 steps."""
+    return SimConfig(dim=2, n=16, length=4 * np.pi, dt=1e-2, t_end=2.0, params=PROXY_PARAMS,
+                     recipe="gaussian", amplitude=2.0, blowup_factor=blowup_factor,
+                     diagnostics_stride=stride)
+
+
+def sup_bound(coeffs):
+    """The bound run_simulation reads off unitary Fourier coefficients."""
+    return (1.0 + _BOUND_MARGIN) * np.sum(np.abs(coeffs)) / np.sqrt(coeffs.size)
+
+
+class TestDivergenceProxy:
+    """The coefficient-bound proxy against the exact every-step check."""
+
+    @pytest.mark.parametrize("store_states", [False, True])
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    @pytest.mark.parametrize("blowup_factor",
+                             [0.5, 1.0, 1.05, 1.3, 1.9, 2.05, 3.0, 5.0, 5.7, 50.0])
+    def test_trips_like_reference_loop(self, blowup_factor, stride, store_states):
+        cfg = proxy_config(blowup_factor, stride)
+        traj, err = outcome(run_simulation, cfg, store_states)
+        ref_traj, ref_err = outcome(reference_run_simulation, cfg, store_states)
+        assert_same_trajectory(traj, ref_traj)
+        if ref_err is None:
+            assert err is None
+            return
+        assert err is not None
+        assert (err.time, str(err)) == (ref_err.time, str(ref_err))
+        assert err.field == str(ref_err).split()[0]
+        assert err.growth > blowup_factor
+
+    @pytest.mark.parametrize("blowup_factor, step, field",
+                             [(1.3, 30, "psi"), (2.05, 78, "rho"), (5.7, 160, "rho")])
+    def test_trip_on_step_without_row(self, blowup_factor, step, field):
+        cfg = proxy_config(blowup_factor, 7)
+        assert step % 7
+        _, err = outcome(run_simulation, cfg)
+        _, ref_err = outcome(reference_run_simulation, cfg)
+        assert err.time == ref_err.time == step * cfg.dt
+        assert err.field == field
+        assert str(err) == str(ref_err) == f"{field} sup-norm exceeded {blowup_factor:g} x initial"
+        # rho starts at zero and is judged against psi's initial sup
+        state = in_frequency(make_initial_state(cfg))
+        sup0 = np.max(np.abs(to_physical(state.psi).values))
+        for _ in range(step):
+            state = strang_step(state, cfg.dt, cfg.params)
+        sup = np.max(np.abs(to_physical(getattr(state, field)).values))
+        assert err.growth == sup / sup0
+
+    def test_bound_above_limit_takes_exact_sup_without_false_trip(self, fft_calls):
+        # Random modes: psi's coefficient bound starts at 3.1x its sup, above
+        # the 1.5x limit, while the exact sup stays under 1.2x over the run.
+        cfg = SimConfig(dim=2, n=16, length=4 * np.pi, dt=1e-2, t_end=1.0,
+                        params=ModelParams(sigma2=-2.0, W=1.0, D=0.5),
+                        recipe="random-band-limited", amplitude=1.5, seed=3,
+                        blowup_factor=1.5, diagnostics_stride=1000)
+        psi = make_initial_state(cfg).psi
+        assert sup_bound(to_frequency(psi).values) > 1.5 * np.max(np.abs(psi.values))
+        start = len(fft_calls)
+        traj = run_simulation(cfg)
+        used = len(fft_calls) - start
+        ref_traj, ref_err = outcome(reference_run_simulation, cfg)
+        assert ref_err is None
+        assert_same_trajectory(traj, ref_traj)
+        # Without the fallback: 1 FFT for the initial datum, then 3 + 4 * 100
+        # + 3 + 2 (see test_fft_budget); psi takes one more on each of the 99
+        # steps that write no row.
+        assert used >= 1 + 408 + 99
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bound_dominates_sup(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        n = 16 if dim == 2 else 8
+        shape = (n,) * dim
+        for n_modes in (1, 2, 5, n**dim):
+            hat = np.zeros(n**dim, dtype=np.complex128)
+            idx = rng.choice(n**dim, size=n_modes, replace=False)
+            hat[idx] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+            hat = hat.reshape(shape) * 10.0 ** rng.uniform(-8, 8)
+            real = np.fft.fftn(np.fft.ifftn(hat).real, norm="ortho")  # a real field
+            for coeffs in (hat, real):
+                sup = np.max(np.abs(np.fft.ifftn(coeffs, norm="ortho")))
+                assert sup_bound(coeffs) >= sup, n_modes
 
 
 class TestPicard:

@@ -168,6 +168,25 @@ class TestHorizon:
         assert main(argv) == EXIT_VALIDATION
 
 
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("key, value, reason", [
+        ("dt", float("nan"), "finite"),
+        ("dt", float("inf"), "finite"),
+        ("t_end", float("nan"), "finite"),
+        ("t_end", float("inf"), "finite"),
+        ("blowup_factor", float("nan"), "finite"),
+        ("blowup_factor", float("inf"), "finite"),
+        ("blowup_factor", 0.0, "positive"),
+        ("blowup_factor", -2.0, "positive"),
+    ])
+    def test_rejected_by_name(self, tmp_path, key, value, reason):
+        doc = {**BASE_DOC, key: value}
+        with pytest.raises(ConfigurationError, match=f"{key} must be {reason}"):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
+
+
 class TestSimulate:
     def test_zero_horizon_emits_single_row(self, tmp_path):
         cfg, echo = config_from_dict({**BASE_DOC, "t_end": 0.0})
@@ -194,6 +213,26 @@ class TestSimulate:
         assert code == 3
         assert report["payload"]["diverged_at"] is not None
 
+
+    def test_divergence_payload_names_field_and_factor(self, tmp_path):
+        _, report = cmd_simulate(*config_from_dict(BASE_DOC), str(tmp_path / "a"))
+        assert report["payload"]["diverged_field"] is None
+        assert report["payload"]["growth_factor"] is None
+
+        doc = {**BASE_DOC, "blowup_factor": 0.5, "t_end": 0.01}
+        for tag in ("b", "c"):
+            code, report = cmd_simulate(*config_from_dict(doc), str(tmp_path / tag))
+            assert code == 3
+        payload = report["payload"]
+        assert list(payload)[-2:] == ["diverged_field", "growth_factor"]
+        assert payload["diverged_field"] == "psi"
+        assert payload["growth_factor"] > 0.5
+        saved = json.loads((tmp_path / "c" / "report.json").read_text())["payload"]
+        assert saved["diverged_field"] == payload["diverged_field"]
+        assert saved["growth_factor"] == payload["growth_factor"]
+        assert (tmp_path / "b" / "report.json").read_bytes() == (
+            tmp_path / "c" / "report.json"
+        ).read_bytes()
 
     def test_report_names_configured_blowup_factor(self, tmp_path):
         _, report = cmd_simulate(*config_from_dict(BASE_DOC), str(tmp_path / "a"))
