@@ -34,9 +34,13 @@ class SimConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "blowup_factor"):
+        for name in ("dt", "t_end", "blowup_factor", "length", "width", "amplitude"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.normalize_h1 is not None and not np.isfinite(self.normalize_h1):
+            raise ConfigurationError(f"normalize_h1 must be finite, got {self.normalize_h1}")
+        if self.width <= 0:
+            raise ConfigurationError(f"width must be positive, got {self.width}")
         if self.blowup_factor <= 0:
             raise ConfigurationError(f"blowup_factor must be positive, got {self.blowup_factor}")
         if self.dt <= 0:

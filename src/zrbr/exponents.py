@@ -248,10 +248,12 @@ REFERENCE_BOX = {
 class RegionScan:
     d: int
     resolution: float
+    b1_axis: np.ndarray  # lattice values; samples run over b1 outer, b2 inner
+    b2_axis: np.ndarray
     b1: np.ndarray  # flattened sample coordinates
     b2: np.ndarray
     admissible: np.ndarray  # bool, same length
-    violated_ids: list  # list of tuples of constraint ids, "" when admissible
+    violated_ids: list  # ";"-joined failed constraint ids per sample, "" when admissible
     min_theta: np.ndarray
     reference_box_contained: bool
     witnesses: list  # reference-box samples failing, with their violated ids
@@ -263,25 +265,21 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     """Scan (1/2, 1) x [0, 1/2] on the given lattice; report admissibility,
     the min-theta surface and the containment verdict for the published
     parameter rectangle."""
-    if resolution > 1e-2:
-        raise ConfigurationError("resolution must be <= 1e-2")
+    if not (np.isfinite(resolution) and 0.0 < resolution <= 1e-2):
+        raise ConfigurationError(f"resolution must be finite, > 0 and <= 1e-2, got {resolution}")
     b1_axis = np.arange(0.5 + resolution, 1.0, resolution)
     b2_axis = np.arange(0.0, 0.5 + 0.5 * resolution, resolution)
-    B1, B2 = np.meshgrid(b1_axis, b2_axis, indexing="ij")
-    b1 = B1.ravel()
-    b2 = B2.ravel()
+    b1 = np.repeat(b1_axis, len(b2_axis))
+    b2 = np.tile(b2_axis, len(b1_axis))
 
     passes, ids = constraint_matrix(b1, b2, d)
     admissible = np.all(passes, axis=0)
 
-    violated = []
-    fails = ~passes
-    any_fail = np.any(fails, axis=0)
-    for j in range(len(b1)):
-        if any_fail[j]:
-            violated.append(";".join(ids[i] for i in range(len(ids)) if fails[i, j]))
-        else:
-            violated.append("")
+    # Bit i of a sample's code is set when constraint i fails; the text of
+    # each distinct code (at most 2**10) is joined once and shared.
+    codes, which = np.unique((1 << np.arange(len(ids))) @ ~passes, return_inverse=True)
+    texts = [";".join(c for i, c in enumerate(ids) if code >> i & 1) for code in codes.tolist()]
+    violated = np.array(texts, dtype=object)[which].tolist()
 
     # min theta where defined (b1 != b2 guaranteed off the diagonal samples).
     safe = b1 != b2
@@ -292,33 +290,25 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
 
     box = REFERENCE_BOX[d]
     margin = 2.0 * resolution
-    in_box = (
-        (b1 > box["b1"][0] + margin)
-        & (b1 < box["b1"][1] - margin)
-        & (b2 < box["b2"][1] - margin)
-    )
+    b1_in = (b1_axis > box["b1"][0] + margin) & (b1_axis < box["b1"][1] - margin)
+    b2_in = b2_axis < box["b2"][1] - margin
     if box["b2_closed_low"]:
-        in_box &= b2 >= box["b2"][0]
+        b2_in &= b2_axis >= box["b2"][0]
     else:
-        in_box &= b2 > box["b2"][0] + margin
-
+        b2_in &= b2_axis > box["b2"][0] + margin
+    in_box = np.outer(b1_in, b2_in).ravel()
     contained = bool(np.all(admissible[in_box])) if np.any(in_box) else False
-    witnesses = []
-    bad = in_box & ~admissible
-    for j in np.nonzero(bad)[0][:50]:
-        witnesses.append({"b1": float(b1[j]), "b2": float(b2[j]), "violated": violated[j]})
+    witnesses = [{"b1": float(b1[j]), "b2": float(b2[j]), "violated": violated[j]}
+                 for j in np.nonzero(in_box & ~admissible)[0][:50]]
 
     # Pointwise b1 range: b1 values admissible for at least one scanned b2.
     # Uniform range: b1 values admissible for every scanned b2 in the reference
     # b2 interval.  The two differ; both are reported, neither is asserted.
-    adm_grid = admissible.reshape(B1.shape)
+    adm_grid = admissible.reshape(len(b1_axis), len(b2_axis))
     point_rows = np.any(adm_grid, axis=1)
     pointwise = None
     if np.any(point_rows):
         pointwise = (float(b1_axis[point_rows][0]), float(b1_axis[point_rows][-1]))
-    b2_in = b2_axis < box["b2"][1] - margin
-    if not box["b2_closed_low"]:
-        b2_in &= b2_axis > box["b2"][0] + margin
     uniform = None
     if np.any(b2_in):
         uni_rows = np.all(adm_grid[:, b2_in], axis=1)
@@ -328,6 +318,8 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     return RegionScan(
         d=d,
         resolution=resolution,
+        b1_axis=b1_axis,
+        b2_axis=b2_axis,
         b1=b1,
         b2=b2,
         admissible=admissible,

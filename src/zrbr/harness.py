@@ -86,16 +86,20 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: list, rows: list):
+def csv_text(rows) -> str:
+    """CSV lines for a small table: floats as format_float, other cells by str."""
+    return "".join(
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+
+
+def write_csv(path: str, header: list, blocks):
+    """Write the header line, then each block: already-formatted CSV text of
+    whole lines.  A generator of blocks streams a large table to disk."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    format_float(v) if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+        fh.writelines(blocks)
 
 
 def write_report(path: str, report: dict):
@@ -128,6 +132,26 @@ def make_report(command: str, config_echo: dict, master_seed, payload: dict,
     }
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               bool: "true or false"}
+# Keys whose default is None; only these may be null.
+_NULLABLE_KEYS = {f.name for f in dataclasses.fields(SimConfig) if f.default is None}
+
+
+def _check_type(key: str, value):
+    """Raise ConfigurationError unless value has the type _CONFIG_KEYS lists;
+    an int stands for a float, a bool for no number."""
+    kind = _CONFIG_KEYS[key]
+    if value is None:
+        ok = key in _NULLABLE_KEYS
+    elif isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ConfigurationError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 def config_from_dict(doc: dict, seed_override=None) -> tuple[SimConfig, dict]:
     """Validate a flat key-value document; unknown keys are hard errors."""
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
@@ -136,6 +160,8 @@ def config_from_dict(doc: dict, seed_override=None) -> tuple[SimConfig, dict]:
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
+    for key, value in doc.items():
+        _check_type(key, value)
     params = ModelParams(
         sigma2=float(doc.get("sigma2", 1.0)),
         W=float(doc.get("W", 1.0)),
@@ -249,7 +275,7 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
     write_csv(
         os.path.join(out_dir, "diagnostics.csv"),
         ["t", "mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"],
-        rows,
+        [csv_text(rows)],
     )
     if snapshots:
         for j, state in enumerate(traj.states):
@@ -290,7 +316,8 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
             t_proxy = err.time if err.time is not None else 0.0
         rows.append((eps, float(t_proxy)))
 
-    write_csv(os.path.join(out_dir, "epsilon_scaling.csv"), ["epsilon", "T_proxy"], rows)
+    write_csv(os.path.join(out_dir, "epsilon_scaling.csv"), ["epsilon", "T_proxy"],
+              [csv_text(rows)])
 
     if all(t == 0.0 for _, t in rows):
         raise DivergenceError("every run diverged at t=0; scaling fit is degenerate")
@@ -319,21 +346,26 @@ def cmd_region(d: int, resolution: float, out_dir: str):
     """Admissible-region scan export with the containment verdict."""
     os.makedirs(out_dir, exist_ok=True)
     scan = region_scan(d, resolution)
-    rows = [
-        (float(b1), float(b2), int(adm), vio, float(mt))
-        for b1, b2, adm, vio, mt in zip(
-            scan.b1, scan.b2, scan.admissible, scan.violated_ids, scan.min_theta
-        )
-    ]
+    # A block of lines per b1 value; only min_theta is formatted per sample
+    # (format_float's spec, written inline).
+    n = len(scan.b2_axis)
+    b2_text = [format_float(v) for v in scan.b2_axis.tolist()]
+    adm = scan.admissible.view(np.uint8)
+    blocks = (
+        "".join([f"{head},{b2},{a},{vio},{mt:.17g}\n" for b2, a, vio, mt in zip(
+            b2_text, adm[lo:lo + n].tolist(), scan.violated_ids[lo:lo + n],
+            scan.min_theta[lo:lo + n].tolist())])
+        for lo, head in zip(range(0, len(scan.b1), n), map(format_float, scan.b1_axis.tolist()))
+    )
     write_csv(
         os.path.join(out_dir, f"region_d{d}.csv"),
         ["b1", "b2", "admissible", "violated_ids", "min_theta"],
-        rows,
+        blocks,
     )
     payload = {
         "d": d,
         "resolution": resolution,
-        "n_samples": len(rows),
+        "n_samples": len(scan.b1),
         "n_admissible": int(np.sum(scan.admissible)),
         "reference_box_contained": scan.reference_box_contained,
         "witnesses": scan.witnesses,
@@ -406,7 +438,7 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     write_csv(
         os.path.join(out_dir, "picard.csv"),
         ["T", "contraction_factor", "contracting"],
-        rows,
+        [csv_text(rows)],
     )
     payload = {"n_iters": n_iters, "n_time": n_time, "per_T": reports}
     report = make_report("picard", echo, echo.get("seed"), payload)

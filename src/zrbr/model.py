@@ -45,6 +45,9 @@ class ModelParams:
     extra_cutoff_terms: bool = False
 
     def __post_init__(self):
+        for name in ("sigma2", "W", "D", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.W >= 0:
             raise ContractViolationError(f"W must be nonnegative, got {self.W}")
         if not self.epsilon > 0:

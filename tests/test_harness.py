@@ -9,7 +9,7 @@ import pytest
 from zrbr import harness
 from zrbr.cli import main
 from zrbr.config import SimConfig
-from zrbr.errors import ConfigurationError
+from zrbr.errors import ConfigurationError, ZRBRError
 from zrbr.harness import (
     EXIT_CAP_EXCEEDED,
     EXIT_OK,
@@ -187,6 +187,59 @@ class TestNonFiniteConfig:
         assert main(argv) == EXIT_VALIDATION
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize("key, value, kind", [
+        ("dt", "0.1", "a number"),
+        ("diagnostics_stride", 1.5, "an integer"),
+        ("n", True, "an integer"),
+        ("dt", True, "a number"),
+        ("sigma2", False, "a number"),
+        ("dealias", 1, "true or false"),
+        ("recipe", 3, "a string"),
+        ("mode", "x", "a list"),
+        ("dt", None, "a number"),
+        ("dim", None, "an integer"),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, key, value, kind):
+        doc = {**BASE_DOC, key: value}
+        with pytest.raises(ConfigurationError, match=f"{key} must be {kind}"):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
+
+    def test_int_for_float_and_null_where_default_is_none(self):
+        cfg, _ = config_from_dict({**BASE_DOC, "t_end": 1, "dt": 1, "length": 12,
+                                   "normalize_h1": None, "seed": None})
+        assert cfg.t_end == 1.0 and cfg.length == 12.0
+        assert cfg.normalize_h1 is None and cfg.seed is None
+
+
+class TestNonFinitePhysics:
+    @pytest.mark.parametrize("key, value, reason", [
+        ("sigma2", float("nan"), "sigma2 must be finite"),
+        ("sigma2", float("inf"), "sigma2 must be finite"),
+        ("D", float("nan"), "D must be finite"),
+        ("D", float("-inf"), "D must be finite"),
+        ("W", float("inf"), "W must be finite"),
+        ("epsilon", float("inf"), "epsilon must be finite"),
+        ("length", float("inf"), "length must be finite"),
+        ("length", float("nan"), "length must be finite"),
+        ("length", 0.0, "length must be positive"),
+        ("width", 0.0, "width must be positive"),
+        ("width", -1.0, "width must be positive"),
+        ("width", float("nan"), "width must be finite"),
+        ("amplitude", float("nan"), "amplitude must be finite"),
+        ("amplitude", float("inf"), "amplitude must be finite"),
+        ("normalize_h1", float("nan"), "normalize_h1 must be finite"),
+    ])
+    def test_rejected_by_name(self, tmp_path, key, value, reason):
+        doc = {**BASE_DOC, key: value}
+        with pytest.raises(ZRBRError, match=reason):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
+
+
 class TestSimulate:
     def test_zero_horizon_emits_single_row(self, tmp_path):
         cfg, echo = config_from_dict({**BASE_DOC, "t_end": 0.0})
@@ -299,6 +352,13 @@ class TestRegionCommand:
     def test_coarse_resolution_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             cmd_region(2, 0.05, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("resolution", ["0", "nan", "-0.001", "inf", "0.05"])
+    def test_bad_resolution_exit_code(self, tmp_path, resolution):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "region", "--d", "2", "--resolution", resolution]
+        assert main(argv) == EXIT_VALIDATION
+        assert not (out / "region_d2.csv").exists()
 
 
 class TestFuzzCommand:
