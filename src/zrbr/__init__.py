@@ -11,7 +11,6 @@ from .bourgain import (
     SpaceTimeField,
     check_linear_estimate,
     free_evolution,
-    hsb_norm,
     linear_estimate_ratio,
     mixed_norm,
     random_band_limited,
@@ -57,6 +56,6 @@ from .model import (
     mass,
     recombine,
 )
-from .spectral import ComplexField, Grid, make_multiplier, transform
+from .spectral import ComplexField, Grid, make_multiplier
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
 from .exponents import strichartz_exponents
-from .spectral import ComplexField, Grid
+from .spectral import ComplexField, Grid, low_mode_coefficients
 
 _TWO_PI = 2.0 * np.pi
 
@@ -160,11 +160,6 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
     return float(np.sqrt(total * f.cell_weight))
 
 
-def hsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
-    """Space-time Sobolev norm (no dispersion in the tau weight)."""
-    return xsb_norm(f, s, b, NO_DISPERSION)
-
-
 def ys_norm(f: SpaceTimeField, s: float, disp: Dispersion) -> float:
     """l1 in tau of the weighted modulus, then l2 in xi, with cell weights."""
     hat = f.spacetime_hat()
@@ -235,13 +230,9 @@ def random_band_limited(
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
     rng = np.random.default_rng(seed)
-    spatial_modes = _low_modes(grid.dim, space_band)
     coeffs = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
     for m in range(-time_band, time_band + 1):
-        for k in spatial_modes:
-            c = rng.normal() + 1j * rng.normal()
-            idx = (m % n_time,) + tuple(np.mod(k, grid.n))
-            coeffs[idx] = c
+        coeffs[m % n_time] = low_mode_coefficients(grid, rng, space_band)
     # values = sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases;
     # "forward" normalization keeps the sum unscaled, so refining the lattice
     # samples the same continuum field.
@@ -251,13 +242,6 @@ def random_band_limited(
         lam = smooth_cutoff(f.times)
         f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
     return f
-
-
-def _low_modes(dim: int, band: int):
-    rng_idx = range(-band, band + 1)
-    if dim == 2:
-        return [(i, j) for i in rng_idx for j in rng_idx]
-    return [(i, j, k) for i in rng_idx for j in rng_idx for k in rng_idx]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .harness import (
     cmd_picard,
     cmd_region,
     cmd_simulate,
-    config_from_dict,
     load_config,
 )
 
@@ -76,6 +75,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
         if args.command == "simulate":
             config, echo = _need_config(args)
             code, _ = cmd_simulate(config, echo, args.out, snapshots=args.snapshots)

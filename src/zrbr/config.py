@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelParams, ZRState
-from .spectral import ComplexField, Grid, to_frequency, to_physical
+from .spectral import ComplexField, Grid, low_mode_coefficients, to_frequency
 
 RECIPES = ("gaussian", "plane-wave", "random-band-limited", "zero")
 
@@ -56,6 +56,11 @@ class SimConfig:
             raise ConfigurationError(f"unknown initial-data recipe {self.recipe!r}")
         if self.recipe == "random-band-limited" and self.seed is None:
             raise ConfigurationError("random recipe requires a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                   for k in self.mode):
+            raise ConfigurationError(f"mode components must be integers, got {list(self.mode)}")
         if self.diagnostics_stride < 1:
             raise ConfigurationError("diagnostics_stride must be >= 1")
         # Grid construction validates dim / n / length.
@@ -89,7 +94,12 @@ def make_initial_state(config: SimConfig) -> ZRState:
         )
         psi = config.amplitude * np.exp(1j * phase)
     elif config.recipe == "random-band-limited":
-        psi = _random_band_limited(grid, config.seed, config.amplitude)
+        # seeded coefficients on the modes |k|_inf <= 4, scaled to peak amplitude
+        coeffs = low_mode_coefficients(grid, np.random.default_rng(config.seed), 4)
+        psi = np.fft.ifftn(coeffs, norm="ortho")
+        peak = np.max(np.abs(psi))
+        if peak > 0:
+            psi = psi * (config.amplitude / peak)
     else:  # pragma: no cover - guarded in __post_init__
         raise ConfigurationError(config.recipe)
 
@@ -106,22 +116,3 @@ def make_initial_state(config: SimConfig) -> ZRState:
         phi=ComplexField(grid, zero.copy(), "physical"),
     )
 
-
-def _random_band_limited(grid: Grid, seed: int, amplitude: float, band: int = 4):
-    """Random smooth field: seeded coefficients on modes |k|_inf <= band."""
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    idx_range = range(-band, band + 1)
-    if grid.dim == 2:
-        modes = [(i, j) for i in idx_range for j in idx_range]
-    else:
-        modes = [(i, j, k) for i in idx_range for j in idx_range for k in idx_range]
-    for m in modes:
-        c = rng.normal() + 1j * rng.normal()
-        coeffs[tuple(np.mod(m, grid.n))] = c
-    field_f = ComplexField(grid, coeffs, "frequency")
-    vals = to_physical(field_f).values
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals = vals * (amplitude / peak)
-    return vals

@@ -85,12 +85,14 @@ class _StepPropagators:
 @lru_cache(maxsize=8)
 def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagator:
     absxi = grid.xi_modulus
-    schrodinger = make_multiplier(grid, "schrodinger_group", t=epsilon * t).symbol
+    sinc = np.full(grid.shape, t, dtype=np.float64)
+    nz = absxi > 0
+    sinc[nz] = np.sin(absxi[nz] * t) / absxi[nz]
     return _LinearPropagator(
-        schrodinger=frozen_symbol(schrodinger),
+        schrodinger=frozen_symbol(np.exp(-1j * (epsilon * t) * grid.xi_squared)),
         cos=frozen_symbol(np.cos(absxi * t)),
         omega_sin=frozen_symbol(absxi * np.sin(absxi * t)),
-        sinc=frozen_symbol(make_multiplier(grid, "wave_source_propagator", t=t).symbol),
+        sinc=frozen_symbol(sinc),
     )
 
 
@@ -98,7 +100,7 @@ def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagato
 def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _StepPropagators:
     return _StepPropagators(
         half=_linear_propagator(grid, dt / 2.0, epsilon),
-        dx=frozen_symbol(make_multiplier(grid, "dx").symbol),
+        dx=make_multiplier(grid, "dx"),
         mask=frozen_symbol(dealias_mask(grid)) if dealias else None,
     )
 
@@ -318,9 +320,9 @@ def picard_iterate(
     Iterate 0 is the cutoff free flow lambda(t) * group(t) * u0 per
     component; each following iterate applies the retarded integral with the
     nonlinearity screened by lambda_{2T}(s), which is 1 on the window.
-    Returns the list of iterates (dicts of space-time value arrays, physical
-    space) and a PicardReport of successive-difference norms and the
-    empirical contraction factor.
+    Returns [iterate 0, last iterate] (dicts of space-time value arrays,
+    physical space) and a PicardReport of successive-difference norms and
+    the empirical contraction factor.
 
     Each iteration works on whole (n_time, *grid) stacks: the sources take
     five FFTs (psi_t needs two, |psi|^2 and its rate one each, F one) and
@@ -362,12 +364,11 @@ def picard_iterate(
                                      axes=axes, norm="ortho")
             for name, f in zip(_COMPONENTS, initial.fields())}
 
-    iterates = [free]
+    current = free
     component_diffs = {name: [] for name in _COMPONENTS}
     largest = max(_sup_l2(free[name], grid) for name in _COMPONENTS)
 
     for _ in range(n_iters):
-        current = iterates[-1]
         fields = [current[name] for name in _COMPONENTS]
         psi = fields[0]
         F = envelope_source(*fields, params)
@@ -395,7 +396,7 @@ def picard_iterate(
             nxt[name] = out
             component_diffs[name].append(_sup_l2(out - current[name], grid))
             largest = max(largest, _sup_l2(out, grid))
-        iterates.append(nxt)
+        current = nxt
 
     diffs = [max(d) for d in zip(*component_diffs.values())]
     ratios = []
@@ -407,7 +408,7 @@ def picard_iterate(
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[burn_in - 1 :] if len(tail) >= burn_in else tail
     factor = max(tail) if tail else 0.0
-    return iterates, PicardReport(
+    return [free, current], PicardReport(
         T=T,
         n_time=n_time,
         diffs=diffs,

@@ -17,12 +17,12 @@ import struct
 import numpy as np
 
 from . import __version__
-from .config import RECIPES, SimConfig, h1_norm, make_initial_state
+from .config import SimConfig, make_initial_state
 from .errors import ConfigurationError, DivergenceError
 from .evolution import picard_iterate, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities
 from .model import ModelParams, PlusMinusState, ZRState, decompose
-from .spectral import ComplexField, Grid, zero_field
+from .spectral import ComplexField, Grid, to_physical, zero_field
 from .bourgain import (
     SCHRODINGER,
     WAVE_MINUS,
@@ -204,7 +204,8 @@ SNAPSHOT_VERSION = 1
 
 
 def write_snapshot(path: str, state: ZRState):
-    """Raw binary state dump; layout documented in the README."""
+    """Raw binary state dump of the physical fields; layout documented in the
+    README."""
     grid = state.grid
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -212,7 +213,7 @@ def write_snapshot(path: str, state: ZRState):
         fh.write(struct.pack("<" + "I" * grid.dim, *grid.shape))
         fh.write(struct.pack("<d", grid.length))
         for name in ("psi", "rho", "phi"):
-            vals = np.ascontiguousarray(getattr(state, name).values)
+            vals = np.ascontiguousarray(to_physical(getattr(state, name)).values)
             pairs = np.empty(vals.shape + (2,), dtype="<f8")
             pairs[..., 0] = vals.real
             pairs[..., 1] = vals.imag
@@ -446,12 +447,7 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     return EXIT_OK, report
 
 
-_DISPERSIONS = {
-    "schrodinger": SCHRODINGER,
-    "wave_plus": WAVE_PLUS,
-    "wave_minus": WAVE_MINUS,
-    "none": NO_DISPERSION,
-}
+_DISPERSIONS = {d.kind: d for d in (SCHRODINGER, WAVE_PLUS, WAVE_MINUS, NO_DISPERSION)}
 
 NORM_RECIPES = ("zero", "one-mode", "cutoff-free", "random-band-limited")
 

@@ -109,12 +109,12 @@ def _half_wave_pair(f: ComplexField, f_t: ComplexField, d_dx: bool):
     grid = f.grid
     fh = to_frequency(f).values
     ft_h = to_frequency(f_t).values
-    winv = make_multiplier(grid, "omega_inv").symbol
+    winv = make_multiplier(grid, "omega_inv")
     corr = 1j * winv * ft_h
     plus = fh + corr
     minus = fh - corr
     if d_dx:
-        dx = make_multiplier(grid, "dx").symbol
+        dx = make_multiplier(grid, "dx")
         plus = dx * plus
         minus = dx * minus
     return (
@@ -143,7 +143,7 @@ def recombine(pm: PlusMinusState):
     spatial mean projected off.
     """
     grid = pm.grid
-    omega = make_multiplier(grid, "omega").symbol
+    omega = make_multiplier(grid, "omega")
 
     def pair(plus: ComplexField, minus: ComplexField):
         ph = to_frequency(plus).values
@@ -177,10 +177,10 @@ class SourceSymbols:
 
 @lru_cache(maxsize=8)
 def source_symbols(grid: Grid, D: float) -> SourceSymbols:
-    lap, winv, dx = (make_multiplier(grid, n).symbol for n in ("laplacian", "omega_inv", "dx"))
+    lap, winv, dx = (make_multiplier(grid, n) for n in ("laplacian", "omega_inv", "dx"))
     return SourceSymbols(
-        laplacian=frozen_symbol(lap),
-        omega_inv=frozen_symbol(winv),
+        laplacian=lap,
+        omega_inv=winv,
         g=(frozen_symbol(winv * lap), frozen_symbol(D * winv * dx)),
         h=(frozen_symbol(-D * winv * dx * dx), frozen_symbol(winv * dx)),
     )

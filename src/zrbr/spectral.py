@@ -1,4 +1,4 @@
-"""Periodic grids, complex fields and Fourier-multiplier calculus.
+"""Periodic grids, complex fields and the table of Fourier symbols.
 
 Everything here lives on a uniform periodic box [-L/2, L/2)^d with a
 power-of-two number of points per axis.  Transforms are unitary (1/sqrt(N)
@@ -7,8 +7,9 @@ per axis in both directions) so the discrete Plancherel identity is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import itertools
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,14 +101,6 @@ class ComplexField:
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.values.copy(), self.space)
 
-    def is_real_valued(self, rtol: float = 1e-12) -> bool:
-        """Check the real-valuedness invariant in physical space."""
-        f = self if self.space == PHYSICAL else transform(self, "inverse")
-        m = np.max(np.abs(f.values))
-        if m == 0.0:
-            return True
-        return np.max(np.abs(f.values.imag)) <= rtol * m
-
     def l2_norm(self) -> float:
         """Discrete L2 norm, sqrt(sum |f|^2 * dx^d); same in either space."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
@@ -117,107 +110,18 @@ def zero_field(grid: Grid, space: str = PHYSICAL) -> ComplexField:
     return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128), space)
 
 
-def transform(f: ComplexField, direction: str) -> ComplexField:
-    """Unitary DFT between physical and frequency representation."""
-    if direction == "forward":
-        if f.space != PHYSICAL:
-            raise ContractViolationError("forward transform requires physical-space input")
-        return ComplexField(f.grid, np.fft.fftn(f.values, norm="ortho"), FREQUENCY)
-    if direction == "inverse":
-        if f.space != FREQUENCY:
-            raise ContractViolationError("inverse transform requires frequency-space input")
-        return ComplexField(f.grid, np.fft.ifftn(f.values, norm="ortho"), PHYSICAL)
-    raise ConfigurationError(f"unknown transform direction {direction!r}")
-
-
 def to_frequency(f: ComplexField) -> ComplexField:
-    return f if f.space == FREQUENCY else transform(f, "forward")
+    """Unitary forward DFT; a field already in frequency space is returned as is."""
+    if f.space == FREQUENCY:
+        return f
+    return ComplexField(f.grid, np.fft.fftn(f.values, norm="ortho"), FREQUENCY)
 
 
 def to_physical(f: ComplexField) -> ComplexField:
-    return f if f.space == PHYSICAL else transform(f, "inverse")
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """A Fourier multiplier: pointwise symbol over the frequency lattice."""
-
-    grid: Grid
-    symbol: np.ndarray
-    name: str = "custom"
-
-    def __call__(self, f: ComplexField) -> ComplexField:
-        return apply_multiplier(self, f)
-
-
-def _nyquist_mask(grid: Grid, axis: int) -> np.ndarray:
-    """Boolean mask selecting the Nyquist plane along the given axis."""
-    idx = np.zeros(grid.n, dtype=bool)
-    idx[grid.n // 2] = True
-    shape = [1] * grid.dim
-    shape[axis] = grid.n
-    return np.broadcast_to(idx.reshape(shape), grid.shape)
-
-
-def make_multiplier(grid: Grid, name: str, **params) -> Multiplier:
-    """Build one of the named symbols used throughout the package.
-
-    Zero-mode convention: omega_inv and omega_inv_dx are 0 at xi = 0.
-    The dx symbol is zeroed on the axis-0 Nyquist plane so derivatives of
-    real fields stay real.
-    """
-    xi2 = grid.xi_squared
-    absxi = grid.xi_modulus
-
-    if name == "laplacian":
-        sym = -xi2
-    elif name == "omega":
-        sym = absxi
-    elif name == "omega_inv":
-        sym = np.zeros(grid.shape)
-        nz = absxi > 0
-        sym[nz] = 1.0 / absxi[nz]
-    elif name == "dx":
-        xi1 = grid.frequencies()[0].astype(np.complex128)
-        xi1[_nyquist_mask(grid, 0)] = 0.0
-        sym = 1j * xi1
-    elif name == "omega_inv_dx":
-        xi1 = grid.frequencies()[0]
-        sym = np.zeros(grid.shape)
-        nz = absxi > 0
-        sym[nz] = np.abs(xi1[nz]) / absxi[nz]
-    elif name == "bracket_pow":
-        s = params.get("s")
-        if s is None:
-            raise ConfigurationError("bracket_pow requires parameter s")
-        sym = (1.0 + xi2) ** (s / 2.0)
-    elif name == "schrodinger_group":
-        t = _finite_time(params)
-        sym = np.exp(-1j * t * xi2)
-    elif name == "wave_group":
-        t = _finite_time(params)
-        sign = params.get("sign", "+")
-        if sign not in ("+", "-", 1, -1):
-            raise ConfigurationError(f"wave_group sign must be +/-, got {sign!r}")
-        s = 1.0 if sign in ("+", 1) else -1.0
-        # V_pm(t) = exp(∓ i omega t): the '+' group decays the phase.
-        sym = np.exp(-1j * s * t * absxi)
-    elif name == "wave_source_propagator":
-        t = _finite_time(params)
-        sym = np.full(grid.shape, t, dtype=np.float64)
-        nz = absxi > 0
-        sym[nz] = np.sin(absxi[nz] * t) / absxi[nz]
-    else:
-        raise ConfigurationError(f"unknown multiplier name {name!r}")
-
-    return Multiplier(grid, np.asarray(sym, dtype=np.complex128), name)
-
-
-def _finite_time(params) -> float:
-    t = params.get("t")
-    if t is None or not np.isfinite(t):
-        raise ConfigurationError("group symbols require a finite time parameter t")
-    return float(t)
+    """Unitary inverse DFT; a field already in physical space is returned as is."""
+    if f.space == PHYSICAL:
+        return f
+    return ComplexField(f.grid, np.fft.ifftn(f.values, norm="ortho"), PHYSICAL)
 
 
 def frozen_symbol(a) -> np.ndarray:
@@ -229,23 +133,39 @@ def frozen_symbol(a) -> np.ndarray:
     return a
 
 
-def apply_multiplier(m: Multiplier, f: ComplexField) -> ComplexField:
-    if f.grid != m.grid:
-        raise ContractViolationError("multiplier and field live on different grids")
-    if f.space != FREQUENCY:
-        raise ContractViolationError("apply_multiplier requires a frequency-space field")
-    return ComplexField(f.grid, m.symbol * f.values, FREQUENCY)
+@lru_cache(maxsize=32)
+def make_multiplier(grid: Grid, name: str) -> np.ndarray:
+    """The symbol table: one shared, read-only symbol per (grid, name).
 
-
-def apply_symbol(grid: Grid, name: str, f: ComplexField, **params) -> ComplexField:
-    """Apply a named multiplier to a field in either representation.
-
-    Convenience wrapper: transforms to frequency space, multiplies, and
-    returns the result in the representation the input came in.
+    laplacian is -|xi|^2, omega |xi|, omega_inv 1/|xi| (0 at xi = 0) and dx
+    i xi_1, zeroed on the axis-0 Nyquist plane so derivatives of real fields
+    stay real.
     """
-    m = make_multiplier(grid, name, **params)
-    g = apply_multiplier(m, to_frequency(f))
-    return g if f.space == FREQUENCY else to_physical(g)
+    absxi = grid.xi_modulus
+    if name == "laplacian":
+        sym = -grid.xi_squared
+    elif name == "omega":
+        sym = absxi
+    elif name == "omega_inv":
+        sym = np.zeros(grid.shape)
+        nz = absxi > 0
+        sym[nz] = 1.0 / absxi[nz]
+    elif name == "dx":
+        xi1 = grid.frequencies()[0].astype(np.complex128)
+        xi1[grid.n // 2] = 0.0
+        sym = 1j * xi1
+    else:
+        raise ConfigurationError(f"unknown multiplier name {name!r}")
+    return frozen_symbol(sym)
+
+
+def low_mode_coefficients(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
+    """Coefficients N(0,1) + i N(0,1) drawn from rng in turn on the modes
+    |k|_inf <= band (lexicographic order), zero elsewhere."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for k in itertools.product(range(-band, band + 1), repeat=grid.dim):
+        coeffs[tuple(np.mod(k, grid.n))] = rng.normal() + 1j * rng.normal()
+    return coeffs
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:

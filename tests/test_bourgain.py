@@ -10,7 +10,6 @@ from zrbr.bourgain import (
     SpaceTimeField,
     check_linear_estimate,
     free_evolution,
-    hsb_norm,
     linear_estimate_ratio,
     mixed_norm,
     random_band_limited,
@@ -65,10 +64,6 @@ class TestNorms:
         f = random_spacetime(aligned_grid(), 32, 3)
         assert xsb_norm(f, 0, 0, SCHRODINGER) == pytest.approx(f.l2_norm(), rel=1e-12)
         assert mixed_norm(f, 2, 2) == pytest.approx(f.l2_norm(), rel=1e-12)
-
-    def test_hsb_equals_xsb_without_dispersion(self):
-        f = random_spacetime(aligned_grid(), 32, 4)
-        assert hsb_norm(f, 1.0, 0.4) == xsb_norm(f, 1.0, 0.4, NO_DISPERSION)
 
     def test_free_solution_has_zero_modulation(self):
         # exp(it Lap) data concentrates on tau = -|xi|^2: with L = 2 pi and

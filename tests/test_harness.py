@@ -29,7 +29,7 @@ from zrbr.harness import (
     write_snapshot,
 )
 from zrbr.model import ModelParams, ZRState
-from zrbr.spectral import ComplexField, Grid
+from zrbr.spectral import ComplexField, Grid, to_physical
 
 BASE_DOC = {
     "dim": 2,
@@ -157,6 +157,25 @@ class TestSnapshots:
         with pytest.raises(ConfigurationError):
             read_snapshot(str(path))
 
+    @pytest.mark.parametrize("space", ["physical", "frequency"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_roundtrip_gives_physical_fields_exactly(self, tmp_path, seed, dim, space):
+        # seeded grids and full-spectrum fields in either representation
+        rng = np.random.default_rng(seed)
+        grid = Grid(dim, int(rng.choice([4, 8])), float(rng.uniform(1.0, 30.0)))
+        st = ZRState(*(ComplexField(grid, rng.normal(size=grid.shape)
+                                    + 1j * rng.normal(size=grid.shape), space)
+                       for _ in range(3)))
+        path = str(tmp_path / "state.bin")
+        write_snapshot(path, st)
+        back = read_snapshot(path)
+        assert back.grid == grid
+        for name in ("psi", "rho", "phi"):
+            field = getattr(back, name)
+            assert field.space == "physical"
+            assert field.values.tobytes() == to_physical(getattr(st, name)).values.tobytes()
+
 
 class TestHorizon:
     def test_horizon_must_be_whole_steps(self, tmp_path):
@@ -203,6 +222,14 @@ class TestConfigTypes:
     def test_wrong_type_rejected(self, tmp_path, key, value, kind):
         doc = {**BASE_DOC, key: value}
         with pytest.raises(ConfigurationError, match=f"{key} must be {kind}"):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("mode", [["a", 1], [1.5, 0], [True, 0]])
+    def test_mode_components_must_be_integers(self, tmp_path, mode):
+        doc = {**BASE_DOC, "recipe": "plane-wave", "mode": mode}
+        with pytest.raises(ConfigurationError, match="mode components must be integers"):
             config_from_dict(doc)
         argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
         assert main(argv) == EXIT_VALIDATION
@@ -459,6 +486,24 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "diagnostics.csv"))
         out2 = str(tmp_path / "norms")
         assert main(["--seed", "3", "--out", out2, "norms", "--recipe", "one-mode"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["epsilon-scaling", "--eps", "1.0"], ["picard", "--iters", "1"],
+        ["fuzz", "--n", "10"], ["norms"],
+    ])
+    def test_negative_seed_option_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = ["--config", write_config(tmp_path), "--seed", "-1", "--out", str(out)]
+        assert main(argv + command) == EXIT_VALIDATION
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_rejected(self, tmp_path):
+        doc = {**BASE_DOC, "recipe": "random-band-limited", "seed": -5}
+        with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+            config_from_dict(doc)
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "simulate"]
+        assert main(argv) == EXIT_VALIDATION
 
     def test_region_command(self, tmp_path):
         out = str(tmp_path / "reg")

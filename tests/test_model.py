@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frozen_spectral import apply_symbol
 from zrbr.errors import ContractViolationError
 from zrbr.model import (
     ModelParams,
@@ -15,14 +16,7 @@ from zrbr.model import (
     psi_time_derivative,
     recombine,
 )
-from zrbr.spectral import (
-    ComplexField,
-    Grid,
-    apply_symbol,
-    to_frequency,
-    to_physical,
-    zero_field,
-)
+from zrbr.spectral import ComplexField, Grid, to_frequency, to_physical, zero_field
 
 
 def random_field(grid, seed, band=3):
