@@ -332,6 +332,8 @@ def picard_iterate(
     """
     if not (0.0 < T <= 1.0):
         raise ConfigurationError(f"T must be in (0, 1], got {T}")
+    if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 1:
+        raise ConfigurationError(f"n_iters must be an integer >= 1, got {n_iters!r}")
     if n_time < 4 or n_time % 2:
         raise ConfigurationError("n_time must be even and >= 4")
 

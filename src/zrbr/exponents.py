@@ -408,24 +408,49 @@ class InequalityResult:
     argmax: dict
 
 
-def _sample_vectors(rng, n, d, lo=1e-2, hi=1e3):
-    """Components with log-uniform magnitude in [lo, hi] and random sign."""
-    mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(n, d)))
-    sign = rng.choice([-1.0, 1.0], size=(n, d))
-    return mag * sign
+# Every fuzz batch is cut into chunks of at most _CHUNK samples, and the
+# modulations tau, tau1 are uniform on [-_TAU_SCALE, _TAU_SCALE).
+_CHUNK = 250_000
+_TAU_SCALE = 1e6
+
+
+def _sample_vectors(rng, n, d, lo=1e-2, hi=1e3, out=None, work=None):
+    """Components with log-uniform magnitude in [lo, hi] and an independent
+    fair sign, both from one uniform u on [-W, W), W = log(hi / lo): the
+    magnitude is lo * exp(|u|) and the sign is the sign of u.
+
+    out and work, (n, d) float64 arrays, take the result and u when given,
+    so that a loop of draws reuses its memory.
+    """
+    w = np.log(hi) - np.log(lo)
+    u = rng.random((n, d), out=work)  # bit for bit rng.uniform(-w, w, (n, d))
+    u *= 2.0 * w
+    u -= w
+    v = np.abs(u, out=out)
+    v += np.log(lo)
+    np.exp(v, out=v)
+    return np.copysign(v, u, out=v)
+
+
+def _squared_norm(v):
+    """|v|^2 of the rows of an (n, d) array, summed one column at a time."""
+    out = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        out += v[:, j] * v[:, j]
+    return out
 
 
 def _norm(v):
-    return np.sqrt(np.sum(v**2, axis=-1))
+    return np.sqrt(_squared_norm(v))
 
 
-def verify_symbolic_inequalities(
-    n_samples: int,
-    seed: int,
-    d: int,
-    tau_scale: float = 1e6,
-    chunk: int = 250_000,
-) -> list[InequalityResult]:
+def _bracket_each(x):
+    """<x> of every entry of a 1-D array; bracket would read an array of
+    length 2 or 3 as one vector."""
+    return np.sqrt(1.0 + x**2)
+
+
+def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[InequalityResult]:
     """Empirical worst constants for the five elementary inequalities.
 
     For <=-type inequalities the reported ratio is LHS/RHS; for the two
@@ -434,6 +459,8 @@ def verify_symbolic_inequalities(
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    if d not in (2, 3):
+        raise ConfigurationError(f"d must be 2 or 3, got {d}")
     results = []
     for ineq in INEQUALITY_IDS:
         # ineq1 has no tau and ineq5 has fixed signs; only the others carry
@@ -445,8 +472,8 @@ def verify_symbolic_inequalities(
             arg = {}
             remaining = n_samples
             while remaining > 0:
-                m = min(chunk, remaining)
-                ratios, samples = _ineq_ratios(rng, m, d, ineq, branch, tau_scale)
+                m = min(_CHUNK, remaining)
+                ratios, samples = _ineq_ratios(rng, m, d, ineq, branch)
                 j = int(np.argmax(ratios))
                 if ratios[j] > best:
                     best = float(ratios[j])
@@ -462,7 +489,7 @@ def _ineq_tag(ineq: str) -> int:
     return INEQUALITY_IDS.index(ineq)
 
 
-def _ineq_ratios(rng, n, d, ineq, branch, tau_scale):
+def _ineq_ratios(rng, n, d, ineq, branch):
     s = 1.0 if branch == "+" else -1.0
     if ineq == "ineq1":
         xi = _sample_vectors(rng, n, d)
@@ -473,57 +500,61 @@ def _ineq_ratios(rng, n, d, ineq, branch, tau_scale):
         return lhs / rhs, {"xi": xi, "xi1": xi1, "xi2": xi2}
 
     if ineq == "ineq2":
-        # rejection: keep only |xi| > 2 |xi - xi1|
-        xi = np.empty((0, d))
-        xi1 = np.empty((0, d))
-        while len(xi) < n:
-            cand = _sample_vectors(rng, 2 * n, d)
-            cand1 = _sample_vectors(rng, 2 * n, d)
-            keep = _norm(cand) > 2.0 * _norm(cand - cand1)
-            xi = np.concatenate([xi, cand[keep]])
-            xi1 = np.concatenate([xi1, cand1[keep]])
-        xi, xi1 = xi[:n], xi1[:n]
-        tau = rng.uniform(-tau_scale, tau_scale, n)
-        tau1 = rng.uniform(-tau_scale, tau_scale, n)
+        # rejection: keep only |xi|^2 > 4 |xi - xi1|^2; every pass draws
+        # into the same three buffers
+        cand, cand1, work = (np.empty((2 * n, d)) for _ in range(3))
+        xi, xi1 = [], []
+        kept = 0
+        while kept < n:
+            _sample_vectors(rng, 2 * n, d, out=cand, work=work)
+            _sample_vectors(rng, 2 * n, d, out=cand1, work=work)
+            keep = _squared_norm(cand) > 4.0 * _squared_norm(np.subtract(cand, cand1, out=work))
+            xi.append(cand.compress(keep, axis=0))  # cheaper than cand[keep] at a 2 % yield
+            xi1.append(cand1.compress(keep, axis=0))
+            kept += len(xi[-1])
+        xi = np.concatenate(xi)[:n]
+        xi1 = np.concatenate(xi1)[:n]
+        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
+        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
         lhs = bracket(xi) ** 2
         rhs = (
-            bracket(tau1 + s * _norm(xi1))
-            + bracket(tau - tau1 + _norm(xi - xi1) ** 2)
-            + bracket(tau + _norm(xi) ** 2)
+            _bracket_each(tau1 + s * _norm(xi1))
+            + _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2)
+            + _bracket_each(tau + _norm(xi) ** 2)
         )
         return lhs / rhs, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
 
     if ineq == "ineq3":
         xi = _sample_vectors(rng, n, d)
         xi1 = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-tau_scale, tau_scale, n)
-        tau1 = rng.uniform(-tau_scale, tau_scale, n)
+        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
+        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
         lhs = bracket(xi) ** 2
         rhs = (
-            bracket(tau - tau1 + _norm(xi - xi1) ** 2)
-            + bracket(tau1 - _norm(xi1) ** 2)
-            + bracket(tau + s * _norm(xi))
+            _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2)
+            + _bracket_each(tau1 - _norm(xi1) ** 2)
+            + _bracket_each(tau + s * _norm(xi))
         )
         return lhs / rhs, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
 
     if ineq == "ineq4":
         xi = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-tau_scale, tau_scale, n)
+        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
         lower = np.sqrt(np.abs(tau))
-        upper = bracket(xi) * np.sqrt(bracket(tau + s * _norm(xi) ** 2))
+        upper = bracket(xi) * np.sqrt(_bracket_each(tau + s * _norm(xi) ** 2))
         return lower / upper, {"xi": xi, "tau": tau}
 
     if ineq == "ineq5":
         xi = _sample_vectors(rng, n, d)
         xi1 = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-tau_scale, tau_scale, n)
-        tau1 = rng.uniform(-tau_scale, tau_scale, n)
+        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
+        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
         lower = np.sqrt(np.abs(tau))
         upper = (
             bracket(xi1)
             * bracket(xi - xi1)
-            * np.sqrt(bracket(tau - tau1 + _norm(xi - xi1) ** 2))
-            * np.sqrt(bracket(tau1 - _norm(xi1) ** 2))
+            * np.sqrt(_bracket_each(tau - tau1 + _norm(xi - xi1) ** 2))
+            * np.sqrt(_bracket_each(tau1 - _norm(xi1) ** 2))
         )
         return lower / upper, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
 

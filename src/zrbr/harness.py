@@ -419,6 +419,9 @@ def initial_plus_minus(config: SimConfig) -> PlusMinusState:
 def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str,
                n_time: int = 64):
     """Contraction table over a list of cut scales T."""
+    # The contraction factor is a ratio of two successive differences.
+    if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 2:
+        raise ConfigurationError(f"picard needs at least 2 iterations, got {n_iters!r}")
     os.makedirs(out_dir, exist_ok=True)
     initial = initial_plus_minus(config)
     rows = []
@@ -476,6 +479,8 @@ def _norms_field(recipe: str, seed: int, n: int = 16, n_time: int = 64) -> Space
 
 def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_dir: str):
     """Norm panel for one synthetic field, with the embedding ratio."""
+    if not (np.isfinite(s) and np.isfinite(b)):
+        raise ConfigurationError(f"s and b must be finite, got s={s}, b={b}")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
             f"unknown dispersion {disp_name!r}; choose from {sorted(_DISPERSIONS)}"

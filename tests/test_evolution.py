@@ -644,6 +644,18 @@ class TestPicard:
         with pytest.raises(ConfigurationError):
             picard_iterate(init, T=0.5, n_iters=1, params=ModelParams(), n_time=7)
 
+    @pytest.mark.parametrize("n_iters", [0, -1, True, 2.0, "3", None])
+    def test_iteration_count_validated(self, n_iters):
+        init = self._initial(small_grid())
+        with pytest.raises(ConfigurationError, match="n_iters"):
+            picard_iterate(init, T=0.1, n_iters=n_iters, params=ModelParams(), n_time=8)
+
+    def test_numpy_integer_iteration_count_accepted(self):
+        init = self._initial(small_grid())
+        _, report = picard_iterate(init, T=0.1, n_iters=np.int64(2), params=ModelParams(),
+                                   n_time=8)
+        assert len(report.diffs) == 2
+
 
 class TestConfig:
     def test_random_recipe_requires_seed(self):

@@ -226,3 +226,54 @@ class TestInequalityFuzz:
     def test_sample_count_validated(self):
         with pytest.raises(ConfigurationError):
             verify_symbolic_inequalities(0, seed=1, d=2)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dimension_validated(self, d):
+        with pytest.raises(ConfigurationError, match="d must be 2 or 3"):
+            verify_symbolic_inequalities(10, seed=1, d=d)
+
+
+def _stated_norm(v):
+    return np.sqrt(np.sum(np.asarray(v, dtype=np.float64) ** 2))
+
+
+def _stated_ratio(ineq, s, a):
+    """The ratio each inequality states, at one argmax point, from its
+    formula: bounded side over bounding side."""
+    xi = np.asarray(a["xi"], dtype=np.float64)
+    if ineq == "ineq1":
+        xi1, xi2 = np.asarray(a["xi1"]), np.asarray(a["xi2"])
+        return bracket(xi) / (bracket(xi2) + bracket(xi1 - xi2) + bracket(xi - xi1))
+    tau = a["tau"]
+    if ineq == "ineq4":
+        return np.sqrt(abs(tau)) / (
+            bracket(xi) * np.sqrt(bracket(tau + s * _stated_norm(xi) ** 2)))
+    xi1, tau1 = np.asarray(a["xi1"]), a["tau1"]
+    rest = bracket(tau - tau1 + _stated_norm(xi - xi1) ** 2)
+    if ineq == "ineq2":
+        return bracket(xi) ** 2 / (
+            bracket(tau1 + s * _stated_norm(xi1)) + rest + bracket(tau + _stated_norm(xi) ** 2))
+    if ineq == "ineq3":
+        return bracket(xi) ** 2 / (
+            rest + bracket(tau1 - _stated_norm(xi1) ** 2) + bracket(tau + s * _stated_norm(xi)))
+    assert ineq == "ineq5"
+    return np.sqrt(abs(tau)) / (
+        bracket(xi1) * bracket(xi - xi1) * np.sqrt(rest)
+        * np.sqrt(bracket(tau1 - _stated_norm(xi1) ** 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 20000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_ratio_is_the_stated_ratio_at_its_argmax(d, n):
+    # Catches argmax rows taken from a different sample than the ratio, and
+    # a batch of 2 or 3 tau values bracketed as one vector.
+    results = verify_symbolic_inequalities(n, seed=31, d=d)
+    assert len(results) == 8
+    for r in results:
+        s = 1.0 if r.branch == "+" else -1.0
+        recomputed = float(_stated_ratio(r.inequality, s, r.argmax))
+        assert recomputed == pytest.approx(r.max_ratio, rel=1e-12, abs=0.0), (
+            r.inequality, r.branch, d)
+    ineq2 = [r.argmax for r in results if r.inequality == "ineq2"]
+    for a in ineq2:
+        assert _stated_norm(a["xi"]) > 2.0 * _stated_norm(np.subtract(a["xi"], a["xi1"]))

@@ -447,6 +447,17 @@ class TestPicardCommand:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("iters", ["0", "-1", "1"])
+    def test_fewer_than_two_iterations_exit_code(self, tmp_path, capsys, iters):
+        # With fewer than two differences there is no ratio to report.
+        doc = {**BASE_DOC, "normalize_h1": 1e-3, "t_end": 0.0}
+        out = tmp_path / "out"
+        argv = ["--config", write_config(tmp_path, doc), "--out", str(out),
+                "picard", "--iters", iters, "--n-time", "8"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "at least 2 iterations" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNormsCommand:
     def test_zero_recipe_all_zero(self, tmp_path):
@@ -464,6 +475,15 @@ class TestNormsCommand:
     def test_unknown_dispersion_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             cmd_norms("zero", 1.0, 0.6, "elastic", 0, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("option, value", [
+        ("--s", "nan"), ("--s", "inf"), ("--s", "-inf"), ("--b", "nan"), ("--b", "inf"),
+    ])
+    def test_non_finite_exponent_exit_code(self, tmp_path, capsys, option, value):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "norms", f"{option}={value}"]) == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCli:
