@@ -37,8 +37,11 @@ class SimConfig:
         for name in ("dt", "t_end", "blowup_factor", "length", "width", "amplitude"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.normalize_h1 is not None and not np.isfinite(self.normalize_h1):
-            raise ConfigurationError(f"normalize_h1 must be finite, got {self.normalize_h1}")
+        if self.normalize_h1 is not None:
+            if not np.isfinite(self.normalize_h1):
+                raise ConfigurationError(f"normalize_h1 must be finite, got {self.normalize_h1}")
+            if self.normalize_h1 <= 0:
+                raise ConfigurationError(f"normalize_h1 must be positive, got {self.normalize_h1}")
         if self.width <= 0:
             raise ConfigurationError(f"width must be positive, got {self.width}")
         if self.blowup_factor <= 0:

@@ -49,8 +49,10 @@ from .spectral import (
 # physical space, |psi|^2 back, the coupling phase to physical space, and the
 # rotated psi back.  The symbols it multiplies by are built once per
 # (grid, dt, epsilon, dealias) and cached.  run_simulation goes back to
-# physical space only for a diagnostics row: between rows its divergence
-# proxy reads a bound on the sup-norm off the coefficients.
+# physical space only for a diagnostics row, and there only with psi (all
+# three fields on the last step or when states are stored): the row reads
+# rho and phi off the coefficients, and the divergence proxy bounds the
+# sup-norm of a field held as coefficients.
 
 _FIELDS = ("psi", "rho", "phi")
 
@@ -192,16 +194,23 @@ class Trajectory:
 
     def record(self, t: float, state: ZRState, params: ModelParams,
                spectral: ZRState | None = None):
-        """Append one diagnostics row; spectral, the same state in frequency
-        space, saves energy its forward transforms."""
+        """Append one diagnostics row.
+
+        spectral, the same state in frequency space, saves energy its
+        forward transforms, and the L2 norms of rho and phi are then taken
+        from its coefficients (Plancherel).  With it and psi in physical
+        space, a row costs the one inverse FFT of energy, whatever the
+        representation of rho and phi in state.
+        """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
         self.times.append(t)
         self.mass.append(mass(state))
         self.energy.append(energy(state, params, spectral))
         self.max_abs_psi.append(float(np.max(np.abs(to_physical(state.psi).values))))
-        self.l2_rho.append(state.rho.l2_norm())
-        self.l2_phi.append(state.phi.l2_norm())
+        norms = state if spectral is None else spectral
+        self.l2_rho.append(norms.rho.l2_norm())
+        self.l2_phi.append(norms.phi.l2_norm())
         if self.store_states:
             self.states.append(state.copy())
 
@@ -223,12 +232,15 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     and its growth factor are attached to the raised DivergenceError.
 
     Only a step that writes a diagnostics row (every stride-th step and the
-    last) goes back to physical space, with three inverse FFTs; those fields
-    feed the proxy, the row (one more FFT) and the stored states.  On the
-    other steps the proxy reads the bound sup|f| <= N^{-1/2} sum|f_hat| of
-    the unitary transform off the coefficients, and takes a field's inverse
-    FFT and exact sup only when that bound reaches the threshold, so it
-    trips at the same step, on the same field, as an exact check every step.
+    last) goes back to physical space.  There psi takes one inverse FFT, and
+    the row one more (see Trajectory.record); the last step, and every row
+    step when store_states is set, also bring rho and phi back, so the
+    stored states are physical.  The proxy takes the exact sup of a field
+    held in physical space.  For a field held as coefficients it reads the
+    bound sup|f| <= N^{-1/2} sum|f_hat| of the unitary transform, and takes
+    the field's inverse FFT and exact sup only when that bound reaches the
+    threshold, so it trips at the same step, on the same field, as an exact
+    check every step.
     """
     state = make_initial_state(config)
     spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
@@ -258,15 +270,19 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
         t = (k + 1) * config.dt
         row = (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1
         if row:
-            state = ZRState(*(to_physical(getattr(spectral, name)) for name in _FIELDS))
-        for name, limit in limits.items():
-            if row:
-                values = getattr(state, name).values
+            psi = to_physical(spectral.psi)
+            if store_states or k == n_steps - 1:
+                state = ZRState(psi, to_physical(spectral.rho), to_physical(spectral.phi))
             else:
-                coeffs = getattr(spectral, name).values
-                if bound_scale * np.sum(np.abs(coeffs)) < limit:
+                state = ZRState(psi, spectral.rho, spectral.phi)
+        for name, limit in limits.items():
+            f = getattr(state if row else spectral, name)
+            if f.space == FREQUENCY:
+                if bound_scale * np.sum(np.abs(f.values)) < limit:
                     continue
-                values = np.fft.ifftn(coeffs, norm="ortho")
+                values = np.fft.ifftn(f.values, norm="ortho")
+            else:
+                values = f.values
             sup = np.max(np.abs(values))
             if sup > limit:
                 raise DivergenceError(

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .spectral import (
+    FREQUENCY,
     ComplexField,
     Grid,
     frozen_symbol,
@@ -305,21 +306,28 @@ def energy(state: ZRState, params: ModelParams, spectral: ZRState | None = None)
 
     The gradient terms come by discrete Plancherel, int |grad f|^2 =
     cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), the local
-    terms from psi and rho in physical space.  spectral, the same state in
-    frequency space, saves the forward transforms: with it the only FFT is
-    the inverse one giving phi_x.
+    terms from psi, rho and phi_x in physical space.  spectral, the same
+    state in frequency space, saves the forward transforms.  With rho's
+    coefficients at hand (spectral given, or rho in frequency space) one
+    inverse FFT of rho_hat + i dx phi_hat gives both real fields, rho as its
+    real part and phi_x as its imaginary part: 1 FFT with spectral, 2 for a
+    state wholly in frequency space.  A state wholly in physical space costs
+    3: psi and phi forward, phi_x back.
     """
     grid = state.grid
     coeffs = state if spectral is None else spectral
     psi = to_physical(state.psi).values
-    rho = to_physical(state.rho).values.real
     psi_h = to_frequency(coeffs.psi).values
     phi_h = to_frequency(coeffs.phi).values
-
-    xi1 = grid.axis_frequencies.reshape((-1,) + (1,) * (grid.dim - 1))
-    # The real part drops the axis-0 Nyquist plane, whose contribution to
-    # the derivative of a real field is imaginary.
-    phi_x = np.fft.ifftn(1j * xi1 * phi_h, norm="ortho").real
+    # dx is zero on the axis-0 Nyquist plane.  There the derivative of a real
+    # field is imaginary, and packed with rho it would leak into rho.
+    phi_x_h = make_multiplier(grid, "dx") * phi_h
+    if coeffs.rho.space == FREQUENCY:
+        packed = np.fft.ifftn(coeffs.rho.values + 1j * phi_x_h, norm="ortho")
+        rho, phi_x = packed.real, packed.imag
+    else:
+        rho = coeffs.rho.values.real
+        phi_x = np.fft.ifftn(phi_x_h, norm="ortho").real
 
     a2 = np.abs(psi) ** 2
     local = (

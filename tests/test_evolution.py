@@ -425,12 +425,12 @@ class TestRunSimulation:
         return len(traj), len(fft_calls) - 2 * setup
 
     def test_fft_budget(self, fft_calls):
-        # 3 forward transforms of the initial state, 4 FFTs per step, 3 inverse
-        # ones per row step after t = 0 for the physical fields, and 1 per
-        # diagnostics row
+        # 3 forward transforms of the initial state, 4 FFTs per step, 1 inverse
+        # one for psi on each row step after t = 0 but the last, 3 on the last
+        # for the physical fields, and 1 per diagnostics row
         rows, ffts = self._ten_steps(fft_calls, 3)
         assert rows == 5  # t = 0, three strides and the last step
-        assert ffts == 3 + 4 * 10 + 3 * (rows - 1) + rows
+        assert ffts == 3 + 4 * 10 + (rows - 2) + 3 + rows
 
     def test_fft_budget_between_rows(self, fft_calls):
         # a stride beyond the 10 steps: only the last step writes a row, and

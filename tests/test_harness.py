@@ -9,6 +9,7 @@ import pytest
 from zrbr import harness
 from zrbr.cli import main
 from zrbr.config import SimConfig
+from zrbr.evolution import run_simulation
 from zrbr.errors import ConfigurationError, ZRBRError
 from zrbr.harness import (
     EXIT_CAP_EXCEEDED,
@@ -258,6 +259,8 @@ class TestNonFinitePhysics:
         ("amplitude", float("nan"), "amplitude must be finite"),
         ("amplitude", float("inf"), "amplitude must be finite"),
         ("normalize_h1", float("nan"), "normalize_h1 must be finite"),
+        ("normalize_h1", -2.0, "normalize_h1 must be positive"),
+        ("normalize_h1", 0.0, "normalize_h1 must be positive"),
     ])
     def test_rejected_by_name(self, tmp_path, key, value, reason):
         doc = {**BASE_DOC, key: value}
@@ -313,6 +316,34 @@ class TestSimulate:
         assert (tmp_path / "b" / "report.json").read_bytes() == (
             tmp_path / "c" / "report.json"
         ).read_bytes()
+
+    def test_drift_and_step_phase_in_report(self, tmp_path, fft_calls):
+        cfg, echo = config_from_dict(BASE_DOC)
+        run_simulation(cfg)
+        run_ffts = len(fft_calls)
+        fft_calls.clear()
+        _, report = cmd_simulate(cfg, echo, str(tmp_path / "a"))
+        assert len(fft_calls) == run_ffts  # the report keys take no FFT
+        payload = report["payload"]
+        lines = (tmp_path / "a" / "diagnostics.csv").read_text().splitlines()[1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        for key, column in (("mass_drift", 1), ("energy_drift", 2)):
+            x = rows[:, column]
+            assert payload[key] == pytest.approx(np.max(np.abs(x - x[0])) / abs(x[0]), rel=1e-12)
+        assert 0.0 < payload["mass_drift"] < 1e-10
+        assert payload["energy_drift"] > 0.0
+        # 16 points on 4 pi: the Nyquist corner has |xi|^2 = 2 * 4^2
+        assert payload["dt_xi2_max"] == pytest.approx(1e-3 * 32.0, rel=1e-15)
+        saved = json.loads((tmp_path / "a" / "report.json").read_text())["payload"]
+        assert {k: saved[k] for k in ("mass_drift", "energy_drift", "dt_xi2_max")} == {
+            k: payload[k] for k in ("mass_drift", "energy_drift", "dt_xi2_max")}
+
+        _, report = cmd_simulate(*config_from_dict({**BASE_DOC, "recipe": "zero"}),
+                                 str(tmp_path / "b"))
+        assert report["payload"]["mass_drift"] is None
+        assert report["payload"]["energy_drift"] is None
+        saved = (tmp_path / "b" / "report.json").read_text()
+        assert '"mass_drift": null' in saved and '"energy_drift": null' in saved
 
     def test_report_names_configured_blowup_factor(self, tmp_path):
         _, report = cmd_simulate(*config_from_dict(BASE_DOC), str(tmp_path / "a"))

@@ -343,9 +343,10 @@ def test_energy_fft_budget(dim, fft_calls):
         fft_calls.clear()
         energy(*args)
         budget.append(len(fft_calls))
-    # phi_x alone, then the forward transforms of psi and phi, then the
-    # inverse transforms of psi and rho
-    assert budget == [1, 3, 3]
+    # rho and phi_x in one inverse transform; the forward transforms of psi
+    # and phi and the inverse one of phi_x; the inverse transforms of psi and
+    # of rho packed with phi_x
+    assert budget == [1, 3, 2]
 
 
 class TestDecomposeProperties:

@@ -195,3 +195,10 @@ class TestPlancherelProperties:
                         for xi in grid.frequencies())
         by_plancherel = grid.cell_volume * np.sum(grid.xi_squared * np.abs(f_hat) ** 2)
         assert by_plancherel == pytest.approx(grid.cell_volume * np.sum(pointwise), rel=1e-12)
+
+
+def test_fft_calls_counts_complex_and_real_transforms(fft_calls):
+    a = np.ones((4, 4))
+    np.fft.ifftn(np.fft.fftn(a))
+    np.fft.irfftn(np.fft.rfftn(a), a.shape, axes=(0, 1))
+    assert len(fft_calls) == 4
