@@ -19,6 +19,7 @@ from .model import (
     energy,
     envelope_rate,
     envelope_source,
+    half_dx,
     half_wave_sources,
     mass,
     nonlinearity_F,  # the per-slice sources stay importable from here
@@ -29,11 +30,15 @@ from .model import (
 )
 from .spectral import (
     FREQUENCY,
+    HALF,
+    PHYSICAL,
     ComplexField,
     Grid,
     dealias_mask,
     frozen_symbol,
-    make_multiplier,
+    half_spectrum,
+    half_width,
+    sup_bound,
     to_frequency,
     to_physical,
 )
@@ -45,21 +50,23 @@ from .spectral import (
 #
 # The integrator works on Fourier coefficients.  The linear flow is a
 # pointwise product there, and once |psi|^2 is known the nonlinear substep is
-# linear in (rho_hat, phi_hat).  A step therefore needs four FFTs: psi to
-# physical space, |psi|^2 back, the coupling phase to physical space, and the
-# rotated psi back.  The symbols it multiplies by are built once per
-# (grid, dt, epsilon, dealias) and cached.  run_simulation goes back to
-# physical space only for a diagnostics row, and there only with psi (all
-# three fields on the last step or when states are stored): the row reads
-# rho and phi off the coefficients, and the divergence proxy bounds the
-# sup-norm of a field held as coefficients.
+# linear in (rho_hat, phi_hat).  rho and phi are real, so they are carried as
+# rfftn half-spectra and their symbols are built at half width.  A step needs
+# two complex and two real transforms: psi to physical space, rfftn of
+# |psi|^2, irfftn of the coupling, and the rotated psi back.  The symbols it
+# multiplies by are built once per (grid, dt, epsilon, dealias) and cached.
+# run_simulation goes back to physical space only for a diagnostics row, and
+# there only with psi (all three fields on the last step or when states are
+# stored): the row reads rho and phi off the coefficients, and the
+# divergence proxy bounds the sup-norm of a field held as coefficients.
 
 _FIELDS = ("psi", "rho", "phi")
 
 
 @dataclass(frozen=True, eq=False)
 class _LinearPropagator:
-    """Symbols of the exact linear flow over one time t."""
+    """Symbols of the exact linear flow over one time t: psi's on the full
+    lattice, the acoustic ones on the half-spectrum columns."""
 
     schrodinger: np.ndarray  # exp(-i epsilon t |xi|^2)
     cos: np.ndarray  # cos(|xi| t)
@@ -67,12 +74,18 @@ class _LinearPropagator:
     sinc: np.ndarray  # sin(|xi| t) / |xi|, and t at xi = 0
 
     def apply(self, psi_h, rho_h, phi_h):
-        """The flowed coefficients (see _linear_flow)."""
-        return (
-            psi_h * self.schrodinger,
-            self.cos * rho_h + self.omega_sin * phi_h,
-            self.cos * phi_h - self.sinc * rho_h,
-        )
+        """The flowed coefficients (see _linear_flow), as new arrays."""
+        return self.apply_in_place(psi_h.copy(), rho_h.copy(), phi_h.copy())
+
+    def apply_in_place(self, psi_h, rho_h, phi_h):
+        """Flow the given coefficient arrays in place and return them."""
+        psi_h *= self.schrodinger
+        omega_sin_phi = self.omega_sin * phi_h
+        phi_h *= self.cos
+        phi_h -= self.sinc * rho_h
+        rho_h *= self.cos
+        rho_h += omega_sin_phi
+        return psi_h, rho_h, phi_h
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +93,14 @@ class _StepPropagators:
     """What a Strang step multiplies by, for one (grid, dt, epsilon, dealias)."""
 
     half: _LinearPropagator  # the linear flow over dt/2
-    dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane
-    mask: np.ndarray | None  # the 2/3 rule, None without dealiasing
+    dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane; half width
+    mask: np.ndarray | None  # the 2/3 rule at half width, None without dealiasing
 
 
 @lru_cache(maxsize=8)
 def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagator:
-    absxi = grid.xi_modulus
-    sinc = np.full(grid.shape, t, dtype=np.float64)
+    absxi = half_width(grid.xi_modulus)
+    sinc = np.full(absxi.shape, t, dtype=np.float64)
     nz = absxi > 0
     sinc[nz] = np.sin(absxi[nz] * t) / absxi[nz]
     return _LinearPropagator(
@@ -102,22 +115,29 @@ def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagato
 def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _StepPropagators:
     return _StepPropagators(
         half=_linear_propagator(grid, dt / 2.0, epsilon),
-        dx=make_multiplier(grid, "dx"),
-        mask=frozen_symbol(dealias_mask(grid)) if dealias else None,
+        dx=half_dx(grid),
+        mask=frozen_symbol(half_width(dealias_mask(grid))) if dealias else None,
     )
 
 
 def _coefficients(state: ZRState) -> list[np.ndarray]:
-    return [to_frequency(getattr(state, name)).values for name in _FIELDS]
+    """psi's full spectrum and the half-spectra of rho and phi."""
+    return [
+        to_frequency(state.psi).values,
+        half_spectrum(state.rho).values,
+        half_spectrum(state.phi).values,
+    ]
 
 
 def _like(state: ZRState, coeffs) -> ZRState:
-    """A state of the given coefficients, each field in the representation
-    of the same field of state."""
+    """A state of the given coefficients (as _coefficients returns them),
+    each field in the representation of the same field of state."""
     fields = []
-    for name, c in zip(_FIELDS, coeffs):
-        f = ComplexField(state.grid, c, FREQUENCY)
-        fields.append(f if getattr(state, name).space == FREQUENCY else to_physical(f))
+    for name, c, space in zip(_FIELDS, coeffs, (FREQUENCY, HALF, HALF)):
+        f = ComplexField(state.grid, c, space)
+        given = getattr(state, name).space
+        fields.append(to_physical(f) if given == PHYSICAL
+                      else to_frequency(f) if given == FREQUENCY else f)
     return ZRState(*fields)
 
 
@@ -127,45 +147,69 @@ def _linear_flow(state: ZRState, t: float, params: ModelParams) -> ZRState:
     psi by the free Schrodinger group (scaled by epsilon); (rho, phi) by the
     exact rotation of rho_t = -Lap phi, phi_t = -rho.  The zero mode keeps
     rho constant and moves phi by -t*rho.  Each field comes back in the
-    representation it was given in.
+    representation it was given in; rho and phi are taken as real.
     """
     flow = _linear_propagator(state.grid, t, params.epsilon)
     return _like(state, flow.apply(*_coefficients(state)))
 
 
 def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _StepPropagators):
-    """L(dt/2) N(dt) L(dt/2) on Fourier coefficients, with four FFTs.
+    """L(dt/2) N(dt) L(dt/2) on psi's spectrum and the half-spectra of rho
+    and phi, with two complex and two real transforms.
 
     The nonlinear substep uses that |psi|^2 is invariant under the phase
     rotation: rho and phi are advanced with the frozen source, and psi is
     rotated with the substep means of rho and phi_x.
     """
-    psi_h, rho_h, phi_h = prop.half.apply(psi_h, rho_h, phi_h)
+    # The flowed arrays are new, so the substep and the second half-flow
+    # work on them in place.
+    psi, rho_h, phi_h = prop.half.apply(psi_h, rho_h, phi_h)
+    shape = psi.shape
+    work = np.empty_like(rho_h)
 
-    psi = np.fft.ifftn(psi_h, norm="ortho")
-    a2 = np.abs(psi) ** 2
-    a2_h = np.fft.fftn(a2, norm="ortho")
+    np.fft.ifftn(psi, norm="ortho", out=psi)
+    a2 = np.abs(psi)
+    a2 *= a2
+    a2_h = np.fft.rfftn(a2, norm="ortho")
     if prop.mask is not None:
         a2_h *= prop.mask
 
-    rho_new = rho_h - (dt * params.D) * (prop.dx * a2_h)
-    phi_new = phi_h - dt * a2_h
+    # rho_h becomes rho_new = rho_h - dt D (|psi|^2)_x.  The source moves phi_x
+    # by -dt (|psi|^2)_x too, so the substep mean rho_bar + D phi_x_bar
+    # equals rho_new + D (phi_h)_x, taken before phi_h is advanced.
+    np.multiply(prop.dx, a2_h, out=work)
+    work *= dt * params.D
+    rho_h -= work
+    np.multiply(prop.dx, phi_h, out=work)
+    work *= params.D
+    work += rho_h
+    theta = np.fft.irfftn(work, s=shape, axes=range(len(shape)), norm="ortho")
+    phi_h -= np.multiply(a2_h, dt, out=work)
 
-    # The source moves rho by -dt D (|psi|^2)_x and phi_x by -dt (|psi|^2)_x,
-    # so the substep mean rho_bar + D phi_x_bar equals rho_new + D (phi_h)_x.
-    coupling = np.fft.ifftn(rho_new + params.D * (prop.dx * phi_h), norm="ortho").real
-    phase = params.sigma2 * a2 + params.W * coupling
-    psi_h = np.fft.fftn(psi * np.exp(-1j * params.epsilon * dt * phase), norm="ortho")
+    # theta = -epsilon dt (sigma2 |psi|^2 + W coupling); psi *= exp(i theta)
+    theta *= params.W
+    a2 *= params.sigma2
+    theta += a2
+    theta *= -params.epsilon * dt
+    rotation = np.empty_like(psi)
+    np.cos(theta, out=rotation.real)
+    np.sin(theta, out=rotation.imag)
+    psi *= rotation
+    np.fft.fftn(psi, norm="ortho", out=psi)
 
-    return prop.half.apply(psi_h, rho_new, phi_new)
+    return prop.half.apply_in_place(psi, rho_h, phi_h)
 
 
 def strang_step(state: ZRState, dt: float, params: ModelParams, dealias: bool = True) -> ZRState:
     """One Strang step L(dt/2) N(dt) L(dt/2).
 
-    Works on Fourier coefficients: a state given in frequency space costs
-    four FFTs, and each field comes back in the representation it was
-    given in.  Raises DivergenceError when a field turns non-finite.
+    Works on psi's spectrum and the rfftn half-spectra of rho and phi, which
+    are taken as real: physical rho and phi enter through rfftn of their
+    real part, full spectra through their first n//2 + 1 columns.  A state
+    held as coefficients costs two complex and two real transforms, and each
+    field comes back in the representation it was given in (a full spectrum
+    rebuilt by Hermitian copy).  Raises DivergenceError when a field turns
+    non-finite.
     """
     if dt == 0.0:
         return state.copy()
@@ -196,21 +240,25 @@ class Trajectory:
                spectral: ZRState | None = None):
         """Append one diagnostics row.
 
-        spectral, the same state in frequency space, saves energy its
-        forward transforms, and the L2 norms of rho and phi are then taken
-        from its coefficients (Plancherel).  With it and psi in physical
-        space, a row costs the one inverse FFT of energy, whatever the
-        representation of rho and phi in state.
+        psi is taken to physical space once.  spectral, the same state as
+        coefficients, saves energy its forward transforms; the L2 norms of
+        rho and phi are then taken from its coefficients (Plancherel on the
+        half-spectrum, whether they are held as half or full spectra).  With
+        it and psi in physical space, a row costs energy's one transform,
+        whatever the representation of rho and phi in state; a state held
+        wholly as coefficients costs two without it.
         """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
+        psi = to_physical(state.psi)
+        row = ZRState(psi, state.rho, state.phi)
+        coeffs = state if spectral is None else spectral
         self.times.append(t)
-        self.mass.append(mass(state))
-        self.energy.append(energy(state, params, spectral))
-        self.max_abs_psi.append(float(np.max(np.abs(to_physical(state.psi).values))))
-        norms = state if spectral is None else spectral
-        self.l2_rho.append(norms.rho.l2_norm())
-        self.l2_phi.append(norms.phi.l2_norm())
+        self.mass.append(mass(row))
+        self.energy.append(energy(row, params, coeffs))
+        self.max_abs_psi.append(float(np.max(np.abs(psi.values))))
+        for f, column in ((coeffs.rho, self.l2_rho), (coeffs.phi, self.l2_phi)):
+            column.append((f if f.space == PHYSICAL else half_spectrum(f)).l2_norm())
         if self.store_states:
             self.states.append(state.copy())
 
@@ -226,10 +274,11 @@ _BOUND_MARGIN = 1e-12
 def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     """Integrate from t=0 to t_end, recording diagnostics every stride steps.
 
-    The state is carried as Fourier coefficients from step to step.  The
-    divergence proxy stops the run as soon as any field's sup-norm exceeds
-    blowup_factor times its initial value; the partial trajectory, the field
-    and its growth factor are attached to the raised DivergenceError.
+    The state is carried from step to step as psi's spectrum and the rfftn
+    half-spectra of rho and phi.  The divergence proxy stops the run as soon
+    as any field's sup-norm exceeds blowup_factor times its initial value;
+    the partial trajectory, the field and its growth factor are attached to
+    the raised DivergenceError.
 
     Only a step that writes a diagnostics row (every stride-th step and the
     last) goes back to physical space.  There psi takes one inverse FFT, and
@@ -248,6 +297,8 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     traj.record(0.0, state, config.params, spectral)
     if not store_states:
         traj.states = [state.copy()]
+    # The first columns of the full spectra, as strang_step would cut them.
+    spectral = ZRState(spectral.psi, half_spectrum(spectral.rho), half_spectrum(spectral.phi))
 
     n_steps = int(round(config.t_end / config.dt))
     raw_sup = {
@@ -259,7 +310,6 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     floor = max(max(raw_sup.values()), 1e-300)
     initial_sup = {name: max(v, floor) for name, v in raw_sup.items()}
     limits = {name: config.blowup_factor * sup0 for name, sup0 in initial_sup.items()}
-    bound_scale = (1.0 + _BOUND_MARGIN) / np.sqrt(state.psi.values.size)
 
     t = 0.0
     for k in range(n_steps):
@@ -277,13 +327,9 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
                 state = ZRState(psi, spectral.rho, spectral.phi)
         for name, limit in limits.items():
             f = getattr(state if row else spectral, name)
-            if f.space == FREQUENCY:
-                if bound_scale * np.sum(np.abs(f.values)) < limit:
-                    continue
-                values = np.fft.ifftn(f.values, norm="ortho")
-            else:
-                values = f.values
-            sup = np.max(np.abs(values))
+            if f.space != PHYSICAL and (1.0 + _BOUND_MARGIN) * sup_bound(f) < limit:
+                continue
+            sup = np.max(np.abs(to_physical(f).values))
             if sup > limit:
                 raise DivergenceError(
                     f"{name} sup-norm exceeded {config.blowup_factor:g} x initial",

@@ -22,10 +22,13 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .spectral import (
-    FREQUENCY,
+    PHYSICAL,
     ComplexField,
     Grid,
     frozen_symbol,
+    half_spectrum,
+    half_width,
+    hermitian_sum,
     make_multiplier,
     to_frequency,
     to_physical,
@@ -57,8 +60,12 @@ class ModelParams:
 
 @dataclass
 class ZRState:
-    """The triple (psi, rho, phi), each field tagged physical or frequency,
-    with optional time-derivative slots."""
+    """The triple (psi, rho, phi) with optional time-derivative slots.
+
+    psi is tagged physical or frequency.  rho and phi are real fields: they
+    may also be held as rfftn half-spectra (tag half), and the integrator
+    and energy drop any imaginary part they are given.
+    """
 
     psi: ComplexField
     rho: ComplexField
@@ -304,37 +311,52 @@ def energy(state: ZRState, params: ModelParams, spectral: ZRState | None = None)
     E = int |grad psi|^2 + (W/2) rho^2 + (W/2) |grad phi|^2
         + (sigma2/2) |psi|^4 + W rho |psi|^2 + D W |psi|^2 phi_x  dx
 
-    The gradient terms come by discrete Plancherel, int |grad f|^2 =
-    cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), the local
-    terms from psi, rho and phi_x in physical space.  spectral, the same
-    state in frequency space, saves the forward transforms.  With rho's
-    coefficients at hand (spectral given, or rho in frequency space) one
-    inverse FFT of rho_hat + i dx phi_hat gives both real fields, rho as its
-    real part and phi_x as its imaginary part: 1 FFT with spectral, 2 for a
-    state wholly in frequency space.  A state wholly in physical space costs
-    3: psi and phi forward, phi_x back.
+    rho and phi are taken as real: their imaginary parts are dropped.  The
+    gradient terms come by discrete Plancherel, int |grad f|^2 =
+    cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), and the
+    terms in rho and phi_x by Parseval against the rfftn half-spectrum of
+    |psi|^2: int |psi|^2 (rho + D phi_x) = cell_volume * Re sum
+    conj((|psi|^2)_hat) (rho_hat + D dx phi_hat).  Sums over a half-spectrum
+    weigh its last-axis columns 1, 2, ..., 2, 1.  |psi|^4 is summed in
+    physical space, and so are rho's terms when rho is held there.
+
+    spectral, the same state as coefficients, saves the forward transforms;
+    rho and phi are read off their half-spectra whether they are held as
+    half or full spectra.  The cost is the rfftn of |psi|^2 plus whatever
+    brings psi to both spaces and phi to coefficients: 1 transform with
+    spectral and psi in physical space, 2 for a state wholly held as
+    coefficients, 3 for one wholly in physical space.
     """
     grid = state.grid
     coeffs = state if spectral is None else spectral
     psi = to_physical(state.psi).values
     psi_h = to_frequency(coeffs.psi).values
-    phi_h = to_frequency(coeffs.phi).values
-    # dx is zero on the axis-0 Nyquist plane.  There the derivative of a real
-    # field is imaginary, and packed with rho it would leak into rho.
-    phi_x_h = make_multiplier(grid, "dx") * phi_h
-    if coeffs.rho.space == FREQUENCY:
-        packed = np.fft.ifftn(coeffs.rho.values + 1j * phi_x_h, norm="ortho")
-        rho, phi_x = packed.real, packed.imag
-    else:
-        rho = coeffs.rho.values.real
-        phi_x = np.fft.ifftn(phi_x_h, norm="ortho").real
+    phi_h = half_spectrum(coeffs.phi).values
+    a2 = np.abs(psi)
+    a2 *= a2
+    a2_h = np.fft.rfftn(a2, norm="ortho")
 
-    a2 = np.abs(psi) ** 2
-    local = (
-        0.5 * params.W * rho**2
-        + 0.5 * params.sigma2 * a2**2
-        + params.W * rho * a2
-        + params.D * params.W * a2 * phi_x
+    # dx is zero on the axis-0 Nyquist plane, where the derivative of a real
+    # field has no real part.
+    mix_h = half_dx(grid) * phi_h
+    mix_h *= params.D
+    if coeffs.rho.space == PHYSICAL:
+        rho = coeffs.rho.values.real
+        rho_terms = np.sum(rho * (0.5 * rho + a2))
+    else:
+        rho_h = half_spectrum(coeffs.rho).values
+        rho_terms = 0.5 * hermitian_sum(np.abs(rho_h) ** 2)
+        mix_h += rho_h
+    total = (
+        np.sum(grid.xi_squared * np.abs(psi_h) ** 2)
+        + 0.5 * params.W * hermitian_sum(grid.half_xi_squared * np.abs(phi_h) ** 2)
+        + 0.5 * params.sigma2 * np.sum(a2 * a2)
+        + params.W * (rho_terms + hermitian_sum((np.conj(a2_h) * mix_h).real))
     )
-    gradients = grid.xi_squared * (np.abs(psi_h) ** 2 + 0.5 * params.W * np.abs(phi_h) ** 2)
-    return float((np.sum(local) + np.sum(gradients)) * grid.cell_volume)
+    return float(total * grid.cell_volume)
+
+
+@lru_cache(maxsize=8)
+def half_dx(grid: Grid) -> np.ndarray:
+    """make_multiplier(grid, "dx") on the half-spectrum columns."""
+    return frozen_symbol(half_width(make_multiplier(grid, "dx")))

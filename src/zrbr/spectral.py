@@ -3,6 +3,12 @@
 Everything here lives on a uniform periodic box [-L/2, L/2)^d with a
 power-of-two number of points per axis.  Transforms are unitary (1/sqrt(N)
 per axis in both directions) so the discrete Plancherel identity is exact.
+
+A field is tagged by its representation: physical values, the full
+frequency spectrum, or, for a real field, the half-spectrum of rfftn (the
+last axis cut to n//2 + 1 columns).  The other columns of a real field's
+spectrum are the conjugates of these, so a half-spectrum is filled back to
+the full one by copying, without a transform.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .errors import ConfigurationError, ContractViolationError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
+HALF = "half"
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -43,6 +51,11 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
+
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of a real field's rfftn half-spectrum."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @property
     def dx(self) -> float:
@@ -80,6 +93,11 @@ class Grid:
     def xi_modulus(self) -> np.ndarray:
         return np.sqrt(self.xi_squared)
 
+    @cached_property
+    def half_xi_squared(self) -> np.ndarray:
+        """|xi|^2 on the half-spectrum columns."""
+        return half_width(self.xi_squared)
+
 
 @dataclass
 class ComplexField:
@@ -91,37 +109,93 @@ class ComplexField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            raise ContractViolationError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if self.space not in (PHYSICAL, FREQUENCY):
+        if self.space not in (PHYSICAL, FREQUENCY, HALF):
             raise ContractViolationError(f"unknown representation tag {self.space!r}")
+        shape = self.grid.half_shape if self.space == HALF else self.grid.shape
+        if self.values.shape != shape:
+            raise ContractViolationError(
+                f"field shape {self.values.shape} does not match grid {shape}"
+            )
 
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.values.copy(), self.space)
 
     def l2_norm(self) -> float:
-        """Discrete L2 norm, sqrt(sum |f|^2 * dx^d); same in either space."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
+        """Discrete L2 norm, sqrt(sum |f|^2 * dx^d); the same in every
+        representation (a half-spectrum counts its conjugate columns)."""
+        a2 = np.abs(self.values) ** 2
+        total = hermitian_sum(a2) if self.space == HALF else np.sum(a2)
+        return float(np.sqrt(total * self.grid.cell_volume))
+
+
+def half_width(a: np.ndarray) -> np.ndarray:
+    """The half-spectrum columns (the first n//2 + 1 of the last axis) of an
+    array over the full lattice, as a contiguous copy."""
+    return np.ascontiguousarray(a[..., : a.shape[-1] // 2 + 1])
+
+
+def hermitian_sum(a: np.ndarray) -> float:
+    """Sum over the whole lattice of a real quantity that each coefficient
+    of a real field shares with its conjugate (|f_hat|, or Re conj(f_hat)
+    g_hat with g real), given on the half-spectrum: every column but the
+    first and the Nyquist one stands for itself and its conjugate."""
+    return 2.0 * np.sum(a) - np.sum(a[..., 0]) - np.sum(a[..., -1])
 
 
 def zero_field(grid: Grid, space: str = PHYSICAL) -> ComplexField:
     return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128), space)
 
 
+def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The full spectrum of a real field from its half-spectrum, by exact
+    Hermitian copy: f_hat(k) = conj(f_hat(-k)) on the missing columns."""
+    n = grid.n
+    full = np.empty(grid.shape, dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    minus_k = (-np.arange(n)) % n
+    np.conjugate(half[np.ix_(*[minus_k] * (grid.dim - 1), minus_k[n // 2 + 1 :])],
+                 out=full[..., n // 2 + 1 :])
+    return full
+
+
+def half_spectrum(f: ComplexField) -> ComplexField:
+    """The rfftn half-spectrum of a real field.  Physical values go through
+    rfftn of their real part; a full spectrum is cut to its first n//2 + 1
+    columns, so an imaginary part of the field is dropped either way."""
+    if f.space == HALF:
+        return f
+    if f.space == FREQUENCY:
+        values = half_width(f.values)
+    else:
+        values = np.fft.rfftn(f.values.real, norm="ortho")
+    return ComplexField(f.grid, values, HALF)
+
+
 def to_frequency(f: ComplexField) -> ComplexField:
-    """Unitary forward DFT; a field already in frequency space is returned as is."""
+    """Unitary forward DFT; a field already in frequency space is returned as
+    is, and a half-spectrum is filled to the full one without a transform."""
     if f.space == FREQUENCY:
         return f
+    if f.space == HALF:
+        return ComplexField(f.grid, full_spectrum(f.grid, f.values), FREQUENCY)
     return ComplexField(f.grid, np.fft.fftn(f.values, norm="ortho"), FREQUENCY)
 
 
 def to_physical(f: ComplexField) -> ComplexField:
-    """Unitary inverse DFT; a field already in physical space is returned as is."""
+    """Unitary inverse DFT; a field already in physical space is returned as
+    is.  A half-spectrum goes through its full spectrum and ifftn, so it
+    comes back with the same bits as that full spectrum would."""
     if f.space == PHYSICAL:
         return f
-    return ComplexField(f.grid, np.fft.ifftn(f.values, norm="ortho"), PHYSICAL)
+    return ComplexField(f.grid, np.fft.ifftn(to_frequency(f).values, norm="ortho"), PHYSICAL)
+
+
+def sup_bound(f: ComplexField) -> float:
+    """N^{-1/2} sum |f_hat| over the whole lattice, for a field held as
+    coefficients: a bound on sup|f|, since the transform is unitary."""
+    a = np.abs(f.values)
+    total = hermitian_sum(a) if f.space == HALF else np.sum(a)
+    return float(total / np.sqrt(f.grid.n**f.grid.dim))
 
 
 def frozen_symbol(a) -> np.ndarray:

@@ -19,10 +19,12 @@ from zrbr.spectral import (
     ComplexField,
     Grid,
     dealias_mask,
+    half_spectrum,
     to_frequency,
     to_physical,
     zero_field,
 )
+from zrbr.spectral import sup_bound as spectral_sup_bound
 
 FIELDS = ("psi", "rho", "phi")
 
@@ -310,6 +312,24 @@ class TestReferenceEquivalence:
             assert getattr(cur, name).space == space
             assert max_rel_diff(getattr(cur, name), getattr(ref, name)) <= 1e-12, name
 
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("grid", [Grid(2, 32, 4 * np.pi), Grid(3, 16, 4 * np.pi)],
+                             ids=["2d", "3d"])
+    def test_imaginary_rho_and_phi_are_dropped_like_reference(self, grid, dealias):
+        # rho and phi are real: the reference step takes .real of them, and
+        # strang_step takes rfftn of their real part.
+        st = random_state_nd(grid, 9, scale=2.0)
+        noise = random_state_nd(grid, 10, scale=0.5)
+        st = ZRState(st.psi,
+                     ComplexField(grid, st.rho.values + 1j * noise.rho.values.real),
+                     ComplexField(grid, st.phi.values + 1j * noise.phi.values.real))
+        assert np.max(np.abs(st.rho.values.imag)) > 0.1
+        cur = strang_step(st, 1e-2, EQUIVALENCE_PARAMS, dealias)
+        ref = reference_strang_step(st, 1e-2, EQUIVALENCE_PARAMS, dealias)
+        for name in FIELDS:
+            assert getattr(cur, name).space == "physical"
+            assert max_rel_diff(getattr(cur, name), getattr(ref, name)) <= 1e-12, name
+
     def test_linear_flow_matches_reference(self):
         st = random_state_nd(Grid(3, 16, 4 * np.pi), 6)
         new = _linear_flow(st, 0.37, EQUIVALENCE_PARAMS)
@@ -439,6 +459,43 @@ class TestRunSimulation:
         assert rows == 2
         assert ffts == 3 + 4 * 10 + 3 * 1 + rows
 
+    def test_step_without_row_is_two_complex_and_two_real_transforms(self, fft_calls):
+        cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
+                        params=ModelParams(sigma2=-1.0, W=1.0, D=0.5),
+                        recipe="gaussian", diagnostics_stride=20)
+        step = ["ifftn", "rfftn", "irfftn", "fftn"]
+        make_initial_state(cfg)
+        setup = list(fft_calls)
+        fft_calls.clear()
+        run_simulation(cfg)
+        # set-up, the three forward transforms of the datum and the t = 0
+        # row's rfftn of |psi|^2; ten steps; the last step's three inverse
+        # transforms and its row
+        assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 10
+                             + ["ifftn"] * 3 + ["rfftn"])
+
+        state = run_simulation(cfg).states[-1]
+        coeffs = ZRState(to_frequency(state.psi), half_spectrum(state.rho),
+                         half_spectrum(state.phi))
+        fft_calls.clear()
+        out = strang_step(coeffs, cfg.dt, cfg.params)
+        assert fft_calls == step
+        assert [getattr(out, name).space for name in FIELDS] == ["frequency", "half", "half"]
+
+    def test_record_takes_psi_to_physical_once(self, fft_calls):
+        st = random_state_nd(Grid(3, 8, 3 * np.pi), 21)
+        params = ModelParams(sigma2=-1.0, W=1.5, D=0.5)
+        spectral = in_frequency(st)
+        fft_calls.clear()
+        coeff_row = Trajectory()
+        coeff_row.record(0.0, spectral, params)
+        assert fft_calls == ["ifftn", "rfftn"]
+        phys_row = Trajectory()
+        phys_row.record(0.0, st, params)
+        for column in ("mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"):
+            assert getattr(coeff_row, column)[0] == pytest.approx(
+                getattr(phys_row, column)[0], rel=1e-12, abs=0.0), column
+
     def test_non_finite_field_names_the_field(self):
         # |psi|^2 overflows in the first step, so psi turns non-finite
         cfg = SimConfig(dim=2, n=16, length=4 * np.pi, dt=1e-3, t_end=0.01,
@@ -546,6 +603,13 @@ class TestDivergenceProxy:
             for coeffs in (hat, real):
                 sup = np.max(np.abs(np.fft.ifftn(coeffs, norm="ortho")))
                 assert sup_bound(coeffs) >= sup, n_modes
+            # The real field as run_simulation carries it: its half-spectrum,
+            # whose exact sup is taken through the Hermitian-filled spectrum.
+            half = half_spectrum(ComplexField(Grid(dim, n), real, "frequency"))
+            sup = np.max(np.abs(to_physical(half).values))
+            assert (1.0 + _BOUND_MARGIN) * spectral_sup_bound(half) >= sup, n_modes
+            assert spectral_sup_bound(half) == pytest.approx(
+                np.sum(np.abs(real)) / np.sqrt(real.size), rel=1e-14, abs=0.0)
 
 
 class TestPicard:

@@ -5,10 +5,15 @@ from zrbr.bourgain import WAVE_MINUS, WAVE_PLUS, _group
 from zrbr.errors import ConfigurationError, ContractViolationError
 from zrbr.evolution import _linear_propagator
 from zrbr.spectral import (
+    FREQUENCY,
+    HALF,
     ComplexField,
     Grid,
     dealias_mask,
+    full_spectrum,
+    half_spectrum,
     make_multiplier,
+    sup_bound,
     to_frequency,
     to_physical,
 )
@@ -202,3 +207,69 @@ def test_fft_calls_counts_complex_and_real_transforms(fft_calls):
     np.fft.ifftn(np.fft.fftn(a))
     np.fft.irfftn(np.fft.rfftn(a), a.shape, axes=(0, 1))
     assert len(fft_calls) == 4
+    assert fft_calls == ["fftn", "ifftn", "rfftn", "irfftn"]
+
+
+HALF_GRIDS = [Grid(2, 4, 3.0), Grid(2, 16, 4 * np.pi), Grid(3, 4, 2.0), Grid(3, 8, 3 * np.pi)]
+HALF_IDS = [f"{g.dim}d-{g.n}" for g in HALF_GRIDS]
+
+
+def real_white_noise(grid, seed):
+    """A real field with every mode excited, the Nyquist ones included."""
+    return np.random.default_rng(seed).normal(size=grid.shape) * 10.0 ** (seed % 5 - 2)
+
+
+@pytest.mark.parametrize("grid", HALF_GRIDS, ids=HALF_IDS)
+class TestHalfSpectrum:
+    """A real field's rfftn half-spectrum against its full spectrum."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermitian_fill_matches_fftn(self, grid, seed):
+        x = real_white_noise(grid, seed)
+        full = np.fft.fftn(x, norm="ortho")
+        filled = full_spectrum(grid, np.fft.rfftn(x, norm="ortho"))
+        assert np.max(np.abs(filled - full)) <= 1e-15 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_to_physical_is_bitwise_that_of_the_full_spectrum(self, grid, seed):
+        half = half_spectrum(ComplexField(grid, real_white_noise(grid, seed) + 0j))
+        assert half.space == HALF and half.values.shape == grid.half_shape
+        full = to_frequency(half)
+        assert full.space == FREQUENCY
+        # the fill is a copy: cutting it again gives the half back
+        np.testing.assert_array_equal(half_spectrum(full).values, half.values)
+        np.testing.assert_array_equal(to_physical(half).values, to_physical(full).values)
+        np.testing.assert_array_equal(
+            to_physical(half).values, np.fft.ifftn(full.values, norm="ortho"))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_l2_norm_and_sup_bound_match_the_full_spectrum(self, grid, seed):
+        x = real_white_noise(grid, seed)
+        full = to_frequency(ComplexField(grid, x + 0j))
+        half = half_spectrum(ComplexField(grid, x + 0j))
+        assert half.l2_norm() == pytest.approx(full.l2_norm(), rel=1e-14, abs=0.0)
+        assert half.l2_norm() == pytest.approx(ComplexField(grid, x).l2_norm(), rel=1e-14)
+        assert sup_bound(half) == pytest.approx(sup_bound(full), rel=1e-14, abs=0.0)
+        assert sup_bound(full) == pytest.approx(
+            np.sum(np.abs(full.values)) / np.sqrt(x.size), rel=1e-15, abs=0.0)
+
+    def test_half_of_a_full_spectrum_drops_nothing_of_a_real_field(self, grid):
+        x = real_white_noise(grid, 7)
+        full = to_frequency(ComplexField(grid, x + 0j))
+        cut = half_spectrum(full)
+        np.testing.assert_array_equal(cut.values, full.values[..., : grid.n // 2 + 1])
+        np.testing.assert_allclose(to_physical(cut).values, x, rtol=0, atol=1e-14 * np.max(np.abs(x)))
+
+    def test_physical_field_drops_its_imaginary_part(self, grid):
+        x = real_white_noise(grid, 3)
+        with_imag = ComplexField(grid, x + 1j * real_white_noise(grid, 4))
+        np.testing.assert_array_equal(half_spectrum(with_imag).values,
+                                      np.fft.rfftn(x, norm="ortho"))
+
+    def test_shape_and_tag_checked(self, grid):
+        with pytest.raises(ContractViolationError):
+            ComplexField(grid, np.zeros(grid.shape), HALF)
+        with pytest.raises(ContractViolationError):
+            ComplexField(grid, np.zeros(grid.half_shape), FREQUENCY)
+        with pytest.raises(ContractViolationError):
+            ComplexField(grid, np.zeros(grid.shape), "halfway")
