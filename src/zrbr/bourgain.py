@@ -13,13 +13,13 @@ which makes the weighted norms converge as the window and grid refine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
 from .exponents import strichartz_exponents
-from .spectral import ComplexField, Grid, low_mode_coefficients
+from .spectral import ComplexField, Grid, check_band, low_mode_coefficients
 
 _TWO_PI = 2.0 * np.pi
 
@@ -66,6 +66,13 @@ WAVE_MINUS = Dispersion("wave_minus")
 NO_DISPERSION = Dispersion("none")
 
 
+def _check_window(t_half: float, n_time: int) -> None:
+    if n_time % 2:
+        raise ContractViolationError("number of time samples must be even")
+    if not (np.isfinite(t_half) and t_half > 0):
+        raise ContractViolationError(f"window half-width must be finite and > 0, got {t_half}")
+
+
 class SpaceTimeField:
     """Complex field on a (time x space) lattice, physical-space values."""
 
@@ -75,8 +82,7 @@ class SpaceTimeField:
             raise ContractViolationError(
                 f"values shape {values.shape} incompatible with grid {grid.shape}"
             )
-        if values.shape[0] % 2:
-            raise ContractViolationError("number of time samples must be even")
+        _check_window(t_half, values.shape[0])
         self.grid = grid
         self.t_half = float(t_half)
         self.values = values
@@ -143,30 +149,103 @@ class SpaceTimeField:
         return np.fft.fftn(self.values, axes=tuple(range(1, self.grid.dim + 1)), norm="ortho")
 
 
-def _weights(f: SpaceTimeField, disp: Dispersion):
-    """(bracket(xi), bracket(tau + p(xi))) broadcast over the lattice."""
-    bxi = np.sqrt(1.0 + f.grid.xi_squared)
-    p = disp.phase(f.grid)
-    sigma = f.taus.reshape((-1,) + (1,) * f.grid.dim) + p[None]
-    bsigma = np.sqrt(1.0 + sigma**2)
-    return bxi, bsigma
+# ---------------------------------------------------------------------------
+# The lattice table
+# ---------------------------------------------------------------------------
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Lattice:
+    """The symbols of one space-time lattice and dispersion, shared read-only
+    by every field sampled on it: the window times, the free group and the
+    weights <xi>^{2s} <sigma>^{2b}.
+
+    The norms read the unitary ("ortho") space-time transform of the values.
+    It differs from spacetime_hat by a constant factor and a unimodular phase
+    shift, so the shift, which leaves |hat| unchanged, is never applied, and
+    the constant goes into one scalar per norm: sum |hat|^2 dtau dxi^d is
+    sum |F|^2 dt dx^d (Plancherel).
+    """
+
+    def __init__(self, grid: Grid, t_half: float, n_time: int, disp: Dispersion):
+        _check_window(t_half, n_time)
+        self.grid = grid
+        self.t_half = t_half
+        self.n_time = n_time
+        self.disp = disp
+        self.dt = 2.0 * t_half / n_time
+        self.phase = _frozen(disp.phase(grid))
+        self.times = _frozen(-t_half + self.dt * np.arange(n_time))
+        self.taus = _frozen(_TWO_PI * np.fft.fftfreq(n_time, d=self.dt))
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        """exp(-i t p(xi)) at every window time, shape (n_time, *grid)."""
+        return _frozen(_group(self.times, self.phase))
+
+    def weight(self, s: float, b: float) -> np.ndarray:
+        """<xi>^{2s} <sigma>^{2b} with sigma = tau + p(xi), over the lattice."""
+        return _weight(self.grid, self.t_half, self.n_time, self.disp, s, b)
+
+    def xsb(self, hat: np.ndarray, s: float, b: float) -> float:
+        """X^{s,b} norm of the field whose unitary space-time transform is hat."""
+        a = np.abs(hat)
+        a *= a
+        a *= self.weight(s, b)
+        return float(np.sqrt(np.sum(a) * self.dt * self.grid.cell_volume))
+
+    def ys(self, hat: np.ndarray, s: float) -> float:
+        """Y^s norm of the field whose unitary space-time transform is hat.
+
+        <xi>^s does not depend on tau, so the l1 sum over tau of
+        |hat| <xi>^s / <sigma> squares to <xi>^{2s} (sum |hat| / <sigma>)^2.
+        With |spacetime_hat|^2 dtau dxi^d = |hat|^2 dt dx^d, the constant
+        is dtau dt dx^d.
+        """
+        inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5), axis=0)
+        dtau = _TWO_PI / (2.0 * self.t_half)
+        return float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
+
+
+@lru_cache(maxsize=8)
+def _lattice(grid: Grid, t_half: float, n_time: int, disp: Dispersion) -> _Lattice:
+    """The table of one (grid, window, n_time, dispersion), built once."""
+    return _Lattice(grid, t_half, n_time, disp)
+
+
+# Each table's weights share one bound across all tables, so a sweep over
+# (s, b) cannot grow the cache without limit.
+@lru_cache(maxsize=16)
+def _weight(grid: Grid, t_half: float, n_time: int, disp: Dispersion,
+            s: float, b: float) -> np.ndarray:
+    lat = _lattice(grid, t_half, n_time, disp)
+    sigma = lat.taus.reshape((-1,) + (1,) * grid.dim) + lat.phase
+    w = (1.0 + sigma**2) ** b
+    w *= (1.0 + grid.xi_squared) ** s
+    return _frozen(w)
+
+
+def _check_finite(**exponents):
+    for name, value in exponents.items():
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
     """Bourgain norm: weighted space-time L2 of the transform."""
-    hat = f.spacetime_hat()
-    bxi, bsigma = _weights(f, disp)
-    total = np.sum(bxi[None] ** (2.0 * s) * bsigma ** (2.0 * b) * np.abs(hat) ** 2)
-    return float(np.sqrt(total * f.cell_weight))
+    _check_finite(s=s, b=b)
+    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    return lat.xsb(np.fft.fftn(f.values, norm="ortho"), s, b)
 
 
 def ys_norm(f: SpaceTimeField, s: float, disp: Dispersion) -> float:
     """l1 in tau of the weighted modulus, then l2 in xi, with cell weights."""
-    hat = f.spacetime_hat()
-    bxi, bsigma = _weights(f, disp)
-    inner = np.sum(np.abs(hat) / bsigma, axis=0) * f.dtau
-    total = np.sum(bxi ** (2.0 * s) * inner**2) * f.dxi**f.grid.dim
-    return float(np.sqrt(total))
+    _check_finite(s=s)
+    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    return lat.ys(np.fft.fftn(f.values, norm="ortho"), s)
 
 
 def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
@@ -206,9 +285,8 @@ def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion
     grid = g.grid
     ghat = np.fft.fftn(np.asarray(g.values, dtype=np.complex128), norm="ortho") \
         if g.space == "physical" else g.values
-    proto = SpaceTimeField(grid, t_half, np.zeros((n_time,) + grid.shape, dtype=np.complex128))
-    vals = np.fft.ifftn(_group(proto.times, disp.phase(grid)) * ghat[None],
-                        axes=tuple(range(1, grid.dim + 1)), norm="ortho")
+    group = _lattice(grid, float(t_half), n_time, disp).group
+    vals = np.fft.ifftn(group * ghat[None], axes=tuple(range(1, grid.dim + 1)), norm="ortho")
     return SpaceTimeField(grid, t_half, vals)
 
 
@@ -227,12 +305,14 @@ def random_band_limited(
     n_time (or the spatial grid) samples the same underlying field; that is
     what makes refinement-stability checks meaningful.
     """
+    check_band(time_band, "time_band")
+    check_band(space_band, "space_band")
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
-    for m in range(-time_band, time_band + 1):
-        coeffs[m % n_time] = low_mode_coefficients(grid, rng, space_band)
+    coeffs[np.arange(-time_band, time_band + 1) % n_time] = low_mode_coefficients(
+        grid, rng, space_band, (2 * time_band + 1,))
     # values = sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases;
     # "forward" normalization keeps the sum unscaled, so refining the lattice
     # samples the same continuum field.
@@ -248,9 +328,14 @@ def random_band_limited(
 # Retarded convolution and the linear estimate check
 # ---------------------------------------------------------------------------
 
-# The space-time kernel shared with evolution.picard_iterate.  Both work on
-# spatial Fourier coefficients sampled at the window times, so the free group
-# and the retarded integral are pointwise in xi.
+# The space-time kernel shared with evolution.picard_iterate: the free group
+# exp(-i t p) and the anchored trapezoid retarded integral.  Both act on
+# spatial Fourier coefficients sampled at the window times, pointwise in xi,
+# so a caller that starts from spatial coefficients needs no space-time round
+# trip: linear_estimate_ratio ends with a time-axis transform into the norms,
+# picard_iterate with a spatial inverse per component.  Here the group comes
+# from the lattice table; picard_iterate builds its own for its window and
+# phases.
 
 def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""
@@ -277,7 +362,8 @@ def retarded_convolution(q: SpaceTimeField, disp: Dispersion) -> SpaceTimeField:
     grid = q.grid
     axes = tuple(range(1, grid.dim + 1))
     q_hat = np.fft.fftn(q.values, axes=axes, norm="ortho")
-    out_hat = _retarded(q_hat, _group(q.times, disp.phase(grid)), q.dt, q.zero_index)
+    out_hat = _retarded(q_hat, _lattice(grid, q.t_half, q.n_time, disp).group, q.dt,
+                        q.zero_index)
     return SpaceTimeField(grid, q.t_half, np.fft.ifftn(out_hat, axes=axes, norm="ortho"))
 
 
@@ -303,19 +389,24 @@ def linear_estimate_ratio(
     RHS = T^{1-b+b'} ||q||_{X^{s,b'}} (+ T^{1/2-b} ||q||_{Y^s} when the Y
     term is included, i.e. when b' <= -1/2 would make the X term alone fail).
     """
+    _check_finite(s=s, b=b, b_prime=b_prime)
     if not (b_prime <= 0.0 <= b <= b_prime + 1.0):
         raise PreconditionError(f"need b' <= 0 <= b <= b'+1, got b={b}, b'={b_prime}")
     if not (0.0 < T <= 1.0):
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
-    conv = retarded_convolution(q, disp)
-    lam_T = smooth_cutoff(conv.times / T)
-    lhs_field = SpaceTimeField(
-        q.grid, q.t_half, lam_T.reshape((-1,) + (1,) * q.grid.dim) * conv.values
-    )
-    lhs = xsb_norm(lhs_field, s, b, disp)
-    rhs = T ** (1.0 - b + b_prime) * xsb_norm(q, s, b_prime, disp)
+    # Spatial coefficients end to end: the retarded integral and lambda_T act
+    # on them slice by slice, and one time-axis transform each of the
+    # convolution and of q completes the space-time transforms the norms read.
+    lat = _lattice(q.grid, q.t_half, q.n_time, disp)
+    q_hat = np.fft.fftn(q.values, axes=tuple(range(1, q.grid.dim + 1)), norm="ortho")
+    conv = _retarded(q_hat, lat.group, lat.dt, q.zero_index)
+    conv *= smooth_cutoff(lat.times / T).reshape((-1,) + (1,) * q.grid.dim)
+    lhs = lat.xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b)
+    del conv
+    q_hat = np.fft.fftn(q_hat, axes=(0,), norm="ortho")
+    rhs = T ** (1.0 - b + b_prime) * lat.xsb(q_hat, s, b_prime)
     if include_y_term:
-        rhs += T ** (0.5 - b) * ys_norm(q, s, disp)
+        rhs += T ** (0.5 - b) * lat.ys(q_hat, s)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs
@@ -378,17 +469,17 @@ def strichartz_ratio(
         raise PreconditionError(f"hypothesis violated: {exps.violated}")
 
     hat = v.spacetime_hat()
-    _, bsigma = _weights(v, disp)
+    lat = _lattice(v.grid, v.t_half, v.n_time, disp)
 
     # enforce support in |t| <= 2T of F^{-1}(<sigma>^{-a'} vhat)
-    h = SpaceTimeField.from_spacetime_hat(v.grid, v.t_half, hat / bsigma**a_prime)
+    h = SpaceTimeField.from_spacetime_hat(v.grid, v.t_half, hat * lat.weight(0.0, -0.5 * a_prime))
     lam_T = smooth_cutoff(h.times / T).reshape((-1,) + (1,) * v.grid.dim)
     h_cut = SpaceTimeField(v.grid, v.t_half, lam_T * h.values)
-    hat_new = h_cut.spacetime_hat() * bsigma**a_prime
+    hat_new = h_cut.spacetime_hat() * lat.weight(0.0, 0.5 * a_prime)
     v_new = SpaceTimeField.from_spacetime_hat(v.grid, v.t_half, hat_new)
 
     smoothed = SpaceTimeField.from_spacetime_hat(
-        v.grid, v.t_half, np.abs(hat_new) / bsigma**a
+        v.grid, v.t_half, np.abs(hat_new) * lat.weight(0.0, -0.5 * a)
     )
     lhs = mixed_norm(smoothed, exps.q, exps.r)
     v_norm = v_new.l2_norm()

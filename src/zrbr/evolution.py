@@ -423,12 +423,15 @@ def picard_iterate(
         "varphi_plus": (wave, "H", -1j),
         "varphi_minus": (minus, "H", 1j),
     }
+    # Each source hat, and each component of the current iterate, is freed
+    # right after its last reader.
+    last_reader = {source: name for name, (_, source, _) in plan.items()}
 
     free = {name: lam * np.fft.ifftn(plan[name][0] * to_frequency(f).values[None],
                                      axes=axes, norm="ortho")
             for name, f in zip(_COMPONENTS, initial.fields())}
 
-    current = free
+    current = dict(free)
     component_diffs = {name: [] for name in _COMPONENTS}
     largest = max(_sup_l2(free[name], grid) for name in _COMPONENTS)
 
@@ -445,20 +448,21 @@ def picard_iterate(
         hats = dict(zip("GH", half_wave_sources(psi, envelope_rate(psi, F, grid, params),
                                                 grid, params)))
         hats["F"] = np.fft.fftn(F, axes=axes, norm="ortho")
-        del psi, F
+        del fields, psi, F
 
         nxt = {}
         for name, (group, source, coef) in plan.items():
-            q_hat = hats[source]
+            q_hat = hats.pop(source) if last_reader[source] == name else hats[source]
             if name in extra:
                 q_hat = q_hat - extra.pop(name)
             out = _retarded(q_hat, group, dt, zero_index)
+            del q_hat
             out *= lam_T
             out = np.fft.ifftn(out, axes=axes, norm="ortho")
             out *= coef
             out += free[name]
             nxt[name] = out
-            component_diffs[name].append(_sup_l2(out - current[name], grid))
+            component_diffs[name].append(_sup_l2(out - current.pop(name), grid))
             largest = max(largest, _sup_l2(out, grid))
         current = nxt
 

@@ -13,7 +13,6 @@ the full one by copying, without a transform.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -233,13 +232,35 @@ def make_multiplier(grid: Grid, name: str) -> np.ndarray:
     return frozen_symbol(sym)
 
 
-def low_mode_coefficients(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
-    """Coefficients N(0,1) + i N(0,1) drawn from rng in turn on the modes
-    |k|_inf <= band (lexicographic order), zero elsewhere."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for k in itertools.product(range(-band, band + 1), repeat=grid.dim):
-        coeffs[tuple(np.mod(k, grid.n))] = rng.normal() + 1j * rng.normal()
-    return coeffs
+def check_band(band, name: str = "band") -> None:
+    """A band of low modes is an integer >= 0 (a bool is not)."""
+    if isinstance(band, bool) or not isinstance(band, (int, np.integer)) or band < 0:
+        raise ConfigurationError(f"{name} must be an integer >= 0, got {band!r}")
+
+
+def low_mode_coefficients(
+    grid: Grid, rng: np.random.Generator, band: int, leading: tuple = ()
+) -> np.ndarray:
+    """Coefficients N(0,1) + i N(0,1) on the modes |k|_inf <= band, zero
+    elsewhere, shape leading + grid.shape.
+
+    All normals come from one rng.normal call: real and imaginary part in
+    turn, mode by mode in lexicographic order, field by field over the
+    leading axes.  That is the stream of one scalar draw after another.
+    Where the lattice folds two modes onto one index (2 band >= n), the
+    later draw is kept.
+    """
+    check_band(band)
+    k = np.arange(-band, band + 1) % grid.n
+    index = np.ravel_multi_index(np.meshgrid(*[k] * grid.dim, indexing="ij"), grid.shape)
+    index = index.ravel()
+    _, last = np.unique(index[::-1], return_index=True)
+    keep = index.size - 1 - last
+    count = int(np.prod(leading))
+    z = rng.normal(size=2 * count * index.size).reshape(count, index.size, 2)
+    coeffs = np.zeros((count, grid.n**grid.dim), dtype=np.complex128)
+    coeffs[:, index[keep]] = z[:, keep, 0] + 1j * z[:, keep, 1]
+    return coeffs.reshape(tuple(leading) + grid.shape)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:

@@ -18,9 +18,11 @@ from zrbr.bourgain import (
     strichartz_ratio,
     xsb_norm,
     ys_norm,
+    _lattice,
+    _weight,
 )
 from zrbr.errors import ConfigurationError, ContractViolationError, PreconditionError
-from zrbr.spectral import ComplexField, Grid
+from zrbr.spectral import ComplexField, Grid, low_mode_coefficients
 
 
 def aligned_grid():
@@ -220,3 +222,111 @@ def test_embedding_ratio_bounded_for_high_b():
         f = random_band_limited(g, 2.5, 32, seed=200 + k)
         ratios.append(spatial_sobolev_sup(f, 1.0) / xsb_norm(f, 1.0, 0.6, SCHRODINGER))
     assert max(ratios) < 10.0
+
+
+class TestValidation:
+    @pytest.mark.parametrize("t_half", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_window_must_be_finite_and_positive(self, t_half):
+        g = aligned_grid()
+        with pytest.raises(ContractViolationError):
+            SpaceTimeField(g, t_half, np.zeros((8,) + g.shape))
+        with pytest.raises(ContractViolationError):
+            free_evolution(ComplexField(g, np.ones(g.shape)), t_half, 8, SCHRODINGER)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_norm_exponents_must_be_finite(self, bad):
+        f = random_spacetime(aligned_grid(), 16, 20)
+        with pytest.raises(ConfigurationError):
+            xsb_norm(f, bad, 0.5, SCHRODINGER)
+        with pytest.raises(ConfigurationError):
+            xsb_norm(f, 1.0, bad, SCHRODINGER)
+        with pytest.raises(ConfigurationError):
+            ys_norm(f, bad, SCHRODINGER)
+
+    @pytest.mark.parametrize("which", ["s", "b", "b_prime"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_linear_estimate_exponents_must_be_finite(self, which, bad):
+        q = random_spacetime(aligned_grid(), 16, 21, t_half=2.5)
+        args = {"s": 1.0, "b": 0.6, "b_prime": -0.35, which: bad}
+        with pytest.raises(ConfigurationError):
+            linear_estimate_ratio(q, 0.5, args["s"], args["b"], args["b_prime"], SCHRODINGER)
+
+    @pytest.mark.parametrize("band", [-1, 1.5, 2.0, True, "2"])
+    def test_bands_must_be_nonnegative_integers(self, band):
+        g = aligned_grid()
+        with pytest.raises(ConfigurationError):
+            random_band_limited(g, 2.5, 32, seed=0, time_band=band)
+        with pytest.raises(ConfigurationError):
+            random_band_limited(g, 2.5, 32, seed=0, space_band=band)
+        with pytest.raises(ConfigurationError):
+            low_mode_coefficients(g, np.random.default_rng(0), band)
+
+    def test_zero_bands_give_one_mode(self):
+        f = random_band_limited(aligned_grid(), 2.5, 32, seed=3, time_band=0, space_band=0,
+                                cutoff=False)
+        np.testing.assert_allclose(f.values, f.values[0, 0, 0], rtol=1e-14)
+        assert f.values[0, 0, 0] != 0
+
+
+class TestLatticeTable:
+    def test_linear_estimate_is_three_transforms(self, fft_calls):
+        q = random_band_limited(aligned_grid(), 2.5, 64, seed=9000)
+        fft_calls.clear()
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER, include_y_term=True)
+        assert fft_calls == ["fftn", "fftn", "fftn"]
+
+    def test_time_transform_is_a_traced_fftn(self, monkeypatch):
+        # a profiler that wraps only fftn and ifftn sees every transform
+        seen = []
+        fftn = np.fft.fftn
+
+        def traced(a, *args, **kwargs):
+            seen.append(kwargs.get("axes"))
+            return fftn(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one-dimensional fft used")
+
+        monkeypatch.setattr(np.fft, "fftn", traced)
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        q = random_band_limited(aligned_grid(), 2.5, 32, seed=1)
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+        assert seen == [(1, 2), (0,), (0,)]
+
+    def test_norm_is_one_transform(self, fft_calls):
+        f = random_band_limited(aligned_grid(), 2.5, 32, seed=2)
+        fft_calls.clear()
+        xsb_norm(f, 1.0, 0.6, SCHRODINGER)
+        assert fft_calls == ["fftn"]
+        ys_norm(f, 1.0, SCHRODINGER)
+        assert fft_calls == ["fftn", "fftn"]
+
+    def test_tables_are_shared_read_only_and_bounded(self):
+        f = random_band_limited(aligned_grid(), 2.5, 32, seed=4)
+        lat = _lattice(f.grid, f.t_half, f.n_time, SCHRODINGER)
+        assert _lattice(Grid(2, 16, 2 * np.pi), 2.5, 32, Dispersion("schrodinger")) is lat
+        assert lat.weight(1.0, 0.6) is lat.weight(1.0, 0.6)
+        for table in (lat.group, lat.weight(1.0, 0.6), lat.times, lat.taus, lat.phase):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        assert _lattice.cache_info().maxsize is not None
+        assert _weight.cache_info().maxsize is not None
+
+    def test_nonfinite_keys_never_reach_the_cache(self):
+        f = random_band_limited(aligned_grid(), 2.5, 32, seed=5)
+        _weight.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                xsb_norm(f, np.nan, 0.5, SCHRODINGER)
+        assert _weight.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("t_half, n_time", [(2.5, 32), (np.pi, 64), (0.3, 128)])
+    def test_table_window_is_the_field_window(self, t_half, n_time):
+        # linear_estimate_ratio reads times from the table, the field its own
+        g = aligned_grid()
+        f = SpaceTimeField(g, t_half, np.zeros((n_time,) + g.shape))
+        lat = _lattice(g, f.t_half, f.n_time, WAVE_PLUS)
+        assert lat.dt == f.dt
+        np.testing.assert_array_equal(lat.times, f.times)
+        np.testing.assert_array_equal(lat.taus, f.taus)
