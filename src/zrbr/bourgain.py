@@ -2,10 +2,12 @@
 Strichartz estimates.
 
 A SpaceTimeField samples a complex field on a time window [-Tw, Tw) times
-the periodic spatial box.  Its space-time transform is normalized so that
-the discrete Plancherel identity matches the quadrature L2 norm:
+the periodic spatial box.  Every space-time transform here is the unitary
+("ortho") lattice fftn.  The continuum transform is a constant multiple of
+it up to a unimodular phase, so each norm applies its quadrature constants
+as one scalar, and Plancherel matches the quadrature L2 norm:
 
-    sum |fhat|^2 dtau dxi^d  ==  sum |f|^2 dt dx^d
+    sum |hat|^2 dt dx^d  ==  sum |f|^2 dt dx^d
 
 which makes the weighted norms converge as the window and grid refine.
 """
@@ -100,53 +102,11 @@ class SpaceTimeField:
     def zero_index(self) -> int:
         return self.n_time // 2
 
-    @cached_property
-    def taus(self) -> np.ndarray:
-        return _TWO_PI * np.fft.fftfreq(self.n_time, d=self.dt)
-
-    @property
-    def dtau(self) -> float:
-        return _TWO_PI / (2.0 * self.t_half)
-
-    @property
-    def dxi(self) -> float:
-        return _TWO_PI / self.grid.length
-
-    @property
-    def cell_weight(self) -> float:
-        """Frequency-lattice cell volume dtau * dxi^d."""
-        return self.dtau * self.dxi**self.grid.dim
-
-    def _phase_shift(self) -> np.ndarray:
-        """exp(-i (tau t0 + xi . x0)) aligning the DFT with the window origin."""
-        t0 = self.times[0]
-        x0 = self.grid.axis_coordinates[0]
-        phase = self.taus.reshape((-1,) + (1,) * self.grid.dim) * t0
-        for xi in self.grid.frequencies():
-            phase = phase + xi[None] * x0
-        return np.exp(-1j * phase)
-
-    def spacetime_hat(self) -> np.ndarray:
-        """Continuum-normalized space-time Fourier transform on the lattice."""
-        factor = (self.dt * self.grid.cell_volume) / _TWO_PI ** ((self.grid.dim + 1) / 2.0)
-        return np.fft.fftn(self.values, norm=None) * self._phase_shift() * factor
-
-    @classmethod
-    def from_spacetime_hat(cls, grid: Grid, t_half: float, hat: np.ndarray) -> "SpaceTimeField":
-        proto = cls(grid, t_half, np.zeros_like(hat))
-        factor = (proto.dt * grid.cell_volume) / _TWO_PI ** ((grid.dim + 1) / 2.0)
-        values = np.fft.ifftn(hat / proto._phase_shift() / factor, norm=None)
-        return cls(grid, t_half, values)
-
     def l2_norm(self) -> float:
         """Space-time L2 norm with quadrature weights."""
         return float(
             np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dt * self.grid.cell_volume)
         )
-
-    def spatial_hats(self) -> np.ndarray:
-        """Per-slice spatial transforms (ortho), shape (n_time, *grid)."""
-        return np.fft.fftn(self.values, axes=tuple(range(1, self.grid.dim + 1)), norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +123,9 @@ class _Lattice:
     by every field sampled on it: the window times, the free group and the
     weights <xi>^{2s} <sigma>^{2b}.
 
-    The norms read the unitary ("ortho") space-time transform of the values.
-    It differs from spacetime_hat by a constant factor and a unimodular phase
-    shift, so the shift, which leaves |hat| unchanged, is never applied, and
-    the constant goes into one scalar per norm: sum |hat|^2 dtau dxi^d is
-    sum |F|^2 dt dx^d (Plancherel).
+    The norms read the unitary ("ortho") space-time transform of the values,
+    hat, and apply their quadrature constants as one scalar each:
+    sum |hat|^2 dt dx^d is the quadrature L2 norm (Plancherel).
     """
 
     def __init__(self, grid: Grid, t_half: float, n_time: int, disp: Dispersion):
@@ -202,8 +160,8 @@ class _Lattice:
 
         <xi>^s does not depend on tau, so the l1 sum over tau of
         |hat| <xi>^s / <sigma> squares to <xi>^{2s} (sum |hat| / <sigma>)^2.
-        With |spacetime_hat|^2 dtau dxi^d = |hat|^2 dt dx^d, the constant
-        is dtau dt dx^d.
+        The continuum transform, summed with dtau in tau and squared with
+        dxi^d in xi, puts the constant dtau dt dx^d on the unitary hat.
         """
         inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5), axis=0)
         dtau = _TWO_PI / (2.0 * self.t_half)
@@ -269,10 +227,11 @@ def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
 
 def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
     """sup over time slices of the spatial H^s norm."""
-    hats = f.spatial_hats()
+    _check_finite(s=s)
+    axes = tuple(range(1, f.grid.dim + 1))
+    hats = np.fft.fftn(f.values, axes=axes, norm="ortho")
     w = (1.0 + f.grid.xi_squared) ** s
-    norms = np.sqrt(np.sum(w[None] * np.abs(hats) ** 2, axis=tuple(range(1, f.grid.dim + 1)))
-                    * f.grid.cell_volume)
+    norms = np.sqrt(np.sum(w[None] * np.abs(hats) ** 2, axis=axes) * f.grid.cell_volume)
     return float(np.max(norms))
 
 
@@ -461,27 +420,28 @@ def strichartz_ratio(
 
     The time-support hypothesis is enforced by pushing v through its inverse
     a'-weighting, multiplying by lambda_T, and pulling back; the reported
-    ratio is LHS / ||v||_2 for the adjusted v.
+    ratio is LHS / ||v||_2 for the adjusted v.  The unitary transform's
+    missing continuum constant cancels in each round trip, and its missing
+    phase only rolls the smoothed field by half a period on each axis, which
+    the mixed norm over the whole periodic lattice does not see.
     """
+    if not (0.0 < T <= 1.0):
+        raise PreconditionError(f"need 0 < T <= 1, got T={T}")
     wave = disp.kind in ("wave_plus", "wave_minus")
     exps = strichartz_exponents(a, a_prime, gamma, eta, b0, v.grid.dim, wave=wave)
     if not exps.feasible:
         raise PreconditionError(f"hypothesis violated: {exps.violated}")
 
-    hat = v.spacetime_hat()
     lat = _lattice(v.grid, v.t_half, v.n_time, disp)
-
     # enforce support in |t| <= 2T of F^{-1}(<sigma>^{-a'} vhat)
-    h = SpaceTimeField.from_spacetime_hat(v.grid, v.t_half, hat * lat.weight(0.0, -0.5 * a_prime))
-    lam_T = smooth_cutoff(h.times / T).reshape((-1,) + (1,) * v.grid.dim)
-    h_cut = SpaceTimeField(v.grid, v.t_half, lam_T * h.values)
-    hat_new = h_cut.spacetime_hat() * lat.weight(0.0, 0.5 * a_prime)
-    v_new = SpaceTimeField.from_spacetime_hat(v.grid, v.t_half, hat_new)
+    h = np.fft.ifftn(np.fft.fftn(v.values, norm="ortho") * lat.weight(0.0, -0.5 * a_prime),
+                     norm="ortho")
+    h *= smooth_cutoff(lat.times / T).reshape((-1,) + (1,) * v.grid.dim)
+    hat = np.fft.fftn(h, norm="ortho")
+    hat *= lat.weight(0.0, 0.5 * a_prime)
 
-    smoothed = SpaceTimeField.from_spacetime_hat(
-        v.grid, v.t_half, np.abs(hat_new) * lat.weight(0.0, -0.5 * a)
-    )
-    lhs = mixed_norm(smoothed, exps.q, exps.r)
-    v_norm = v_new.l2_norm()
+    smoothed = np.fft.ifftn(np.abs(hat) * lat.weight(0.0, -0.5 * a), norm="ortho")
+    lhs = mixed_norm(SpaceTimeField(v.grid, v.t_half, smoothed), exps.q, exps.r)
+    v_norm = lat.xsb(hat, 0.0, 0.0)
     ratio = 0.0 if v_norm == 0.0 else lhs / v_norm
     return StrichartzReport(exps.q, exps.r, exps.theta, lhs, v_norm, ratio)

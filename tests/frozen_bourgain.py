@@ -1,18 +1,22 @@
 """Frozen copies of the space-time norms, the linear-estimate check and the
 band-limited generators as they were before the norms read their weights
-from the cached lattice table.
+from the cached lattice table, and of the Strichartz check as it was before
+it moved to the unitary lattice transform.
 
-Every symbol is rebuilt per call, the norms take the continuum-normalized
-transform with its phase shift, and linear_estimate_ratio goes through
-physical space.  Fields are read only through their values, grid and
-window, so these copies do not depend on SpaceTimeField's helpers.
+Every symbol is rebuilt per call, the norms and the Strichartz check take
+the continuum-normalized transform with its phase shift, and
+linear_estimate_ratio goes through physical space.  Fields are read only
+through their values, grid and window, so these copies do not depend on
+SpaceTimeField's helpers.
 """
 
 import itertools
 
 import numpy as np
 
-from zrbr.bourgain import SpaceTimeField, smooth_cutoff
+from zrbr.bourgain import SCHRODINGER, SpaceTimeField, StrichartzReport, mixed_norm, smooth_cutoff
+from zrbr.errors import PreconditionError
+from zrbr.exponents import strichartz_exponents
 
 _TWO_PI = 2.0 * np.pi
 
@@ -39,6 +43,14 @@ def spacetime_hat(f):
     dt = 2.0 * f.t_half / f.n_time
     factor = (dt * f.grid.cell_volume) / _TWO_PI ** ((f.grid.dim + 1) / 2.0)
     return np.fft.fftn(f.values, norm=None) * _phase_shift(f) * factor
+
+
+def from_spacetime_hat(grid, t_half, hat):
+    proto = SpaceTimeField(grid, t_half, np.zeros_like(hat))
+    dt = 2.0 * t_half / proto.n_time
+    factor = (dt * grid.cell_volume) / _TWO_PI ** ((grid.dim + 1) / 2.0)
+    values = np.fft.ifftn(hat / _phase_shift(proto) / factor, norm=None)
+    return SpaceTimeField(grid, t_half, values)
 
 
 def _weights(f, disp):
@@ -120,3 +132,31 @@ def random_band_limited(grid, t_half, n_time, seed, time_band=4, space_band=2, c
         lam = smooth_cutoff(_times(f))
         f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
     return f
+
+
+def _sigma_weight(f, disp, b):
+    sigma = _taus(f).reshape((-1,) + (1,) * f.grid.dim) + disp.phase(f.grid)
+    return (1.0 + sigma**2) ** b
+
+
+def strichartz_ratio(v, a, a_prime, gamma, eta, b0, T, disp=SCHRODINGER):
+    wave = disp.kind in ("wave_plus", "wave_minus")
+    exps = strichartz_exponents(a, a_prime, gamma, eta, b0, v.grid.dim, wave=wave)
+    if not exps.feasible:
+        raise PreconditionError(f"hypothesis violated: {exps.violated}")
+
+    hat = spacetime_hat(v)
+    h = from_spacetime_hat(v.grid, v.t_half, hat * _sigma_weight(v, disp, -0.5 * a_prime))
+    lam_T = smooth_cutoff(_times(h) / T).reshape((-1,) + (1,) * v.grid.dim)
+    h_cut = SpaceTimeField(v.grid, v.t_half, lam_T * h.values)
+    hat_new = spacetime_hat(h_cut) * _sigma_weight(v, disp, 0.5 * a_prime)
+    v_new = from_spacetime_hat(v.grid, v.t_half, hat_new)
+
+    smoothed = from_spacetime_hat(
+        v.grid, v.t_half, np.abs(hat_new) * _sigma_weight(v, disp, -0.5 * a)
+    )
+    lhs = mixed_norm(smoothed, exps.q, exps.r)
+    dt = 2.0 * v.t_half / v.n_time
+    v_norm = float(np.sqrt(np.sum(np.abs(v_new.values) ** 2) * dt * v.grid.cell_volume))
+    ratio = 0.0 if v_norm == 0.0 else lhs / v_norm
+    return StrichartzReport(exps.q, exps.r, exps.theta, lhs, v_norm, ratio)

@@ -1,6 +1,7 @@
 """Equivalence of the lattice-table norms, the spatial-coefficient
-linear-estimate check and the one-draw generators with frozen copies of the
-code they replaced (tests/frozen_bourgain.py)."""
+linear-estimate check, the unitary-transform Strichartz check and the
+one-draw generators with frozen copies of the code they replaced
+(tests/frozen_bourgain.py)."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zrbr.bourgain import (
     SpaceTimeField,
     linear_estimate_ratio,
     random_band_limited,
+    strichartz_ratio,
     xsb_norm,
     ys_norm,
 )
@@ -69,6 +71,38 @@ def test_norms_match_frozen(disp, dim):
         for s in (0.0, 1.0, -0.7, 2.5):
             new, ref = ys_norm(f, s, disp), frozen.ys_norm(f, s, disp)
             assert abs(new - ref) <= 1e-12 * ref, ("ys", s, new, ref)
+
+
+# (a, a', gamma, eta, b0).  The Schrodinger (q, r) of each, in d = 2 and 3:
+STRICHARTZ_EXPONENTS = [
+    (0.0, 0.0, 0.0, 1.0, 0.6),  # (2, 2), no smoothing
+    (0.6, 0.6, 1.0, 1.0, 0.6),  # (2, 2)
+    (0.6, 0.6, 0.5, 0.5, 0.6),  # finite q, r = 8/3 and 12/5
+    (0.6, 0.9, 0.3, 0.2, 0.7),  # finite q, r != 2
+    (0.6, 0.6, 0.0, 1.0, 0.6),  # q = inf
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("disp", DISPERSIONS[:3], ids=DISP_IDS[:3])
+def test_strichartz_ratio_matches_frozen(disp, dim):
+    grid = GRIDS[dim]
+    fields = [random_band_limited(grid, 2.5, 32, seed=300 + dim), noise_field(grid, 32, 11 + dim)]
+    exponents = set()
+    for v in fields:
+        for args in STRICHARTZ_EXPONENTS:
+            for T in (0.25, 0.5, 1.0):
+                new = strichartz_ratio(v, *args, T=T, disp=disp)
+                ref = frozen.strichartz_ratio(v, *args, T=T, disp=disp)
+                assert (new.q, new.r, new.theta) == (ref.q, ref.r, ref.theta)
+                for name in ("lhs", "v_norm", "ratio"):
+                    n, r = getattr(new, name), getattr(ref, name)
+                    assert r > 0 and abs(n - r) <= 1e-12 * r, (args, T, name, n, r)
+                exponents.add((ref.q, ref.r))
+    assert any(np.isinf(q) for q, _ in exponents)
+    assert any(np.isfinite(q) and q != 2.0 for q, _ in exponents)
+    if disp is SCHRODINGER:
+        assert any(r != 2.0 for _, r in exponents)
 
 
 @pytest.mark.parametrize("cutoff", [True, False])
