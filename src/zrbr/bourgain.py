@@ -269,13 +269,17 @@ def random_band_limited(
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
-    coeffs[np.arange(-time_band, time_band + 1) % n_time] = low_mode_coefficients(
-        grid, rng, space_band, (2 * time_band + 1,))
+    coeffs = low_mode_coefficients(grid, rng, space_band, (2 * time_band + 1,))
     # values = sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases;
     # "forward" normalization keeps the sum unscaled, so refining the lattice
-    # samples the same continuum field.
-    vals = np.fft.ifftn(coeffs, norm="forward")
+    # samples the same continuum field.  Only the 2 time_band + 1 time rows
+    # of coefficients are nonzero: the spatial inverse runs on those rows,
+    # last axis first as a full ifftn would, and the time inverse on the
+    # whole stack, which gives the full ifftn's bits.
+    vals = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
+    vals[np.arange(-time_band, time_band + 1) % n_time] = np.fft.ifftn(
+        coeffs, axes=range(1, grid.dim + 1), norm="forward")
+    np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
     f = SpaceTimeField(grid, t_half, vals)
     if cutoff:
         lam = smooth_cutoff(f.times)
@@ -292,9 +296,9 @@ def random_band_limited(
 # spatial Fourier coefficients sampled at the window times, pointwise in xi,
 # so a caller that starts from spatial coefficients needs no space-time round
 # trip: linear_estimate_ratio ends with a time-axis transform into the norms,
-# picard_iterate with a spatial inverse per component.  Here the group comes
-# from the lattice table; picard_iterate builds its own for its window and
-# phases.
+# and picard_iterate keeps its iterates as spatial coefficients.  Here the
+# group comes from the lattice table; picard_iterate builds its own for its
+# window and phases.
 
 def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""
@@ -307,7 +311,8 @@ def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int) 
     Trapezoid rule in s, anchored so the integral vanishes at zero_index.
     q_hat is left untouched.
     """
-    integrand = np.conj(group) * q_hat
+    integrand = np.conj(group)
+    integrand *= q_hat
     seg = integrand[1:] + integrand[:-1]
     seg *= 0.5 * dt
     integrand[0] = 0.0

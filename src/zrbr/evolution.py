@@ -16,9 +16,9 @@ from .model import (
     ModelParams,
     PlusMinusState,
     ZRState,
+    coupled_source,
     energy,
     envelope_rate,
-    envelope_source,
     half_dx,
     half_wave_sources,
     mass,
@@ -350,6 +350,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 _COMPONENTS = ("psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus")
+_MINUS = {"rho_minus": "rho_plus", "varphi_minus": "varphi_plus"}  # -> plus partner
 
 
 @dataclass
@@ -369,6 +370,18 @@ def _sup_l2(values: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", pairs, pairs)) * grid.cell_volume))
 
 
+def _mirror(hat: np.ndarray) -> np.ndarray:
+    """conj(hat(-xi)): the coefficients of the complex conjugate of the field
+    whose coefficients are hat."""
+    minus_k = (-np.arange(hat.shape[0])) % hat.shape[0]
+    return np.conj(hat[np.ix_(*[minus_k] * hat.ndim)])
+
+
+def _check_count(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def picard_iterate(
     initial: PlusMinusState,
     T: float,
@@ -386,20 +399,31 @@ def picard_iterate(
     physical space) and a PicardReport of successive-difference norms and
     the empirical contraction factor.
 
-    Each iteration works on whole (n_time, *grid) stacks: the sources take
-    five FFTs (psi_t needs two, |psi|^2 and its rate one each, F one) and
-    the five components one inverse FFT each.  G_- = -G_+ and H_- = -H_+,
-    so the minus components reuse the plus sources with the opposite
-    Duhamel sign (with extra_cutoff_terms each sign adds its own term).
+    Iterates are carried on whole (n_time, *grid) stacks of spatial Fourier
+    coefficients, as the free part lambda * group * u0_hat, which needs no
+    transform, plus a Duhamel part.  G_- = -G_+ and H_- = -H_+ are real, so
+    the Duhamel part of a minus component is, in physical space, the complex
+    conjugate of its plus partner's.  A minus component is carried as its
+    conjugate, whose coefficients conj(u_hat(-xi)) obey the plus equation,
+    and an iteration takes three retarded integrals (psi, rho_+, varphi_+)
+    and six transforms: psi and Lap psi to physical space, one inverse of
+    the Duhamel part of the acoustic sum in F (its free part is transformed
+    once per call), and the forward transforms of F, |psi|^2 and its rate.
+    Differences are taken on the Duhamel parts by Plancherel, and a minus
+    component's are its plus partner's.  With extra_cutoff_terms each minus
+    source carries its own -omega^{-1} term, the symmetry fails, and the
+    minus components take integrals of their own.
     """
     if not (0.0 < T <= 1.0):
         raise ConfigurationError(f"T must be in (0, 1], got {T}")
-    if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 1:
-        raise ConfigurationError(f"n_iters must be an integer >= 1, got {n_iters!r}")
-    if n_time < 4 or n_time % 2:
-        raise ConfigurationError("n_time must be even and >= 4")
+    _check_count(n_iters, "n_iters", 1)
+    _check_count(burn_in, "burn_in", 1)
+    _check_count(n_time, "n_time", 4)
+    if n_time % 2:
+        raise ConfigurationError(f"n_time must be even, got {n_time}")
 
     grid = initial.grid
+    extra = params.extra_cutoff_terms
     dt = 4.0 * T / n_time
     times = -2.0 * T + dt * np.arange(n_time)
     zero_index = n_time // 2
@@ -412,59 +436,109 @@ def picard_iterate(
     # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
     # multiplying by it would change no bit.  It is left out.
 
-    # Per component: exp(-i t p), the source it reuses, and its Duhamel
-    # coefficient -i epsilon (psi) or -i times the sign of the source.
+    # Per component: exp(-i t p), the source it reuses, and lambda_T times
+    # its Duhamel coefficient, -i epsilon (psi) or -i (the acoustic ones,
+    # the conjugated minus components included).
     wave = _group(times, grid.xi_modulus)
-    minus = np.conj(wave)
-    plan = {
-        "psi": (_group(times, params.epsilon * grid.xi_squared), "F", -1j * params.epsilon),
-        "rho_plus": (wave, "G", -1j),
-        "rho_minus": (minus, "G", 1j),
-        "varphi_plus": (wave, "H", -1j),
-        "varphi_minus": (minus, "H", 1j),
-    }
-    # Each source hat, and each component of the current iterate, is freed
-    # right after its last reader.
-    last_reader = {source: name for name, (_, source, _) in plan.items()}
+    psi_group = _group(times, params.epsilon * grid.xi_squared)
+    plan = {"psi": (psi_group, "F", -1j * params.epsilon * lam_T)}
+    for name in _COMPONENTS[1:]:
+        plan[name] = (wave, "G" if name.startswith("rho") else "H", -1j * lam_T)
+    # The component whose Duhamel part each one reads: a minus component its
+    # plus partner's, unless extra_cutoff_terms gives it its own.
+    carried = {name: name if extra else _MINUS.get(name, name) for name in _COMPONENTS}
+    explicit = [name for name in _COMPONENTS if carried[name] == name]
+    # Each source hat is freed right after its last reader.
+    last_reader = {plan[name][1]: name for name in explicit}
 
-    free = {name: lam * np.fft.ifftn(plan[name][0] * to_frequency(f).values[None],
-                                     axes=axes, norm="ortho")
-            for name, f in zip(_COMPONENTS, initial.fields())}
+    u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
+    # The acoustic free parts are lambda * wave * data[name]; they are not held.
+    data = {name: _mirror(u0[name]) if name in _MINUS else u0[name] for name in _COMPONENTS[1:]}
+    free_psi = lam * (psi_group * u0["psi"])
+    cwave = np.conj(wave)
+    # (rho_+ + rho_-) + D (varphi_+ + varphi_-) of the free part, as F reads it.
+    free_sum = wave * (u0["rho_plus"] + params.D * u0["varphi_plus"])
+    free_sum += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
+    free_acoustic = lam * np.fft.ifftn(free_sum, axes=axes, norm="ortho")
+    del free_sum
+    winv = source_symbols(grid, params.D).omega_inv
 
-    current = dict(free)
+    def acoustic_duhamel(rho, varphi):
+        out = params.D * duh[varphi]
+        out += duh[rho]
+        return np.fft.ifftn(out, axes=axes, norm="ortho", out=out)
+
+    # |free + D|^2 = |free|^2 + |D|^2 + 2 Re <free, D> per time slice, where
+    # |free|^2 = lambda^2 |data|^2 and <free, D> = lambda <data, conj(wave) D>.
+    lam_rows = lam.ravel()
+    free_sq = {name: lam_rows**2 * np.vdot(a, a).real for name, a in data.items()}
+
+    def sup_l2_acoustic(key):
+        """The largest sup_l2 of the acoustic iterates whose Duhamel part is duh[key]."""
+        pairs = duh[key].reshape(n_time, -1).view(np.float64)
+        sq = np.einsum("ij,ij->i", pairs, pairs)
+        tilted = np.multiply(cwave, duh[key]).reshape(n_time, -1)
+        top = max(np.max(free_sq[name] + sq
+                         + 2.0 * lam_rows * (tilted @ np.conj(data[name]).ravel()).real)
+                  for name in _COMPONENTS[1:] if carried[name] == key)
+        return float(np.sqrt(max(top, 0.0) * grid.cell_volume))
+
+    duh = {name: np.zeros((n_time,) + grid.shape, dtype=np.complex128) for name in explicit}
     component_diffs = {name: [] for name in _COMPONENTS}
-    largest = max(_sup_l2(free[name], grid) for name in _COMPONENTS)
+    largest = 0.0
+    for it in range(n_iters + 1):
+        # The current iterate: psi's coefficients, and the norms of all five.
+        psi_hat = free_psi + duh["psi"]
+        largest = max(largest, _sup_l2(psi_hat, grid), *map(sup_l2_acoustic, explicit[1:]))
+        if it == n_iters:
+            break
 
-    for _ in range(n_iters):
-        fields = [current[name] for name in _COMPONENTS]
-        psi = fields[0]
-        F = envelope_source(*fields, params)
-        extra = {}
-        if params.extra_cutoff_terms:
-            # G_pm = ±(G_+ - omega^{-1} rho_pm), and H_pm likewise with varphi_pm.
-            winv = source_symbols(grid, params.D).omega_inv
-            extra = {name: winv * np.fft.fftn(f, axes=axes, norm="ortho")
-                     for name, f in zip(_COMPONENTS[1:], fields[1:])}
-        hats = dict(zip("GH", half_wave_sources(psi, envelope_rate(psi, F, grid, params),
-                                                grid, params)))
-        hats["F"] = np.fft.fftn(F, axes=axes, norm="ortho")
-        del fields, psi, F
+        psi = np.fft.ifftn(psi_hat, axes=axes, norm="ortho")
+        a2 = np.abs(psi)
+        a2 *= a2
+        # The free sum, the plus Duhamel part and the conjugate of the minus
+        # one, which is the plus one again without extra_cutoff_terms.
+        acoustic = acoustic_duhamel("rho_plus", "varphi_plus")
+        acoustic += np.conj(acoustic_duhamel("rho_minus", "varphi_minus") if extra else acoustic)
+        acoustic += free_acoustic
+        F = coupled_source(psi, a2, acoustic, params)
+        del acoustic
+        psi_t = envelope_rate(psi_hat, F, grid, params)
+        sources = {"F": np.fft.fftn(F, axes=axes, norm="ortho", out=F)}
+        del psi_hat, F
+        sources["G"], sources["H"] = half_wave_sources(a2, psi, psi_t, grid, params)
+        del psi, a2, psi_t
 
-        nxt = {}
-        for name, (group, source, coef) in plan.items():
-            q_hat = hats.pop(source) if last_reader[source] == name else hats[source]
-            if name in extra:
-                q_hat = q_hat - extra.pop(name)
-            out = _retarded(q_hat, group, dt, zero_index)
+        for name in explicit:
+            group, source, coef = plan[name]
+            q_hat = sources.pop(source) if last_reader[source] == name else sources[source]
+            if extra and name != "psi":
+                # The source subtracts omega^{-1} times its own iterate.
+                q_hat = q_hat - winv * (lam * (wave * data[name]) + duh[name])
+            new = _retarded(q_hat, group, dt, zero_index)
             del q_hat
-            out *= lam_T
-            out = np.fft.ifftn(out, axes=axes, norm="ortho")
-            out *= coef
-            out += free[name]
-            nxt[name] = out
-            component_diffs[name].append(_sup_l2(out - current.pop(name), grid))
-            largest = max(largest, _sup_l2(out, grid))
-        current = nxt
+            new *= coef
+            # The old Duhamel part is not read again; the difference overwrites it.
+            diff = np.subtract(duh[name], new, out=duh[name])
+            component_diffs[name].append(_sup_l2(diff, grid))
+            duh[name] = new
+    for name in _COMPONENTS:
+        if carried[name] != name:
+            component_diffs[name] = list(component_diffs[carried[name]])
+
+    # Iterate 0 on the physical grid, and the last iterate as its free part
+    # plus the Duhamel parts, conjugated for the minus components.
+    del free_psi, free_acoustic
+    free, current = {}, {}
+    for name in _COMPONENTS:
+        if name in duh:
+            d = duh.pop(name)
+            np.fft.ifftn(d, axes=axes, norm="ortho", out=d)
+        f = (cwave if name in _MINUS else plan[name][0]) * u0[name]
+        np.fft.ifftn(f, axes=axes, norm="ortho", out=f)
+        f *= lam
+        free[name] = f
+        current[name] = f + (np.conj(d) if name in _MINUS else d)
 
     diffs = [max(d) for d in zip(*component_diffs.values())]
     ratios = []

@@ -359,8 +359,10 @@ def strichartz_exponents(
     verdict naming the first violated hypothesis.
 
     In wave mode eta is forced to 1 and r to 2, and q follows the wave rule
-    2/q = 1 - (1 - gamma) a / b0.
+    2/q = 1 - (1 - gamma) a / b0.  d must be 2 or 3 (ConfigurationError).
     """
+    if d not in (2, 3):
+        raise ConfigurationError(f"d must be 2 or 3, got {d!r}")
     checks = [
         (b0 > 0.5, "b0 > 1/2"),
         (a >= 0.0, "a >= 0"),
@@ -382,8 +384,11 @@ def strichartz_exponents(
     if wave:
         r = 2.0
     else:
-        delta_r = (1.0 - eta) * (1.0 - gamma) * a / b0  # d/2 - d/r
-        r = d / (d / 2.0 - delta_r) if (d / 2.0 - delta_r) > 0 else np.inf
+        # d/2 - d/r = (1 - eta) c with c = (1 - gamma) a / b0 <= 1 and eta > 0,
+        # so it is at least d/2 - 1 + eta c > 0 and r is finite.  It is summed
+        # as (d/2 - c) + eta c: 1 - eta rounds to 1 for eta below 1e-16.
+        c = (1.0 - gamma) * a / b0
+        r = d / ((d / 2.0 - c) + eta * c)
     if a == 0.0 or gamma == 0.0:
         theta = 0.0
     else:

@@ -196,25 +196,32 @@ def source_symbols(grid: Grid, D: float) -> SourceSymbols:
 
 def envelope_source(psi, rho_plus, rho_minus, varphi_plus, varphi_minus, params: ModelParams):
     """F = sigma2 |psi|^2 psi + (W/2)(rho_+ + rho_-) psi + (W D/2)(varphi_+ + varphi_-) psi."""
-    return (
-        params.sigma2 * np.abs(psi) ** 2 * psi
-        + 0.5 * params.W * (rho_plus + rho_minus) * psi
-        + 0.5 * params.W * params.D * (varphi_plus + varphi_minus) * psi
-    )
+    acoustic = (rho_plus + rho_minus) + params.D * (varphi_plus + varphi_minus)
+    return coupled_source(psi, np.abs(psi) ** 2, acoustic, params)
 
 
-def envelope_rate(psi, F, grid: Grid, params: ModelParams):
-    """psi_t = epsilon (i Lap psi - i F), with two FFTs over the spatial axes."""
+def coupled_source(psi, a2, acoustic, params: ModelParams):
+    """F = (sigma2 |psi|^2 + (W/2) acoustic) psi, given a2 = |psi|^2 and the
+    acoustic sum (rho_+ + rho_-) + D (varphi_+ + varphi_-)."""
+    out = np.multiply(acoustic, 0.5 * params.W)
+    out += params.sigma2 * a2
+    out *= psi
+    return out
+
+
+def envelope_rate(psi_hat, F, grid: Grid, params: ModelParams):
+    """psi_t = epsilon (i Lap psi - i F) from psi's coefficients psi_hat, with
+    one inverse FFT over the spatial axes."""
     axes = tuple(range(-grid.dim, 0))  # the trailing grid axes
-    psi_hat = np.fft.fftn(psi, axes=axes, norm="ortho")
-    lap = np.fft.ifftn(source_symbols(grid, params.D).laplacian * psi_hat, axes=axes, norm="ortho")
+    lap = source_symbols(grid, params.D).laplacian * psi_hat
+    np.fft.ifftn(lap, axes=axes, norm="ortho", out=lap)
     lap -= F
     lap *= params.epsilon * 1j
     return lap
 
 
-def half_wave_sources(psi, psi_t, grid: Grid, params: ModelParams):
-    """Fourier coefficients of the '+' sources G_+ and H_+.
+def half_wave_sources(a2, psi, psi_t, grid: Grid, params: ModelParams):
+    """Fourier coefficients of the '+' sources G_+ and H_+, given a2 = |psi|^2.
 
     G_+ = omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
     H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt, from one FFT of
@@ -223,12 +230,18 @@ def half_wave_sources(psi, psi_t, grid: Grid, params: ModelParams):
     """
     axes = tuple(range(-grid.dim, 0))
     sym = source_symbols(grid, params.D)
-    a2_hat = np.fft.fftn(np.abs(psi) ** 2, axes=axes, norm="ortho")
-    rate_hat = np.fft.fftn(2.0 * np.real(np.conj(psi) * psi_t), axes=axes, norm="ortho")
-    return (
-        sym.g[0] * a2_hat + sym.g[1] * rate_hat,
-        sym.h[0] * a2_hat + sym.h[1] * rate_hat,
-    )
+    # Both are made complex first, so the transforms run in place.
+    a2_hat = a2.astype(np.complex128)
+    np.fft.fftn(a2_hat, axes=axes, norm="ortho", out=a2_hat)
+    rate_hat = np.multiply(psi.real, psi_t.real, dtype=np.complex128)
+    rate_hat += psi.imag * psi_t.imag
+    rate_hat *= 2.0
+    np.fft.fftn(rate_hat, axes=axes, norm="ortho", out=rate_hat)
+    g = sym.g[0] * a2_hat
+    g += sym.g[1] * rate_hat
+    h = np.multiply(sym.h[0], a2_hat, out=a2_hat)
+    h += np.multiply(sym.h[1], rate_hat, out=rate_hat)
+    return g, h
 
 
 def nonlinearity_F(pm: PlusMinusState, params: ModelParams) -> ComplexField:
@@ -241,7 +254,7 @@ def _half_wave_source(which, psi, psi_t, params, sign, field, field_name):
     s = _check_sign(sign)
     grid = psi.grid
     psi, psi_t = to_physical(psi).values, to_physical(psi_t).values
-    out = half_wave_sources(psi, psi_t, grid, params)[which]
+    out = half_wave_sources(np.abs(psi) ** 2, psi, psi_t, grid, params)[which]
     if params.extra_cutoff_terms:
         if field is None:
             raise ContractViolationError(f"extra_cutoff_terms requires {field_name}")
@@ -294,9 +307,9 @@ def psi_time_derivative(pm: PlusMinusState, params: ModelParams) -> ComplexField
     The epsilon scaling multiplies both the linear and nonlinear terms of
     the envelope equation; the acoustic equations are unaffected.
     """
-    psi = to_physical(pm.psi).values
     F = nonlinearity_F(pm, params).values
-    return ComplexField(pm.grid, envelope_rate(psi, F, pm.grid, params), "physical")
+    psi_t = envelope_rate(to_frequency(pm.psi).values, F, pm.grid, params)
+    return ComplexField(pm.grid, psi_t, "physical")
 
 
 def mass(state: ZRState) -> float:

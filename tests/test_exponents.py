@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,27 @@ class TestStrichartzExponents:
         out = strichartz_exponents(0.5, 0.1, 1.0, 1.0, 0.6, 2)
         assert not out.feasible
         assert out.violated == "gamma a <= a'"
+
+    @pytest.mark.parametrize("d", [1, 4, 0])
+    def test_dimension_validated(self, d):
+        with pytest.raises(ConfigurationError, match="d must be 2 or 3"):
+            strichartz_exponents(0.6, 0.6, 1.0, 1.0, 0.6, d)
+
+    def test_r_finite_on_feasible_grid(self):
+        # d/2 - d/r = (1 - eta)(1 - gamma) a / b0 < 1 <= d/2; eta = 1e-20 with
+        # (1 - gamma) a = b0 is where 1 - eta rounds to 1
+        feasible = 0
+        for a, gamma, eta, b0, d in itertools.product(
+                [0.0, 0.3, 0.6, 1.0], [0.0, 0.25, 0.5, 1.0], [1e-20, 1e-3, 0.5, 1.0],
+                [0.51, 0.6, 1.0], [2, 3]):
+            out = strichartz_exponents(a, a, gamma, eta, b0, d)
+            if out.feasible:
+                feasible += 1
+                assert np.isfinite(out.r) and out.r >= 2.0, (a, gamma, eta, b0, d)
+        assert feasible > 100
+        # the endpoint the old formula sent to r = inf: there d/r = eta
+        out = strichartz_exponents(0.6, 0.6, 0.0, 1e-20, 0.6, 2)
+        assert out.r == pytest.approx(2e20, rel=1e-12)
 
     def test_wave_mode_forces_r_two(self):
         out = strichartz_exponents(0.4, 0.4, 0.5, 0.3, 0.6, 3, wave=True)
