@@ -4,6 +4,7 @@ system."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,12 +56,15 @@ from .spectral import (
 # two complex and two real transforms: psi to physical space, rfftn of
 # |psi|^2, irfftn of the coupling, and the rotated psi back.  The symbols it
 # multiplies by are built once per (grid, dt, epsilon, dealias) and cached.
-# run_simulation goes back to physical space only for a diagnostics row, and
-# there only with psi (all three fields on the last step or when states are
-# stored): the row reads rho and phi off the coefficients, and the
-# divergence proxy bounds the sup-norm of a field held as coefficients.
+# run_simulation owns the three coefficient arrays and steps them in place.
+# It goes back to physical space only for a diagnostics row, and there only
+# with psi (all three fields on the last step or when states are stored):
+# the row reads rho and phi off the coefficients.  Both checks after a step
+# read one squared norm per field: it is non-finite when a coefficient is,
+# and its root bounds the sup-norm, so the divergence proxy rarely needs more.
 
 _FIELDS = ("psi", "rho", "phi")
+_SPACES = (FREQUENCY, HALF, HALF)  # how a Strang step holds each field
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +76,6 @@ class _LinearPropagator:
     cos: np.ndarray  # cos(|xi| t)
     omega_sin: np.ndarray  # |xi| sin(|xi| t)
     sinc: np.ndarray  # sin(|xi| t) / |xi|, and t at xi = 0
-
-    def apply(self, psi_h, rho_h, phi_h):
-        """The flowed coefficients (see _linear_flow), as new arrays."""
-        return self.apply_in_place(psi_h.copy(), rho_h.copy(), phi_h.copy())
 
     def apply_in_place(self, psi_h, rho_h, phi_h):
         """Flow the given coefficient arrays in place and return them."""
@@ -121,11 +121,12 @@ def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _
 
 
 def _coefficients(state: ZRState) -> list[np.ndarray]:
-    """psi's full spectrum and the half-spectra of rho and phi."""
+    """psi's full spectrum and the half-spectra of rho and phi, as copies
+    the caller may change in place."""
     return [
-        to_frequency(state.psi).values,
-        half_spectrum(state.rho).values,
-        half_spectrum(state.phi).values,
+        to_frequency(state.psi).values.copy(),
+        half_spectrum(state.rho).values.copy(),
+        half_spectrum(state.phi).values.copy(),
     ]
 
 
@@ -133,7 +134,7 @@ def _like(state: ZRState, coeffs) -> ZRState:
     """A state of the given coefficients (as _coefficients returns them),
     each field in the representation of the same field of state."""
     fields = []
-    for name, c, space in zip(_FIELDS, coeffs, (FREQUENCY, HALF, HALF)):
+    for name, c, space in zip(_FIELDS, coeffs, _SPACES):
         f = ComplexField(state.grid, c, space)
         given = getattr(state, name).space
         fields.append(to_physical(f) if given == PHYSICAL
@@ -150,24 +151,22 @@ def _linear_flow(state: ZRState, t: float, params: ModelParams) -> ZRState:
     representation it was given in; rho and phi are taken as real.
     """
     flow = _linear_propagator(state.grid, t, params.epsilon)
-    return _like(state, flow.apply(*_coefficients(state)))
+    return _like(state, flow.apply_in_place(*_coefficients(state)))
 
 
 def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _StepPropagators):
-    """L(dt/2) N(dt) L(dt/2) on psi's spectrum and the half-spectra of rho
-    and phi, with two complex and two real transforms.
+    """L(dt/2) N(dt) L(dt/2) in place on psi's spectrum and the half-spectra
+    of rho and phi, with two complex and two real transforms.
 
     The nonlinear substep uses that |psi|^2 is invariant under the phase
     rotation: rho and phi are advanced with the frozen source, and psi is
     rotated with the substep means of rho and phi_x.
     """
-    # The flowed arrays are new, so the substep and the second half-flow
-    # work on them in place.
-    psi, rho_h, phi_h = prop.half.apply(psi_h, rho_h, phi_h)
-    shape = psi.shape
+    prop.half.apply_in_place(psi_h, rho_h, phi_h)
+    shape = psi_h.shape
     work = np.empty_like(rho_h)
 
-    np.fft.ifftn(psi, norm="ortho", out=psi)
+    psi = np.fft.ifftn(psi_h, norm="ortho", out=psi_h)
     a2 = np.abs(psi)
     a2 *= a2
     a2_h = np.fft.rfftn(a2, norm="ortho")
@@ -200,27 +199,41 @@ def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _St
     return prop.half.apply_in_place(psi, rho_h, phi_h)
 
 
+def _squared_norms(coeffs) -> list[float]:
+    """sum |f_hat|^2 over the whole lattice for psi's spectrum, and twice
+    the sum over the half-spectrum for rho and phi, which is no less.
+
+    A non-finite coefficient makes its sum non-finite (so does an overflow
+    of finite ones); only then are the coefficients scanned, and the first
+    field with a non-finite one raises DivergenceError.
+    """
+    norms = [w * float(np.vdot(c, c).real) for w, c in zip((1.0, 2.0, 2.0), coeffs)]
+    if not all(map(math.isfinite, norms)):
+        for name, c in zip(_FIELDS, coeffs):
+            if not np.all(np.isfinite(c)):
+                raise DivergenceError(f"non-finite {name} after step", time=None, field=name)
+    return norms
+
+
 def strang_step(state: ZRState, dt: float, params: ModelParams, dealias: bool = True) -> ZRState:
-    """One Strang step L(dt/2) N(dt) L(dt/2).
+    """One Strang step L(dt/2) N(dt) L(dt/2); the given state is not changed.
 
     Works on psi's spectrum and the rfftn half-spectra of rho and phi, which
     are taken as real: physical rho and phi enter through rfftn of their
     real part, full spectra through their first n//2 + 1 columns.  A state
     held as coefficients costs two complex and two real transforms, and each
     field comes back in the representation it was given in (a full spectrum
-    rebuilt by Hermitian copy).  Raises DivergenceError when a field turns
-    non-finite.
+    rebuilt by Hermitian copy).  Raises DivergenceError when a field's
+    coefficients turn non-finite.
     """
     if dt == 0.0:
         return state.copy()
 
     prop = _step_propagators(state.grid, dt, params.epsilon, dealias)
-    out = _like(state, _strang_coefficients(*_coefficients(state), dt, params, prop))
-
-    for name in _FIELDS:
-        if not np.all(np.isfinite(getattr(out, name).values)):
-            raise DivergenceError(f"non-finite {name} after step", time=None, field=name)
-    return out
+    coeffs = _coefficients(state)
+    _strang_coefficients(*coeffs, dt, params, prop)
+    _squared_norms(coeffs)
+    return _like(state, coeffs)
 
 
 @dataclass
@@ -266,16 +279,18 @@ class Trajectory:
         return len(self.times)
 
 
-# Relative slack on the coefficient bound for the round-off of its sum and of
-# the inverse FFT whose sup it bounds.
+# Relative slack on the coefficient bounds for the round-off of their sums
+# and of the inverse FFT whose sup they bound; a sum of N squares can be off
+# by about N eps (4e-12 at 32^3).
 _BOUND_MARGIN = 1e-12
+_L2_MARGIN = 1e-9
 
 
 def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     """Integrate from t=0 to t_end, recording diagnostics every stride steps.
 
-    The state is carried from step to step as psi's spectrum and the rfftn
-    half-spectra of rho and phi.  The divergence proxy stops the run as soon
+    The loop steps psi's spectrum and the rfftn half-spectra of rho and phi
+    in place, as plain arrays.  The divergence proxy stops the run as soon
     as any field's sup-norm exceeds blowup_factor times its initial value;
     the partial trajectory, the field and its growth factor are attached to
     the raised DivergenceError.
@@ -284,12 +299,12 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     last) goes back to physical space.  There psi takes one inverse FFT, and
     the row one more (see Trajectory.record); the last step, and every row
     step when store_states is set, also bring rho and phi back, so the
-    stored states are physical.  The proxy takes the exact sup of a field
-    held in physical space.  For a field held as coefficients it reads the
-    bound sup|f| <= N^{-1/2} sum|f_hat| of the unitary transform, and takes
-    the field's inverse FFT and exact sup only when that bound reaches the
-    threshold, so it trips at the same step, on the same field, as an exact
-    check every step.
+    stored states are physical.  The proxy tries three bounds on sup|f| in
+    turn, until one is under the threshold: the l2 norm of the coefficients
+    (the finiteness check's squared norm), N^{-1/2} sum|f_hat|, and the
+    exact sup, for which a field held as coefficients takes its inverse FFT.
+    So it trips at the same step, on the same field, as an exact check
+    every step.
     """
     state = make_initial_state(config)
     spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
@@ -297,8 +312,11 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     traj.record(0.0, state, config.params, spectral)
     if not store_states:
         traj.states = [state.copy()]
-    # The first columns of the full spectra, as strang_step would cut them.
-    spectral = ZRState(spectral.psi, half_spectrum(spectral.rho), half_spectrum(spectral.phi))
+    # The loop steps these in place; the full spectra of rho and phi go.
+    coeffs = _coefficients(spectral)
+    del spectral
+    grid = state.grid
+    prop = _step_propagators(grid, config.dt, config.params.epsilon, config.dealias)
 
     n_steps = int(round(config.t_end / config.dt))
     raw_sup = {
@@ -313,20 +331,25 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 
     t = 0.0
     for k in range(n_steps):
+        _strang_coefficients(*coeffs, config.dt, config.params, prop)
         try:
-            spectral = strang_step(spectral, config.dt, config.params, dealias=config.dealias)
+            norms = _squared_norms(coeffs)
         except DivergenceError as err:
             raise DivergenceError(str(err), time=t, trajectory=traj, field=err.field) from None
         t = (k + 1) * config.dt
         row = (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1
         if row:
+            spectral = ZRState(*(ComplexField(grid, c, sp) for c, sp in zip(coeffs, _SPACES)))
             psi = to_physical(spectral.psi)
             if store_states or k == n_steps - 1:
                 state = ZRState(psi, to_physical(spectral.rho), to_physical(spectral.phi))
             else:
                 state = ZRState(psi, spectral.rho, spectral.phi)
-        for name, limit in limits.items():
-            f = getattr(state if row else spectral, name)
+        for name, c, space, sq in zip(_FIELDS, coeffs, _SPACES, norms):
+            limit = limits[name]
+            if (1.0 + _L2_MARGIN) * math.sqrt(sq) < limit:
+                continue
+            f = getattr(state, name) if row else ComplexField(grid, c, space)
             if f.space != PHYSICAL and (1.0 + _BOUND_MARGIN) * sup_bound(f) < limit:
                 continue
             sup = np.max(np.abs(to_physical(f).values))

@@ -11,8 +11,10 @@ from zrbr.config import SimConfig, h1_norm, make_initial_state
 from zrbr.errors import ConfigurationError, ContractViolationError, DivergenceError
 from zrbr.evolution import (
     _BOUND_MARGIN,
+    _L2_MARGIN,
     Trajectory,
     _linear_flow,
+    _squared_norms,
     picard_iterate,
     run_simulation,
     smooth_cutoff,
@@ -202,6 +204,24 @@ def reference_run_simulation(config, store_states=False):
     return traj
 
 
+def injected_outcome(monkeypatch, run, config, step, field, value):
+    """outcome(run, config), with value written into one coefficient of
+    field right after the step-th Strang step."""
+    kernel = evolution._strang_coefficients
+    calls = []
+
+    def kernel_then_inject(*args):
+        coeffs = kernel(*args)
+        calls.append(None)
+        if len(calls) == step:
+            coeffs[FIELDS.index(field)][1, 2] = value
+        return coeffs
+
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_strang_coefficients", kernel_then_inject)
+        return outcome(run, config)
+
+
 def outcome(run, config, store_states=False):
     """(trajectory, error): the trajectory returned or attached to the
     raised DivergenceError, and that error (None for a run to t_end)."""
@@ -284,6 +304,22 @@ class TestStrangStep:
         np.testing.assert_allclose(
             to_physical(out.rho).values.real, np.cos(t) * rho0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("spaces", [("physical",) * 3, ("frequency",) * 3,
+                                        ("frequency", "half", "half"),
+                                        ("physical", "frequency", "half")])
+    def test_inputs_unchanged(self, spaces):
+        # the step runs the in-place kernel on copies of its inputs
+        st = random_state_nd(Grid(2, 16, 4 * np.pi), 4, scale=2.0)
+        convert = {"physical": to_physical, "frequency": to_frequency, "half": half_spectrum}
+        st = ZRState(*(convert[sp](getattr(st, name)) for name, sp in zip(FIELDS, spaces)))
+        before = [getattr(st, name).values.copy() for name in FIELDS]
+        out = strang_step(st, 1e-2, EQUIVALENCE_PARAMS)
+        for name, values, space in zip(FIELDS, before, spaces):
+            np.testing.assert_array_equal(getattr(st, name).values, values)
+            assert getattr(out, name).space == space
+            assert not np.shares_memory(getattr(out, name).values, getattr(st, name).values)
+            assert not np.array_equal(getattr(out, name).values, values), name
 
     def test_second_order_self_convergence(self):
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
@@ -512,6 +548,58 @@ class TestRunSimulation:
         assert (err.value.time, err.value.field, err.value.growth) == (0.0, "psi", None)
         assert err.value.trajectory.times == [0.0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field", ["rho", "phi"])
+    def test_nan_in_one_field_names_that_field(self, monkeypatch, field):
+        cfg = proxy_config(50.0, 2)
+        traj, err = injected_outcome(monkeypatch, run_simulation, cfg, 3, field, np.nan)
+        ref_traj, ref_err = injected_outcome(monkeypatch, reference_run_simulation, cfg, 3,
+                                             field, np.nan)
+        assert str(err) == str(ref_err) == f"non-finite {field} after step"
+        assert err.time == ref_err.time == 2 * cfg.dt
+        assert (err.field, err.growth) == (field, None)
+        assert_same_trajectory(traj, ref_traj)
+        assert traj.times == [0.0, 2 * cfg.dt]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squared_norm_of_finite_coefficients_is_not_non_finite(
+            self, monkeypatch):
+        # |1e155|^2 overflows, so rho's squared norm is not finite, though
+        # every coefficient is: the proxy, not the finiteness check, stops it.
+        grid = small_grid()
+        big = np.zeros(grid.half_shape, dtype=np.complex128)
+        big[1, 2] = 1e155
+        norms = _squared_norms([np.zeros(grid.shape, dtype=np.complex128), big, big])
+        assert norms[0] == 0.0 and not np.isfinite(norms[1])
+
+        cfg = proxy_config(50.0, 2)
+        traj, err = injected_outcome(monkeypatch, run_simulation, cfg, 3, "rho", 1e155)
+        ref_traj, ref_err = injected_outcome(monkeypatch, reference_run_simulation, cfg, 3,
+                                             "rho", 1e155)
+        assert str(err) == str(ref_err) == "rho sup-norm exceeded 50 x initial"
+        assert err.time == ref_err.time == 3 * cfg.dt
+        assert err.field == "rho" and err.growth > 1e100
+        assert_same_trajectory(traj, ref_traj)
+
+    def test_strang_2d_step_without_row_takes_no_fallback(self, fft_calls, monkeypatch):
+        # The strang-2d benchmark's physics and grid, 20 steps with a row only
+        # at the last: the l2 bound alone clears every check before it.
+        cfg = SimConfig(dim=2, n=64, length=32 * np.pi, dt=1e-3, t_end=0.02,
+                        params=ModelParams(sigma2=-1.0, W=1.0, D=0.5, epsilon=1.0),
+                        recipe="gaussian", width=1.0, normalize_h1=1.0,
+                        diagnostics_stride=100)
+        bounds = []
+        monkeypatch.setattr(evolution, "sup_bound",
+                            lambda f: bounds.append(f) or spectral_sup_bound(f))
+        step = ["ifftn", "rfftn", "irfftn", "fftn"]
+        make_initial_state(cfg)
+        setup = list(fft_calls)
+        fft_calls.clear()
+        run_simulation(cfg)
+        assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 20
+                             + ["ifftn"] * 3 + ["rfftn"])
+        assert bounds == []
+
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
         st = random_state(small_grid(), 2)
@@ -593,6 +681,73 @@ class TestDivergenceProxy:
         # + 3 + 2 (see test_fft_budget); psi takes one more on each of the 99
         # steps that write no row.
         assert used >= 1 + 408 + 99
+
+    @pytest.mark.parametrize("blowup_factor", [1.3, 2.05, 5.7])
+    def test_each_tier_decides(self, monkeypatch, blowup_factor):
+        # A row only at t = 0, so every check up to the trip reads
+        # coefficients: the l2 bound decides unless sup_bound is called, and
+        # the exact sup is taken when sup_bound reaches the limit.
+        cfg = proxy_config(blowup_factor, 1000)
+        bounds = []
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "sup_bound",
+                      lambda f: bounds.append(spectral_sup_bound(f)) or bounds[-1])
+            traj, err = outcome(run_simulation, cfg)
+        ref_traj, ref_err = outcome(reference_run_simulation, cfg)
+        assert_same_trajectory(traj, ref_traj)
+        assert (err.time, str(err)) == (ref_err.time, str(ref_err))
+        # rho and phi start at zero, so every field's limit is psi's
+        limit = blowup_factor * np.max(np.abs(make_initial_state(cfg).psi.values))
+        checks = 3 * (round(err.time / cfg.dt) - 1) + FIELDS.index(err.field) + 1
+        exact = sum((1.0 + _BOUND_MARGIN) * b >= limit for b in bounds)
+        decided = (checks - len(bounds), len(bounds) - exact, exact)
+        assert min(decided) >= 1, decided
+
+    @staticmethod
+    def _assert_l2_bound_dominates_sup(grid, full, half):
+        """The proxy's first tier, (1 + _L2_MARGIN) times the root of what
+        _squared_norms gives, against the exact sup of psi's spectrum full
+        and of a half-spectrum half, filled Hermitian as the proxy fills it."""
+        norms = _squared_norms([full, half, half])
+        for sq, c, space in zip(norms, (full, half), ("frequency", "half")):
+            sup = np.max(np.abs(to_physical(ComplexField(grid, c, space)).values))
+            assert (1.0 + _L2_MARGIN) * np.sqrt(sq) >= sup, space
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_l2_bound_dominates_sup(self, dim, seed):
+        # Half-spectra need not come from a real field: column 0 and the
+        # Nyquist column carry imaginary parts too.
+        rng = np.random.default_rng(seed)
+        grid = Grid(dim, 16 if dim == 2 else 8)
+
+        def coefficients(shape, n_modes):
+            size = int(np.prod(shape))
+            hat = np.zeros(size, dtype=np.complex128)
+            idx = rng.choice(size, size=n_modes or size, replace=False)
+            hat[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+            return hat.reshape(shape) * 10.0 ** rng.uniform(-8, 8)
+
+        for n_modes in (1, 2, 5, None):
+            full = coefficients(grid.shape, n_modes)
+            half = coefficients(grid.half_shape, n_modes)
+            self._assert_l2_bound_dominates_sup(grid, full, half)
+            edges = np.zeros(grid.half_shape, dtype=np.complex128)
+            edges[..., [0, -1]] = 1j * coefficients(grid.half_shape, n_modes)[..., :2]
+            self._assert_l2_bound_dominates_sup(grid, full, edges)
+
+    def test_l2_bound_margin_at_32_cubed(self):
+        # A point mass makes the l2 bound exact, sup|f| = ||f_hat||_2, so
+        # only the margin covers the rounding of a 32^3-term sum and of the
+        # inverse FFT.
+        grid = Grid(3, 32)
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            f = np.zeros(grid.shape, dtype=np.complex128)
+            f[tuple(rng.integers(32, size=3))] = ((rng.normal() + 1j * rng.normal())
+                                                  * 10.0 ** rng.uniform(-8, 8))
+            self._assert_l2_bound_dominates_sup(grid, np.fft.fftn(f, norm="ortho"),
+                                                np.fft.rfftn(f.real, norm="ortho"))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 3])
