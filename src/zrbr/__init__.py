@@ -9,7 +9,6 @@ from .bourgain import (
     WAVE_PLUS,
     Dispersion,
     SpaceTimeField,
-    check_linear_estimate,
     free_evolution,
     linear_estimate_ratio,
     mixed_norm,

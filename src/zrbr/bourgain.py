@@ -76,7 +76,10 @@ def _check_window(t_half: float, n_time: int) -> None:
 
 
 class SpaceTimeField:
-    """Complex field on a (time x space) lattice, physical-space values."""
+    """Complex field on a (time x space) lattice, physical-space values.
+
+    The values are not to be changed in place once spatial_hat is read.
+    """
 
     def __init__(self, grid: Grid, t_half: float, values: np.ndarray):
         values = np.asarray(values, dtype=np.complex128)
@@ -101,6 +104,12 @@ class SpaceTimeField:
     @property
     def zero_index(self) -> int:
         return self.n_time // 2
+
+    @cached_property
+    def spatial_hat(self) -> np.ndarray:
+        """Unitary spatial Fourier coefficients at every time, read-only."""
+        axes = tuple(range(1, self.grid.dim + 1))
+        return _frozen(np.fft.fftn(self.values, axes=axes, norm="ortho"))
 
     def l2_norm(self) -> float:
         """Space-time L2 norm with quadrature weights."""
@@ -144,18 +153,21 @@ class _Lattice:
         """exp(-i t p(xi)) at every window time, shape (n_time, *grid)."""
         return _frozen(_group(self.times, self.phase))
 
-    def weight(self, s: float, b: float) -> np.ndarray:
-        """<xi>^{2s} <sigma>^{2b} with sigma = tau + p(xi), over the lattice."""
-        return _weight(self.grid, self.t_half, self.n_time, self.disp, s, b)
+    def weight(self, s: float, b: float, cols=None) -> np.ndarray:
+        """<xi>^{2s} <sigma>^{2b} with sigma = tau + p(xi), over the lattice,
+        or over the spatial columns cols of its (n_time, N) flattening."""
+        w = _weight(self.grid, self.t_half, self.n_time, self.disp, s, b)
+        return w if cols is None else w.reshape(self.n_time, -1)[:, cols]
 
-    def xsb(self, hat: np.ndarray, s: float, b: float) -> float:
-        """X^{s,b} norm of the field whose unitary space-time transform is hat."""
+    def xsb(self, hat: np.ndarray, s: float, b: float, cols=None) -> float:
+        """X^{s,b} norm of the field whose unitary space-time transform is hat,
+        given on the columns cols if hat holds only those (zero elsewhere)."""
         a = np.abs(hat)
         a *= a
-        a *= self.weight(s, b)
+        a *= self.weight(s, b, cols)
         return float(np.sqrt(np.sum(a) * self.dt * self.grid.cell_volume))
 
-    def ys(self, hat: np.ndarray, s: float) -> float:
+    def ys(self, hat: np.ndarray, s: float, cols=None) -> float:
         """Y^s norm of the field whose unitary space-time transform is hat.
 
         <xi>^s does not depend on tau, so the l1 sum over tau of
@@ -163,7 +175,7 @@ class _Lattice:
         The continuum transform, summed with dtau in tau and squared with
         dxi^d in xi, puts the constant dtau dt dx^d on the unitary hat.
         """
-        inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5), axis=0)
+        inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5, cols), axis=0)
         dtau = _TWO_PI / (2.0 * self.t_half)
         return float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
 
@@ -262,7 +274,8 @@ def random_band_limited(
 
     The coefficient draw depends only on the bands and the seed, so refining
     n_time (or the spatial grid) samples the same underlying field; that is
-    what makes refinement-stability checks meaningful.
+    what makes refinement-stability checks meaningful.  The field carries its
+    spatial_hat from the draw, exactly 0 off |k|_inf <= space_band.
     """
     check_band(time_band, "time_band")
     check_band(space_band, "space_band")
@@ -275,15 +288,27 @@ def random_band_limited(
     # samples the same continuum field.  Only the 2 time_band + 1 time rows
     # of coefficients are nonzero: the spatial inverse runs on those rows,
     # last axis first as a full ifftn would, and the time inverse on the
-    # whole stack, which gives the full ifftn's bits.
+    # whole stack, which gives the full ifftn's bits.  The unitary spatial
+    # coefficients are sqrt(N) times the time inverse of the coefficient
+    # rows, taken on the band's columns only; they are exactly 0 off it.
+    rows = np.arange(-time_band, time_band + 1) % n_time
     vals = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
-    vals[np.arange(-time_band, time_band + 1) % n_time] = np.fft.ifftn(
-        coeffs, axes=range(1, grid.dim + 1), norm="forward")
+    vals[rows] = np.fft.ifftn(coeffs, axes=range(1, grid.dim + 1), norm="forward")
     np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
+    coeffs = coeffs.reshape(rows.size, -1)
+    cols = np.flatnonzero(np.any(coeffs, axis=0))
+    sub = np.zeros((n_time, cols.size), dtype=np.complex128)
+    sub[rows] = coeffs[:, cols]
+    sub = np.fft.ifftn(sub, axes=(0,), norm="forward")
+    sub *= np.sqrt(grid.n**grid.dim)
     f = SpaceTimeField(grid, t_half, vals)
     if cutoff:
         lam = smooth_cutoff(f.times)
         f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
+        sub *= lam[:, None]
+    hat = np.zeros(vals.shape, dtype=np.complex128)
+    hat.reshape(n_time, -1)[:, cols] = sub
+    f.__dict__["spatial_hat"] = _frozen(hat)
     return f
 
 
@@ -331,13 +356,6 @@ def retarded_convolution(q: SpaceTimeField, disp: Dispersion) -> SpaceTimeField:
     return SpaceTimeField(grid, q.t_half, np.fft.ifftn(out_hat, axes=axes, norm="ortho"))
 
 
-@dataclass
-class RatioReport:
-    ratios: list
-    max_ratio: float
-    meta: dict
-
-
 def linear_estimate_ratio(
     q: SpaceTimeField,
     T: float,
@@ -358,43 +376,25 @@ def linear_estimate_ratio(
         raise PreconditionError(f"need b' <= 0 <= b <= b'+1, got b={b}, b'={b_prime}")
     if not (0.0 < T <= 1.0):
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
-    # Spatial coefficients end to end: the retarded integral and lambda_T act
-    # on them slice by slice, and one time-axis transform each of the
-    # convolution and of q completes the space-time transforms the norms read.
+    # Spatial coefficients end to end, on the spatial columns where q is
+    # nonzero at some time: the retarded integral, lambda_T and the time-axis
+    # transforms act column by column and keep the other columns exactly 0,
+    # so they add nothing to the norms.  A dense q has every column.
     lat = _lattice(q.grid, q.t_half, q.n_time, disp)
-    q_hat = np.fft.fftn(q.values, axes=tuple(range(1, q.grid.dim + 1)), norm="ortho")
-    conv = _retarded(q_hat, lat.group, lat.dt, q.zero_index)
-    conv *= smooth_cutoff(lat.times / T).reshape((-1,) + (1,) * q.grid.dim)
-    lhs = lat.xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b)
+    q_hat = q.spatial_hat.reshape(q.n_time, -1)
+    cols = np.flatnonzero(np.any(q_hat, axis=0))
+    q_hat = q_hat[:, cols]
+    conv = _retarded(q_hat, lat.group.reshape(q.n_time, -1)[:, cols], lat.dt, q.zero_index)
+    conv *= smooth_cutoff(lat.times / T)[:, None]
+    lhs = lat.xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b, cols)
     del conv
     q_hat = np.fft.fftn(q_hat, axes=(0,), norm="ortho")
-    rhs = T ** (1.0 - b + b_prime) * lat.xsb(q_hat, s, b_prime)
+    rhs = T ** (1.0 - b + b_prime) * lat.xsb(q_hat, s, b_prime, cols)
     if include_y_term:
-        rhs += T ** (0.5 - b) * lat.ys(q_hat, s)
+        rhs += T ** (0.5 - b) * lat.ys(q_hat, s, cols)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs
-
-
-def check_linear_estimate(
-    sources: list,
-    T: float,
-    s: float,
-    b: float,
-    b_prime: float,
-    disp: Dispersion,
-    include_y_term: bool = True,
-) -> RatioReport:
-    """Batch version: max LHS/RHS ratio over a list of source fields."""
-    ratios = [
-        linear_estimate_ratio(q, T, s, b, b_prime, disp, include_y_term) for q in sources
-    ]
-    return RatioReport(
-        ratios=ratios,
-        max_ratio=max(ratios) if ratios else 0.0,
-        meta={"T": T, "s": s, "b": b, "b_prime": b_prime, "disp": disp.kind,
-              "include_y_term": include_y_term},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from .model import (
     ModelParams,
     PlusMinusState,
     ZRState,
+    _energy,
     coupled_source,
-    energy,
+    energy,  # energy and mass stay importable from here
     envelope_rate,
     half_dx,
     half_wave_sources,
@@ -253,7 +254,8 @@ class Trajectory:
                spectral: ZRState | None = None):
         """Append one diagnostics row.
 
-        psi is taken to physical space once.  spectral, the same state as
+        psi is taken to physical space once, and |psi| and |psi|^2 once: mass,
+        energy and the sup of |psi| share them.  spectral, the same state as
         coefficients, saves energy its forward transforms; the L2 norms of
         rho and phi are then taken from its coefficients (Plancherel on the
         half-spectrum, whether they are held as half or full spectra).  With
@@ -264,12 +266,13 @@ class Trajectory:
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
         psi = to_physical(state.psi)
-        row = ZRState(psi, state.rho, state.phi)
+        a = np.abs(psi.values)
+        a2 = a * a
         coeffs = state if spectral is None else spectral
         self.times.append(t)
-        self.mass.append(mass(row))
-        self.energy.append(energy(row, params, coeffs))
-        self.max_abs_psi.append(float(np.max(np.abs(psi.values))))
+        self.mass.append(float(np.sum(a2) * psi.grid.cell_volume))
+        self.energy.append(_energy(state, params, coeffs, a2))
+        self.max_abs_psi.append(float(np.max(a)))
         for f, column in ((coeffs.rho, self.l2_rho), (coeffs.phi, self.l2_phi)):
             column.append((f if f.space == PHYSICAL else half_spectrum(f)).l2_norm())
         if self.store_states:

@@ -340,13 +340,18 @@ def energy(state: ZRState, params: ModelParams, spectral: ZRState | None = None)
     spectral and psi in physical space, 2 for a state wholly held as
     coefficients, 3 for one wholly in physical space.
     """
+    a2 = np.abs(to_physical(state.psi).values)
+    a2 *= a2
+    return _energy(state, params, spectral, a2)
+
+
+def _energy(state: ZRState, params: ModelParams, spectral: ZRState | None,
+            a2: np.ndarray) -> float:
+    """energy, given a2 = |psi|^2 in physical space; a2 is left untouched."""
     grid = state.grid
     coeffs = state if spectral is None else spectral
-    psi = to_physical(state.psi).values
     psi_h = to_frequency(coeffs.psi).values
     phi_h = half_spectrum(coeffs.phi).values
-    a2 = np.abs(psi)
-    a2 *= a2
     a2_h = np.fft.rfftn(a2, norm="ortho")
 
     # dx is zero on the axis-0 Nyquist plane, where the derivative of a real

@@ -8,7 +8,6 @@ from zrbr.bourgain import (
     WAVE_PLUS,
     Dispersion,
     SpaceTimeField,
-    check_linear_estimate,
     free_evolution,
     linear_estimate_ratio,
     mixed_norm,
@@ -166,11 +165,12 @@ class TestLinearEstimate:
 
     def test_batch_ratio_finite_and_bounded(self):
         g = aligned_grid()
-        sources = [random_band_limited(g, 2.5, 32, seed=100 + k) for k in range(5)]
-        rep = check_linear_estimate(sources, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
-        assert np.isfinite(rep.max_ratio)
-        assert rep.max_ratio > 0
-        assert len(rep.ratios) == 5
+        ratios = [
+            linear_estimate_ratio(random_band_limited(g, 2.5, 32, seed=100 + k),
+                                  0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+            for k in range(5)
+        ]
+        assert all(np.isfinite(r) and r > 0 for r in ratios)
 
     def test_y_term_only_lowers_ratio(self):
         g = aligned_grid()
@@ -263,11 +263,14 @@ class TestValidation:
 
 
 class TestLatticeTable:
-    def test_linear_estimate_is_three_transforms(self, fft_calls):
+    def test_linear_estimate_is_two_time_transforms(self, fft_calls):
+        # a band-limited source carries its spatial coefficients; the same
+        # values without them take one spatial transform more
         q = random_band_limited(aligned_grid(), 2.5, 64, seed=9000)
-        fft_calls.clear()
-        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER, include_y_term=True)
-        assert fft_calls == ["fftn", "fftn", "fftn"]
+        for f, calls in ((q, 2), (SpaceTimeField(q.grid, q.t_half, q.values), 3)):
+            fft_calls.clear()
+            linear_estimate_ratio(f, 0.5, 1.0, 0.6, -0.35, SCHRODINGER, include_y_term=True)
+            assert fft_calls == ["fftn"] * calls
 
     def test_strichartz_is_four_transforms(self, fft_calls):
         v = random_band_limited(aligned_grid(), 2.5, 32, seed=16)
@@ -291,7 +294,9 @@ class TestLatticeTable:
         monkeypatch.setattr(np.fft, "fft", forbidden)
         q = random_band_limited(aligned_grid(), 2.5, 32, seed=1)
         linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
-        assert seen == [(1, 2), (0,), (0,)]
+        linear_estimate_ratio(SpaceTimeField(q.grid, q.t_half, q.values), 0.5, 1.0, 0.6, -0.35,
+                              SCHRODINGER)
+        assert seen == [(0,), (0,), (1, 2), (0,), (0,)]
 
     def test_norm_is_one_transform(self, fft_calls):
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=2)

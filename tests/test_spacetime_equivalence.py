@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import frozen_bourgain as frozen
+from zrbr import bourgain
 from zrbr.bourgain import (
     NO_DISPERSION,
     SCHRODINGER,
@@ -118,6 +119,82 @@ def test_random_band_limited_bit_identical(grid, n_time, time_band, space_band, 
         new = random_band_limited(grid, 2.5, n_time, seed, time_band, space_band, cutoff)
         ref = frozen.random_band_limited(grid, 2.5, n_time, seed, time_band, space_band, cutoff)
         assert_bits(new.values, ref.values)
+
+
+def off_band(grid, band):
+    """Spatial modes with |k|_inf > band, as a mask over the lattice."""
+    k = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
+    return np.max(np.meshgrid(*[k] * grid.dim, indexing="ij"), axis=0) > band
+
+
+# The cases of test_random_band_limited_bit_identical.
+@pytest.mark.parametrize("cutoff", [True, False])
+@pytest.mark.parametrize("grid, n_time, time_band, space_band", [
+    (Grid(2, 16, 2 * np.pi), 64, 4, 2),
+    (Grid(2, 16, 2 * np.pi), 128, 4, 2),
+    (Grid(2, 8, 5.0), 16, 0, 0),
+    (Grid(2, 32, 4 * np.pi), 32, 7, 5),
+    (Grid(3, 8, 4 * np.pi), 16, 2, 3),
+])
+def test_random_band_limited_carries_its_coefficients(grid, n_time, time_band, space_band,
+                                                      cutoff):
+    axes = tuple(range(1, grid.dim + 1))
+    for seed in (0, 9000, 2**31 - 1):
+        f = random_band_limited(grid, 2.5, n_time, seed, time_band, space_band, cutoff)
+        hat = f.spatial_hat
+        ref = np.fft.fftn(f.values, axes=axes, norm="ortho")
+        assert hat.shape == ref.shape and hat.dtype == ref.dtype
+        assert np.max(np.abs(hat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert not np.any(hat[:, off_band(grid, space_band)])
+        assert not hat.flags.writeable
+        assert f.spatial_hat is hat
+        ref = frozen.random_band_limited(grid, 2.5, n_time, seed, time_band, space_band, cutoff)
+        assert_bits(f.values, ref.values)
+
+
+def test_spatial_hat_of_values_is_the_unitary_transform():
+    for dim in (2, 3):
+        f = noise_field(GRIDS[dim], 16, dim)
+        hat = f.spatial_hat
+        assert_bits(hat, np.fft.fftn(f.values, axes=tuple(range(1, dim + 1)), norm="ortho"))
+        assert not hat.flags.writeable
+
+
+@pytest.mark.parametrize("n_time", [64, 128])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("include_y_term", [True, False])
+@pytest.mark.parametrize("disp", DISPERSIONS, ids=DISP_IDS)
+def test_support_path_matches_dense_path(disp, include_y_term, dim, n_time):
+    """A band-limited source runs on its 25 (or 125) columns; the same values
+    without the carried coefficients have round-off in every column and run
+    on the whole lattice."""
+    for q in sources(dim, n_time)[:2]:
+        dense = SpaceTimeField(q.grid, q.t_half, q.values)
+        assert np.all(np.any(dense.spatial_hat, axis=0))
+        for T in (0.25, 0.5, 1.0):
+            args = (T, 1.0, 0.6, -0.35, disp, include_y_term)
+            new, ref = linear_estimate_ratio(q, *args), linear_estimate_ratio(dense, *args)
+            assert ref > 0
+            assert abs(new - ref) <= 1e-12 * ref, (T, new, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("space_band", [1, 2])
+def test_retarded_runs_on_the_support(monkeypatch, dim, space_band):
+    sizes = []
+    retarded = bourgain._retarded
+
+    def spy(q_hat, group, dt, zero_index):
+        assert q_hat.shape == group.shape
+        sizes.append(q_hat[0].size)
+        return retarded(q_hat, group, dt, zero_index)
+
+    monkeypatch.setattr(bourgain, "_retarded", spy)
+    grid = GRIDS[dim]
+    band_limited = random_band_limited(grid, 2.5, 32, seed=dim, space_band=space_band)
+    for q in (band_limited, noise_field(grid, 32, dim)):
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+    assert sizes == [(2 * space_band + 1) ** dim, grid.n**dim]
 
 
 @pytest.mark.parametrize("grid, band", [
