@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
 from .exponents import strichartz_exponents
-from .spectral import ComplexField, Grid, check_band, low_mode_coefficients
+from .spectral import ComplexField, Grid, check_count, low_mode_coefficients
 
 _TWO_PI = 2.0 * np.pi
 
@@ -277,8 +277,8 @@ def random_band_limited(
     what makes refinement-stability checks meaningful.  The field carries its
     spatial_hat from the draw, exactly 0 off |k|_inf <= space_band.
     """
-    check_band(time_band, "time_band")
-    check_band(space_band, "space_band")
+    check_count(time_band, "time_band")
+    check_count(space_band, "space_band")
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
     rng = np.random.default_rng(seed)

@@ -28,7 +28,6 @@ from .model import (
     nonlinearity_G,
     nonlinearity_H,
     psi_time_derivative,
-    source_symbols,
 )
 from .spectral import (
     FREQUENCY,
@@ -36,6 +35,7 @@ from .spectral import (
     PHYSICAL,
     ComplexField,
     Grid,
+    check_count,
     dealias_mask,
     frozen_symbol,
     half_spectrum,
@@ -377,6 +377,8 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 
 _COMPONENTS = ("psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus")
 _MINUS = {"rho_minus": "rho_plus", "varphi_minus": "varphi_plus"}  # -> plus partner
+# The contraction factor skips the first ratio above round-off.
+_BURN_IN = 2
 
 
 @dataclass
@@ -403,18 +405,12 @@ def _mirror(hat: np.ndarray) -> np.ndarray:
     return np.conj(hat[np.ix_(*[minus_k] * hat.ndim)])
 
 
-def _check_count(value, name: str, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def picard_iterate(
     initial: PlusMinusState,
     T: float,
     n_iters: int,
     params: ModelParams,
     n_time: int = 64,
-    burn_in: int = 2,
 ):
     """Iterate the cutoff Duhamel equations on the window [-2T, 2T).
 
@@ -436,20 +432,16 @@ def picard_iterate(
     the Duhamel part of the acoustic sum in F (its free part is transformed
     once per call), and the forward transforms of F, |psi|^2 and its rate.
     Differences are taken on the Duhamel parts by Plancherel, and a minus
-    component's are its plus partner's.  With extra_cutoff_terms each minus
-    source carries its own -omega^{-1} term, the symmetry fails, and the
-    minus components take integrals of their own.
+    component's are its plus partner's.
     """
     if not (0.0 < T <= 1.0):
         raise ConfigurationError(f"T must be in (0, 1], got {T}")
-    _check_count(n_iters, "n_iters", 1)
-    _check_count(burn_in, "burn_in", 1)
-    _check_count(n_time, "n_time", 4)
+    check_count(n_iters, "n_iters", 1)
+    check_count(n_time, "n_time", 4)
     if n_time % 2:
         raise ConfigurationError(f"n_time must be even, got {n_time}")
 
     grid = initial.grid
-    extra = params.extra_cutoff_terms
     dt = 4.0 * T / n_time
     times = -2.0 * T + dt * np.arange(n_time)
     zero_index = n_time // 2
@@ -462,20 +454,13 @@ def picard_iterate(
     # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
     # multiplying by it would change no bit.  It is left out.
 
-    # Per component: exp(-i t p), the source it reuses, and lambda_T times
-    # its Duhamel coefficient, -i epsilon (psi) or -i (the acoustic ones,
-    # the conjugated minus components included).
+    # Per carried component: exp(-i t p), its source, and lambda_T times
+    # its Duhamel coefficient, -i epsilon (psi) or -i (the acoustic ones).
     wave = _group(times, grid.xi_modulus)
     psi_group = _group(times, params.epsilon * grid.xi_squared)
-    plan = {"psi": (psi_group, "F", -1j * params.epsilon * lam_T)}
-    for name in _COMPONENTS[1:]:
-        plan[name] = (wave, "G" if name.startswith("rho") else "H", -1j * lam_T)
-    # The component whose Duhamel part each one reads: a minus component its
-    # plus partner's, unless extra_cutoff_terms gives it its own.
-    carried = {name: name if extra else _MINUS.get(name, name) for name in _COMPONENTS}
-    explicit = [name for name in _COMPONENTS if carried[name] == name]
-    # Each source hat is freed right after its last reader.
-    last_reader = {plan[name][1]: name for name in explicit}
+    plan = {"psi": (psi_group, "F", -1j * params.epsilon * lam_T),
+            "rho_plus": (wave, "G", -1j * lam_T),
+            "varphi_plus": (wave, "H", -1j * lam_T)}
 
     u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
     # The acoustic free parts are lambda * wave * data[name]; they are not held.
@@ -487,45 +472,42 @@ def picard_iterate(
     free_sum += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
     free_acoustic = lam * np.fft.ifftn(free_sum, axes=axes, norm="ortho")
     del free_sum
-    winv = source_symbols(grid, params.D).omega_inv
-
-    def acoustic_duhamel(rho, varphi):
-        out = params.D * duh[varphi]
-        out += duh[rho]
-        return np.fft.ifftn(out, axes=axes, norm="ortho", out=out)
 
     # |free + D|^2 = |free|^2 + |D|^2 + 2 Re <free, D> per time slice, where
     # |free|^2 = lambda^2 |data|^2 and <free, D> = lambda <data, conj(wave) D>.
     lam_rows = lam.ravel()
     free_sq = {name: lam_rows**2 * np.vdot(a, a).real for name, a in data.items()}
 
-    def sup_l2_acoustic(key):
-        """The largest sup_l2 of the acoustic iterates whose Duhamel part is duh[key]."""
-        pairs = duh[key].reshape(n_time, -1).view(np.float64)
+    def sup_l2_acoustic(plus):
+        """The larger sup_l2 of a plus component and its minus partner, whose
+        Duhamel parts are duh[plus] (carried as the conjugate for the minus one)."""
+        pairs = duh[plus].reshape(n_time, -1).view(np.float64)
         sq = np.einsum("ij,ij->i", pairs, pairs)
-        tilted = np.multiply(cwave, duh[key]).reshape(n_time, -1)
+        tilted = np.multiply(cwave, duh[plus]).reshape(n_time, -1)
         top = max(np.max(free_sq[name] + sq
                          + 2.0 * lam_rows * (tilted @ np.conj(data[name]).ravel()).real)
-                  for name in _COMPONENTS[1:] if carried[name] == key)
+                  for name in _COMPONENTS[1:] if _MINUS.get(name, name) == plus)
         return float(np.sqrt(max(top, 0.0) * grid.cell_volume))
 
-    duh = {name: np.zeros((n_time,) + grid.shape, dtype=np.complex128) for name in explicit}
+    duh = {name: np.zeros((n_time,) + grid.shape, dtype=np.complex128) for name in plan}
     component_diffs = {name: [] for name in _COMPONENTS}
     largest = 0.0
     for it in range(n_iters + 1):
         # The current iterate: psi's coefficients, and the norms of all five.
         psi_hat = free_psi + duh["psi"]
-        largest = max(largest, _sup_l2(psi_hat, grid), *map(sup_l2_acoustic, explicit[1:]))
+        largest = max(largest, _sup_l2(psi_hat, grid),
+                      sup_l2_acoustic("rho_plus"), sup_l2_acoustic("varphi_plus"))
         if it == n_iters:
             break
 
         psi = np.fft.ifftn(psi_hat, axes=axes, norm="ortho")
         a2 = np.abs(psi)
         a2 *= a2
-        # The free sum, the plus Duhamel part and the conjugate of the minus
-        # one, which is the plus one again without extra_cutoff_terms.
-        acoustic = acoustic_duhamel("rho_plus", "varphi_plus")
-        acoustic += np.conj(acoustic_duhamel("rho_minus", "varphi_minus") if extra else acoustic)
+        # The plus Duhamel part, its conjugate (the minus one) and the free sum.
+        acoustic = params.D * duh["varphi_plus"]
+        acoustic += duh["rho_plus"]
+        np.fft.ifftn(acoustic, axes=axes, norm="ortho", out=acoustic)
+        acoustic += np.conj(acoustic)
         acoustic += free_acoustic
         F = coupled_source(psi, a2, acoustic, params)
         del acoustic
@@ -535,22 +517,15 @@ def picard_iterate(
         sources["G"], sources["H"] = half_wave_sources(a2, psi, psi_t, grid, params)
         del psi, a2, psi_t
 
-        for name in explicit:
-            group, source, coef = plan[name]
-            q_hat = sources.pop(source) if last_reader[source] == name else sources[source]
-            if extra and name != "psi":
-                # The source subtracts omega^{-1} times its own iterate.
-                q_hat = q_hat - winv * (lam * (wave * data[name]) + duh[name])
-            new = _retarded(q_hat, group, dt, zero_index)
-            del q_hat
+        for name, (group, source, coef) in plan.items():
+            new = _retarded(sources.pop(source), group, dt, zero_index)
             new *= coef
             # The old Duhamel part is not read again; the difference overwrites it.
             diff = np.subtract(duh[name], new, out=duh[name])
             component_diffs[name].append(_sup_l2(diff, grid))
             duh[name] = new
-    for name in _COMPONENTS:
-        if carried[name] != name:
-            component_diffs[name] = list(component_diffs[carried[name]])
+    for minus, plus in _MINUS.items():
+        component_diffs[minus] = list(component_diffs[plus])
 
     # Iterate 0 on the physical grid, and the last iterate as its free part
     # plus the Duhamel parts, conjugated for the minus components.
@@ -574,7 +549,7 @@ def picard_iterate(
     # ratios taken from them say nothing about contraction.
     floor = 64 * np.finfo(np.float64).eps * largest
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
-    tail = tail[burn_in - 1 :] if len(tail) >= burn_in else tail
+    tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail
     factor = max(tail) if tail else 0.0
     return [free, current], PicardReport(
         T=T,

@@ -4,11 +4,11 @@ for the elementary symbolic inequalities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, SingularityError
+from .errors import ConfigurationError, SingularityError
 
 
 def bracket_plus(lam, eps: float = 1e-6):

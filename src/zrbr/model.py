@@ -43,10 +43,6 @@ class ModelParams:
     W: float = 1.0
     D: float = 0.0
     epsilon: float = 1.0
-    # When True, the half-wave sources G and H carry the extra linear
-    # terms ∓ omega^{-1} rho_pm / ∓ omega^{-1} varphi_pm seen in one of the
-    # two stated forms of the cutoff equations.  Off by default.
-    extra_cutoff_terms: bool = False
 
     def __post_init__(self):
         for name in ("sigma2", "W", "D", "epsilon"):
@@ -178,7 +174,6 @@ class SourceSymbols:
     """Fourier symbols of the nonlinear sources on one grid, for one D."""
 
     laplacian: np.ndarray  # -|xi|^2
-    omega_inv: np.ndarray  # 1/|xi|, 0 at xi = 0
     g: tuple  # G_+ = g[0] (|psi|^2)^ + g[1] (d/dt |psi|^2)^
     h: tuple  # H_+ = h[0] (|psi|^2)^ + h[1] (d/dt |psi|^2)^
 
@@ -188,7 +183,6 @@ def source_symbols(grid: Grid, D: float) -> SourceSymbols:
     lap, winv, dx = (make_multiplier(grid, n) for n in ("laplacian", "omega_inv", "dx"))
     return SourceSymbols(
         laplacian=lap,
-        omega_inv=winv,
         g=(frozen_symbol(winv * lap), frozen_symbol(D * winv * dx)),
         h=(frozen_symbol(-D * winv * dx * dx), frozen_symbol(winv * dx)),
     )
@@ -226,7 +220,7 @@ def half_wave_sources(a2, psi, psi_t, grid: Grid, params: ModelParams):
     G_+ = omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
     H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt, from one FFT of
     |psi|^2 and one of its rate 2 Re(conj(psi) psi_t).  The '-' sources are
-    their negatives; the extra cutoff terms are not included.
+    their negatives.
     """
     axes = tuple(range(-grid.dim, 0))
     sym = source_symbols(grid, params.D)
@@ -250,45 +244,27 @@ def nonlinearity_F(pm: PlusMinusState, params: ModelParams) -> ComplexField:
     return ComplexField(pm.grid, envelope_source(*values, params), "physical")
 
 
-def _half_wave_source(which, psi, psi_t, params, sign, field, field_name):
+def _half_wave_source(which, psi, psi_t, params, sign):
     s = _check_sign(sign)
     grid = psi.grid
     psi, psi_t = to_physical(psi).values, to_physical(psi_t).values
     out = half_wave_sources(np.abs(psi) ** 2, psi, psi_t, grid, params)[which]
-    if params.extra_cutoff_terms:
-        if field is None:
-            raise ContractViolationError(f"extra_cutoff_terms requires {field_name}")
-        out = out - source_symbols(grid, params.D).omega_inv * to_frequency(field).values
     return ComplexField(grid, s * np.fft.ifftn(out, norm="ortho"), "physical")
 
 
-def nonlinearity_G(
-    psi: ComplexField,
-    psi_t: ComplexField,
-    params: ModelParams,
-    sign: int,
-    rho_pm: ComplexField | None = None,
-) -> ComplexField:
+def nonlinearity_G(psi: ComplexField, psi_t: ComplexField, params: ModelParams,
+                   sign: int) -> ComplexField:
     """Half-wave density source: ± omega^{-1} Lap(|psi|^2) ± D omega^{-1} d/dx d/dt(|psi|^2).
 
-    sign is +1 or -1.  With params.extra_cutoff_terms the term
-    ∓ omega^{-1} rho_pm is added (rho_pm must then be supplied).
+    sign is +1 or -1.
     """
-    return _half_wave_source(0, psi, psi_t, params, sign, rho_pm, "rho_pm")
+    return _half_wave_source(0, psi, psi_t, params, sign)
 
 
-def nonlinearity_H(
-    psi: ComplexField,
-    psi_t: ComplexField,
-    params: ModelParams,
-    sign: int,
-    varphi_pm: ComplexField | None = None,
-) -> ComplexField:
-    """Half-wave velocity source: ∓ D omega^{-1} (|psi|^2)_xx ± omega^{-1} (|psi|^2)_xt.
-
-    With params.extra_cutoff_terms the term ∓ omega^{-1} varphi_pm is added.
-    """
-    return _half_wave_source(1, psi, psi_t, params, sign, varphi_pm, "varphi_pm")
+def nonlinearity_H(psi: ComplexField, psi_t: ComplexField, params: ModelParams,
+                   sign: int) -> ComplexField:
+    """Half-wave velocity source: ∓ D omega^{-1} (|psi|^2)_xx ± omega^{-1} (|psi|^2)_xt."""
+    return _half_wave_source(1, psi, psi_t, params, sign)
 
 
 def _check_sign(sign) -> float:

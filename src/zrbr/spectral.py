@@ -232,10 +232,10 @@ def make_multiplier(grid: Grid, name: str) -> np.ndarray:
     return frozen_symbol(sym)
 
 
-def check_band(band, name: str = "band") -> None:
-    """A band of low modes is an integer >= 0 (a bool is not)."""
-    if isinstance(band, bool) or not isinstance(band, (int, np.integer)) or band < 0:
-        raise ConfigurationError(f"{name} must be an integer >= 0, got {band!r}")
+def check_count(value, name: str, least: int = 0) -> None:
+    """A count, such as a band of low modes, is an integer >= least (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def low_mode_coefficients(
@@ -250,7 +250,7 @@ def low_mode_coefficients(
     Where the lattice folds two modes onto one index (2 band >= n), the
     later draw is kept.
     """
-    check_band(band)
+    check_count(band, "band")
     k = np.arange(-band, band + 1) % grid.n
     index = np.ravel_multi_index(np.meshgrid(*[k] * grid.dim, indexing="ij"), grid.shape)
     index = index.ravel()

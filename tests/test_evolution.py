@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from test_picard_equivalence import GRIDS as EQUIVALENCE_GRIDS
-from test_picard_equivalence import PARAMS as EQUIVALENCE_PARAMS
+from test_picard_equivalence import PARAMS as PICARD_PARAMS
 from test_picard_equivalence import small_data as equivalence_data
 from zrbr import evolution
 from zrbr.config import SimConfig, h1_norm, make_initial_state
@@ -33,8 +33,7 @@ from zrbr.spectral import (
 from zrbr.spectral import sup_bound as spectral_sup_bound
 
 FIELDS = ("psi", "rho", "phi")
-SYMMETRIC_PARAMS = {name: p for name, p in EQUIVALENCE_PARAMS.items()
-                    if not p.extra_cutoff_terms}
+EQUIVALENCE_PARAMS = ModelParams(sigma2=-1.0, W=1.3, D=0.5, epsilon=0.7)
 
 
 def small_grid():
@@ -333,9 +332,6 @@ class TestStrangStep:
         e1 = np.max(np.abs(final_psi(2e-3) - ref))
         e2 = np.max(np.abs(final_psi(1e-3) - ref))
         assert 3.5 <= e1 / e2 <= 4.7
-
-
-EQUIVALENCE_PARAMS = ModelParams(sigma2=-1.0, W=1.3, D=0.5, epsilon=0.7)
 
 
 class TestReferenceEquivalence:
@@ -888,21 +884,13 @@ class TestPicard:
         with pytest.raises(ConfigurationError, match="n_time"):
             picard_iterate(init, T=0.1, n_iters=1, params=ModelParams(), n_time=n_time)
 
-    @pytest.mark.parametrize("burn_in", [0, -3, 2.5, True, None])
-    def test_burn_in_validated(self, burn_in):
-        # 0, -3 and 2.5 used to be read as other tail lengths
-        init = self._initial(small_grid())
-        with pytest.raises(ConfigurationError, match="burn_in"):
-            picard_iterate(init, T=0.1, n_iters=2, params=ModelParams(), n_time=8,
-                           burn_in=burn_in)
-
     @pytest.mark.parametrize("n_time", [32, 64])
-    @pytest.mark.parametrize("params", SYMMETRIC_PARAMS, ids=list(SYMMETRIC_PARAMS))
+    @pytest.mark.parametrize("params", PICARD_PARAMS, ids=list(PICARD_PARAMS))
     @pytest.mark.parametrize("grid", EQUIVALENCE_GRIDS, ids=list(EQUIVALENCE_GRIDS))
     def test_minus_duhamel_parts_are_conjugates(self, grid, params, n_time):
         # G_- = -G_+ and H_- = -H_+ are real, so each minus component's Duhamel
         # part is the complex conjugate of its plus partner's
-        grid, params = EQUIVALENCE_GRIDS[grid], SYMMETRIC_PARAMS[params]
+        grid, params = EQUIVALENCE_GRIDS[grid], PICARD_PARAMS[params]
         (free, last), report = picard_iterate(equivalence_data(grid, scale=0.05), 0.25, 3,
                                               params, n_time=n_time)
         scale = max(np.max(np.abs(v)) for v in last.values())
@@ -912,13 +900,10 @@ class TestPicard:
             gap = np.subtract(report.component_diffs[minus], report.component_diffs[plus])
             assert np.max(np.abs(gap)) <= 1e-12 * report.diffs[0]
 
-    @pytest.mark.parametrize("extra, budget", [(False, (6, 3)), (True, (7, 5))])
-    def test_iteration_budget(self, fft_calls, monkeypatch, extra, budget):
+    def test_iteration_budget(self, fft_calls, monkeypatch):
         # one iteration: psi and Lap psi to physical space, the acoustic
         # Duhamel sum, and F, |psi|^2 and its rate forward; psi, rho_+ and
-        # varphi_+ take a retarded integral each.  With extra_cutoff_terms
-        # the minus components take their own integrals, and their Duhamel
-        # sum its own inverse transform.
+        # varphi_+ take a retarded integral each
         integrals = []
 
         def counted(*args, _original=evolution._retarded):
@@ -927,7 +912,7 @@ class TestPicard:
 
         monkeypatch.setattr(evolution, "_retarded", counted)
         init = self._initial(small_grid())
-        params = ModelParams(sigma2=-1.0, W=1.0, D=0.5, extra_cutoff_terms=extra)
+        params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         counts = []
         for n_iters in (2, 3):
             fft_calls.clear()
@@ -935,7 +920,7 @@ class TestPicard:
             picard_iterate(init, T=0.1, n_iters=n_iters, params=params, n_time=16)
             counts.append((len(fft_calls), len(integrals)))
             assert set(fft_calls) == {"fftn", "ifftn"}
-        assert (counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]) == budget
+        assert (counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]) == (6, 3)
 
 
 class TestConfig:

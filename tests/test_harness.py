@@ -374,7 +374,7 @@ class TestEpsilonScaling:
     def test_runs_differ_from_config_only_in_epsilon(self, tmp_path, monkeypatch):
         doc = {**BASE_DOC, "blowup_factor": 50.0, "dealias": False, "seed": 4}
         cfg, echo = config_from_dict(doc)
-        cfg.params = dataclasses.replace(cfg.params, extra_cutoff_terms=True)
+        cfg.params = dataclasses.replace(cfg.params, D=0.3)
         seen = []
         monkeypatch.setattr(harness, "run_simulation", seen.append)
         cmd_epsilon_scaling(cfg, echo, [1.0, 0.25], str(tmp_path / "out"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,10 @@ class TestParams:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ContractViolationError):
             ModelParams(epsilon=0.0)
+
+    def test_fields_are_the_model_constants(self):
+        names = tuple(f.name for f in dataclasses.fields(ModelParams))
+        assert names == ("sigma2", "W", "D", "epsilon")
 
 
 class TestDecompose:
@@ -174,12 +180,6 @@ class TestNonlinearities:
         psi = zero_field(grid)
         with pytest.raises(ContractViolationError):
             nonlinearity_G(psi, psi, ModelParams(), 2)
-
-    def test_extra_terms_require_field(self, grid):
-        psi = zero_field(grid)
-        params = ModelParams(extra_cutoff_terms=True)
-        with pytest.raises(ContractViolationError):
-            nonlinearity_G(psi, psi, params, +1)
 
 
 class TestConservedQuantities:

@@ -43,7 +43,7 @@ def reference_psi_t(pm, params):
     return ComplexField(pm.grid, params.epsilon * 1j * (lap.values - reference_F(pm, params)))
 
 
-def reference_G_H(psi, psi_t, params, s, rho_pm, varphi_pm):
+def reference_G_H(psi, psi_t, params, s):
     grid = psi.grid
     p, pt = to_physical(psi).values, to_physical(psi_t).values
     f = ComplexField(grid, np.abs(p) ** 2)
@@ -53,9 +53,6 @@ def reference_G_H(psi, psi_t, params, s, rho_pm, varphi_pm):
     h1 = apply_symbol(grid, "omega_inv", apply_symbol(grid, "dx", apply_symbol(grid, "dx", f)))
     g = s * (g1.values + params.D * g2.values)
     h = -s * params.D * h1.values + s * g2.values
-    if params.extra_cutoff_terms:
-        g = g - s * apply_symbol(grid, "omega_inv", to_physical(rho_pm)).values
-        h = h - s * apply_symbol(grid, "omega_inv", to_physical(varphi_pm)).values
     return g, h
 
 
@@ -97,8 +94,7 @@ def reference_picard(initial, T, n_iters, params, n_time):
             q["psi"][j] = reference_F(pm, params)
             for s, rho, varphi in ((1, "rho_plus", "varphi_plus"),
                                    (-1, "rho_minus", "varphi_minus")):
-                q[rho][j], q[varphi][j] = reference_G_H(
-                    pm.psi, psi_t, params, s, getattr(pm, rho), getattr(pm, varphi))
+                q[rho][j], q[varphi][j] = reference_G_H(pm.psi, psi_t, params, s)
         nxt = {}
         for name in COMPONENTS:
             p = phases[name]
@@ -157,7 +153,6 @@ PARAMS = {
     "default": ModelParams(sigma2=-1.0, W=1.0, D=0.5),
     "eps0.7": ModelParams(sigma2=-1.0, W=1.0, D=0.5, epsilon=0.7),
     "D0": ModelParams(sigma2=1.0, W=1.5, D=0.0),
-    "extra": ModelParams(sigma2=-1.0, W=1.0, D=0.5, extra_cutoff_terms=True),
 }
 
 

@@ -9,6 +9,7 @@ from zrbr.spectral import (
     HALF,
     ComplexField,
     Grid,
+    check_count,
     dealias_mask,
     full_spectrum,
     half_spectrum,
@@ -58,6 +59,18 @@ class TestGrid:
         g = Grid(3, 4, 2 * np.pi)
         xs = g.frequencies()
         assert np.allclose(g.xi_modulus, np.sqrt(sum(x**2 for x in xs)))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, None])
+    def test_rejects_non_counts(self, value):
+        # 0 and -3 fall below least; 2.5, True and None are not integers
+        with pytest.raises(ConfigurationError, match=r"n_iters must be an integer >= 1"):
+            check_count(value, "n_iters", 1)
+
+    @pytest.mark.parametrize("value", [1, 7, np.int64(1)])
+    def test_accepts_integers_at_or_above_least(self, value):
+        check_count(value, "n_iters", 1)
 
 
 class TestTransform:
