@@ -15,7 +15,11 @@ RECIPES = ("gaussian", "plane-wave", "random-band-limited", "zero")
 
 @dataclass
 class SimConfig:
-    """Everything a simulation run needs, validated on construction."""
+    """Everything a simulation run needs, validated on construction.
+
+    Every field except `params` is a config-file key, and so is every
+    `ModelParams` field; `harness.config_from_dict` reads their types from
+    these annotations (`| None`: the key may be null)."""
 
     dim: int = 2
     n: int = 64

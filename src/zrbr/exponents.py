@@ -37,7 +37,6 @@ class ExponentParams:
     b2: float
     d: int
     b0: float | None = None
-    eps_plus: float = 1e-6
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -196,7 +195,7 @@ class ThetaReport:
 
 def theta_values(p: ExponentParams) -> ThetaReport:
     """Evaluate all twelve T-gain exponents at the parameter point."""
-    vals = _theta_arrays(p.b1, p.b2, p.d, p.b0, p.eps_plus, scalar=True)
+    vals = _theta_arrays(p.b1, p.b2, p.d, p.b0, 1e-6, scalar=True)
     values = dict(zip(THETA_NAMES, vals))
     return ThetaReport(values, min(values.values()))
 
@@ -264,7 +263,9 @@ class RegionScan:
 def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     """Scan (1/2, 1) x [0, 1/2] on the given lattice; report admissibility,
     the min-theta surface and the containment verdict for the published
-    parameter rectangle."""
+    parameter rectangle.  d must be 2 or 3 (ConfigurationError)."""
+    if d not in (2, 3):
+        raise ConfigurationError(f"d must be 2 or 3, got {d!r}")
     if not (np.isfinite(resolution) and 0.0 < resolution <= 1e-2):
         raise ConfigurationError(f"resolution must be finite, > 0 and <= 1e-2, got {resolution}")
     b1_axis = np.arange(0.5 + resolution, 1.0, resolution)
@@ -353,7 +354,6 @@ def strichartz_exponents(
     b0: float,
     d: int,
     wave: bool = False,
-    eps_plus: float = 1e-6,
 ) -> StrichartzExponents:
     """Admissible (q, r) and the T-gain exponent theta, or an infeasibility
     verdict naming the first violated hypothesis.
@@ -392,7 +392,7 @@ def strichartz_exponents(
     if a == 0.0 or gamma == 0.0:
         theta = 0.0
     else:
-        theta = gamma * a * (1.0 - bracket_plus(a_prime - 0.5, eps_plus) / a_prime)
+        theta = gamma * a * (1.0 - bracket_plus(a_prime - 0.5) / a_prime)
     return StrichartzExponents(feasible=True, q=float(q), r=float(r), theta=float(theta))
 
 

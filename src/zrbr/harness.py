@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import struct
+import typing
 
 import numpy as np
 
@@ -59,27 +60,6 @@ KNOWN_FALSE = {
              "makes every right-hand bracket 1, so the ratio is (1+|xi|^2)/3",
 }
 
-_CONFIG_KEYS = {
-    "dim": int,
-    "n": int,
-    "length": float,
-    "dt": float,
-    "t_end": float,
-    "sigma2": float,
-    "W": float,
-    "D": float,
-    "epsilon": float,
-    "recipe": str,
-    "amplitude": float,
-    "width": float,
-    "mode": list,
-    "normalize_h1": float,
-    "seed": int,
-    "diagnostics_stride": int,
-    "dealias": bool,
-    "blowup_factor": float,
-}
-
 
 def format_float(x: float) -> str:
     """Decimal text that round-trips any finite float64."""
@@ -119,67 +99,62 @@ def _short_float(x: float) -> str:
 
 
 def make_report(command: str, config_echo: dict, master_seed, payload: dict,
-                blowup_factor: float = 1e6) -> dict:
-    return {
+                blowup_factor: float | None = None) -> dict:
+    """The report of one command; `divergence_proxy` names the proxy's
+    threshold only for a command that ran it (blowup_factor given)."""
+    report = {
         "command": command,
         "config": config_echo,
         "tool_version": __version__,
         "master_seed": master_seed,
-        "divergence_proxy": (
-            f"sup-norm growth factor {_short_float(blowup_factor)} over the initial field"
-        ),
         "payload": payload,
     }
+    if blowup_factor is not None:
+        report["divergence_proxy"] = (
+            f"sup-norm growth factor {_short_float(blowup_factor)} over the initial field"
+        )
+    return report
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list",
                bool: "true or false"}
-# Keys whose default is None; only these may be null.
-_NULLABLE_KEYS = {f.name for f in dataclasses.fields(SimConfig) if f.default is None}
+# The config keys are the ModelParams fields and every SimConfig field but params.
+_PARAM_HINTS = typing.get_type_hints(ModelParams)
+_SIM_HINTS = {k: v for k, v in typing.get_type_hints(SimConfig).items() if k != "params"}
 
 
-def _check_type(key: str, value):
-    """Raise ConfigurationError unless value has the type _CONFIG_KEYS lists;
-    an int stands for a float, a bool for no number."""
-    kind = _CONFIG_KEYS[key]
+def _check_type(key: str, value, hint):
+    """Raise ConfigurationError unless value has the field's annotated type:
+    an int stands for a float, a list for a tuple, a bool for no number, and
+    null only for a field annotated `| None`."""
+    kinds = typing.get_args(hint) or (hint,)
+    kind = kinds[0]
     if value is None:
-        ok = key in _NULLABLE_KEYS
+        ok = type(None) in kinds
     elif isinstance(value, bool):
         ok = kind is bool
     else:
-        ok = isinstance(value, (int, float) if kind is float else kind)
+        ok = isinstance(value, {float: (int, float), tuple: list}.get(kind, kind))
     if not ok:
         raise ConfigurationError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def config_from_dict(doc: dict, seed_override=None) -> tuple[SimConfig, dict]:
     """Validate a flat key-value document; unknown keys are hard errors."""
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    hints = {**_PARAM_HINTS, **_SIM_HINTS}
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
     for key, value in doc.items():
-        _check_type(key, value)
-    params = ModelParams(
-        sigma2=float(doc.get("sigma2", 1.0)),
-        W=float(doc.get("W", 1.0)),
-        D=float(doc.get("D", 0.0)),
-        epsilon=float(doc.get("epsilon", 1.0)),
-    )
-    kwargs = {}
-    for key in (
-        "dim", "n", "length", "dt", "t_end", "recipe", "amplitude", "width",
-        "normalize_h1", "seed", "diagnostics_stride", "dealias", "blowup_factor",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "mode" in doc:
-        kwargs["mode"] = tuple(doc["mode"])
-    cfg = SimConfig(params=params, **kwargs)
-    echo = dict(doc)
-    return cfg, echo
+        _check_type(key, value, hints[key])
+    params = ModelParams(**{k: float(v) for k, v in doc.items() if k in _PARAM_HINTS})
+    cfg = SimConfig(params=params, **{
+        k: tuple(v) if _SIM_HINTS[k] is tuple else v for k, v in doc.items() if k in _SIM_HINTS
+    })
+    return cfg, doc
 
 
 def load_config(path: str, seed_override=None) -> tuple[SimConfig, dict]:

@@ -100,6 +100,12 @@ class PlusMinusState:
     varphi_plus: ComplexField
     varphi_minus: ComplexField
 
+    def __post_init__(self):
+        grid = self.psi.grid
+        for name in ("rho_plus", "rho_minus", "varphi_plus", "varphi_minus"):
+            if getattr(self, name).grid != grid:
+                raise ContractViolationError(f"{name} lives on a different grid")
+
     @property
     def grid(self) -> Grid:
         return self.psi.grid

@@ -135,6 +135,11 @@ class TestRegionScan:
         with pytest.raises(ConfigurationError):
             region_scan(2, 0.1)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dimension_guard(self, d):
+        with pytest.raises(ConfigurationError, match="d must be 2 or 3"):
+            region_scan(d, 1e-2)
+
     def test_d2_box_contained(self):
         scan = region_scan(2, 5e-3)
         assert scan.reference_box_contained

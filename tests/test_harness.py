@@ -361,6 +361,21 @@ class TestSimulate:
         )
 
 
+def test_reports_without_a_proxy_do_not_name_one(tmp_path):
+    """Only simulate and epsilon-scaling run the divergence proxy."""
+    cfg, echo = config_from_dict({**BASE_DOC, "normalize_h1": 1e-3})
+    reports = [
+        cmd_region(2, 1e-2, str(tmp_path / "region"))[1],
+        cmd_fuzz(10, 0, str(tmp_path / "fuzz"))[1],
+        cmd_picard(cfg, echo, [0.1], 2, str(tmp_path / "picard"), n_time=16)[1],
+        cmd_norms("zero", 1.0, 0.6, "schrodinger", 0, str(tmp_path / "norms"))[1],
+    ]
+    for report in reports:
+        assert "divergence_proxy" not in report
+        saved = json.loads((tmp_path / report["command"] / "report.json").read_text())
+        assert "divergence_proxy" not in saved
+
+
 class TestEpsilonScaling:
     def test_constant_proxy_and_zero_slope(self, tmp_path):
         cfg, echo = config_from_dict(BASE_DOC)

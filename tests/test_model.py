@@ -98,6 +98,20 @@ class TestDecompose:
             ZRState(zero_field(grid), zero_field(other), zero_field(grid))
 
 
+@pytest.mark.parametrize("other", [Grid(2, 16, 4 * np.pi), Grid(2, 8, 2 * np.pi)],
+                         ids=["n", "length"])
+@pytest.mark.parametrize("slot", range(1, 5))
+def test_plus_minus_state_rejects_a_field_on_another_grid(other, slot):
+    """Another n broke numpy broadcasting in picard_iterate; another box length
+    with the same n ran on psi's box."""
+    grid = Grid(2, 8, 4 * np.pi)
+    fields = [zero_field(grid) for _ in range(5)]
+    fields[slot] = zero_field(other)
+    name = ("rho_plus", "rho_minus", "varphi_plus", "varphi_minus")[slot - 1]
+    with pytest.raises(ContractViolationError, match=f"{name} lives on a different grid"):
+        PlusMinusState(*fields)
+
+
 class TestNonlinearities:
     def test_all_vanish_on_zero_state(self, grid):
         pm = PlusMinusState(*[zero_field(grid) for _ in range(5)])
