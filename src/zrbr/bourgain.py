@@ -69,6 +69,7 @@ NO_DISPERSION = Dispersion("none")
 
 
 def _check_window(t_half: float, n_time: int) -> None:
+    check_count(n_time, "n_time", 2)
     if n_time % 2:
         raise ContractViolationError("number of time samples must be even")
     if not (np.isfinite(t_half) and t_half > 0):
@@ -78,7 +79,10 @@ def _check_window(t_half: float, n_time: int) -> None:
 class SpaceTimeField:
     """Complex field on a (time x space) lattice, physical-space values.
 
-    The values are not to be changed in place once spatial_hat is read.
+    The values are not to be changed in place once spatial_hat is read.  A
+    random_band_limited field builds values (two ifftn) and the dense
+    spatial_hat on first read, with the bits an eager build gives; and
+    linear_estimate_ratio reads neither.
     """
 
     def __init__(self, grid: Grid, t_half: float, values: np.ndarray):
@@ -111,6 +115,13 @@ class SpaceTimeField:
         axes = tuple(range(1, self.grid.dim + 1))
         return _frozen(np.fft.fftn(self.values, axes=axes, norm="ortho"))
 
+    def _support(self) -> tuple:
+        """(cols, block): the columns of the (n_time, N) flattening where the
+        field is nonzero at some time, and spatial_hat on those columns."""
+        hat = self.spatial_hat.reshape(self.n_time, -1)
+        cols = np.flatnonzero(np.any(hat, axis=0))
+        return cols, hat[:, cols]
+
     def l2_norm(self) -> float:
         """Space-time L2 norm with quadrature weights."""
         return float(
@@ -138,7 +149,6 @@ class _Lattice:
     """
 
     def __init__(self, grid: Grid, t_half: float, n_time: int, disp: Dispersion):
-        _check_window(t_half, n_time)
         self.grid = grid
         self.t_half = t_half
         self.n_time = n_time
@@ -178,6 +188,12 @@ class _Lattice:
         inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5, cols), axis=0)
         dtau = _TWO_PI / (2.0 * self.t_half)
         return float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
+
+
+@lru_cache(maxsize=16)
+def _window_cutoff(t_half: float, n_time: int, T: float) -> np.ndarray:
+    """smooth_cutoff(t / T) at the window times t, read-only."""
+    return _frozen(smooth_cutoff((-t_half + 2.0 * t_half / n_time * np.arange(n_time)) / T))
 
 
 @lru_cache(maxsize=8)
@@ -253,6 +269,7 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
 
 def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion) -> SpaceTimeField:
     """Space-time field of the free flow exp(-i t p(-i grad)) g."""
+    _check_window(t_half, n_time)
     grid = g.grid
     ghat = np.fft.fftn(np.asarray(g.values, dtype=np.complex128), norm="ortho") \
         if g.space == "physical" else g.values
@@ -274,42 +291,64 @@ def random_band_limited(
 
     The coefficient draw depends only on the bands and the seed, so refining
     n_time (or the spatial grid) samples the same underlying field; that is
-    what makes refinement-stability checks meaningful.  The field carries its
-    spatial_hat from the draw, exactly 0 off |k|_inf <= space_band.
+    what makes refinement-stability checks meaningful.  The field is held as
+    its draw, with its spatial coefficients on the band's columns; values and
+    spatial_hat are built on first read.
     """
     check_count(time_band, "time_band")
     check_count(space_band, "space_band")
+    check_count(seed, "seed")
+    _check_window(t_half, n_time)
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
     rng = np.random.default_rng(seed)
     coeffs = low_mode_coefficients(grid, rng, space_band, (2 * time_band + 1,))
-    # values = sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases;
-    # "forward" normalization keeps the sum unscaled, so refining the lattice
-    # samples the same continuum field.  Only the 2 time_band + 1 time rows
-    # of coefficients are nonzero: the spatial inverse runs on those rows,
-    # last axis first as a full ifftn would, and the time inverse on the
-    # whole stack, which gives the full ifftn's bits.  The unitary spatial
-    # coefficients are sqrt(N) times the time inverse of the coefficient
-    # rows, taken on the band's columns only; they are exactly 0 off it.
+    # The unitary spatial coefficients are sqrt(N) times the time inverse of
+    # the coefficient rows on the band's columns, and exactly 0 off them.
     rows = np.arange(-time_band, time_band + 1) % n_time
-    vals = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
-    vals[rows] = np.fft.ifftn(coeffs, axes=range(1, grid.dim + 1), norm="forward")
-    np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
-    coeffs = coeffs.reshape(rows.size, -1)
-    cols = np.flatnonzero(np.any(coeffs, axis=0))
-    sub = np.zeros((n_time, cols.size), dtype=np.complex128)
-    sub[rows] = coeffs[:, cols]
-    sub = np.fft.ifftn(sub, axes=(0,), norm="forward")
-    sub *= np.sqrt(grid.n**grid.dim)
-    f = SpaceTimeField(grid, t_half, vals)
+    flat = coeffs.reshape(rows.size, -1)
+    cols = np.flatnonzero(np.any(flat, axis=0))
+    block = np.zeros((n_time, cols.size), dtype=np.complex128)
+    block[rows] = flat[:, cols]
+    block = np.fft.ifftn(block, axes=(0,), norm="forward")
+    block *= np.sqrt(grid.n**grid.dim)
     if cutoff:
-        lam = smooth_cutoff(f.times)
-        f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
-        sub *= lam[:, None]
-    hat = np.zeros(vals.shape, dtype=np.complex128)
-    hat.reshape(n_time, -1)[:, cols] = sub
-    f.__dict__["spatial_hat"] = _frozen(hat)
-    return f
+        block *= _window_cutoff(float(t_half), n_time, 1.0)[:, None]
+    return _BandLimited(grid, float(t_half), rows, coeffs, cutoff, cols, _frozen(block))
+
+
+class _BandLimited(SpaceTimeField):
+    """A random_band_limited field held as its draw: the coefficient rows,
+    whether lambda(t) applies, and the support columns and block."""
+
+    def __init__(self, grid, t_half, rows, coeffs, cutoff, cols, block):
+        self.grid, self.t_half, self.n_time = grid, t_half, block.shape[0]
+        self._rows, self._coeffs, self._cutoff = rows, coeffs, cutoff
+        self._cols, self._block = cols, block
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        # sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases,
+        # unscaled ("forward"), so a finer lattice samples the same field.
+        # The spatial inverse runs on the nonzero rows, last axis first as a
+        # full ifftn would, then the time inverse: the full ifftn's bits.
+        vals = np.zeros((self.n_time,) + self.grid.shape, dtype=np.complex128)
+        vals[self._rows] = np.fft.ifftn(self._coeffs, axes=range(1, self.grid.dim + 1),
+                                        norm="forward")
+        np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
+        if not self._cutoff:
+            return vals
+        lam = _window_cutoff(self.t_half, self.n_time, 1.0)
+        return lam.reshape((-1,) + (1,) * self.grid.dim) * vals
+
+    @cached_property
+    def spatial_hat(self) -> np.ndarray:
+        hat = np.zeros((self.n_time,) + self.grid.shape, dtype=np.complex128)
+        hat.reshape(self.n_time, -1)[:, self._cols] = self._block
+        return _frozen(hat)
+
+    def _support(self) -> tuple:
+        return self._cols, self._block
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +420,9 @@ def linear_estimate_ratio(
     # transforms act column by column and keep the other columns exactly 0,
     # so they add nothing to the norms.  A dense q has every column.
     lat = _lattice(q.grid, q.t_half, q.n_time, disp)
-    q_hat = q.spatial_hat.reshape(q.n_time, -1)
-    cols = np.flatnonzero(np.any(q_hat, axis=0))
-    q_hat = q_hat[:, cols]
+    cols, q_hat = q._support()
     conv = _retarded(q_hat, lat.group.reshape(q.n_time, -1)[:, cols], lat.dt, q.zero_index)
-    conv *= smooth_cutoff(lat.times / T)[:, None]
+    conv *= _window_cutoff(q.t_half, q.n_time, T)[:, None]
     lhs = lat.xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b, cols)
     del conv
     q_hat = np.fft.fftn(q_hat, axes=(0,), norm="ortho")
@@ -441,7 +478,7 @@ def strichartz_ratio(
     # enforce support in |t| <= 2T of F^{-1}(<sigma>^{-a'} vhat)
     h = np.fft.ifftn(np.fft.fftn(v.values, norm="ortho") * lat.weight(0.0, -0.5 * a_prime),
                      norm="ortho")
-    h *= smooth_cutoff(lat.times / T).reshape((-1,) + (1,) * v.grid.dim)
+    h *= _window_cutoff(v.t_half, v.n_time, T).reshape((-1,) + (1,) * v.grid.dim)
     hat = np.fft.fftn(h, norm="ortho")
     hat *= lat.weight(0.0, 0.5 * a_prime)
 

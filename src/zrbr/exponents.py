@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
+from .spectral import check_count
 
 
 def bracket_plus(lam, eps: float = 1e-6):
@@ -462,8 +463,10 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[Ineq
     lower bounds it is the reciprocal orientation (bounded side over
     bounding side), so every reported number should stay below its cap.
     """
-    if n_samples < 1:
+    if isinstance(n_samples, (int, np.integer)) and n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    check_count(n_samples, "n_samples", 1)
+    check_count(seed, "seed")
     if d not in (2, 3):
         raise ConfigurationError(f"d must be 2 or 3, got {d}")
     results = []

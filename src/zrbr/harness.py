@@ -23,7 +23,7 @@ from .errors import ConfigurationError, DivergenceError
 from .evolution import picard_iterate, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities
 from .model import ModelParams, PlusMinusState, ZRState, decompose
-from .spectral import ComplexField, Grid, to_physical, zero_field
+from .spectral import ComplexField, Grid, check_count, to_physical, zero_field
 from .bourgain import (
     SCHRODINGER,
     WAVE_MINUS,
@@ -473,6 +473,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
     """Norm panel for one synthetic field, with the embedding ratio."""
     if not (np.isfinite(s) and np.isfinite(b)):
         raise ConfigurationError(f"s and b must be finite, got s={s}, b={b}")
+    check_count(seed, "seed")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
             f"unknown dispersion {disp_name!r}; choose from {sorted(_DISPERSIONS)}"

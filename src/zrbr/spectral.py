@@ -40,10 +40,9 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ConfigurationError(f"dim must be 2 or 3, got {self.dim}")
-        if self.n < 4 or not _is_power_of_two(self.n):
-            raise ConfigurationError(
-                f"points per axis must be a power of two >= 4, got {self.n}"
-            )
+        if isinstance(self.n, (int, np.integer)) and (self.n < 4 or not _is_power_of_two(self.n)):
+            raise ConfigurationError(f"points per axis must be a power of two >= 4, got {self.n}")
+        check_count(self.n, "points per axis", 4)
         if not (self.length > 0):
             raise ConfigurationError(f"box length must be positive, got {self.length}")
 
@@ -251,16 +250,27 @@ def low_mode_coefficients(
     later draw is kept.
     """
     check_count(band, "band")
+    size, keep, index = _low_modes(grid, band)
+    count = int(np.prod(leading))
+    z = rng.normal(size=2 * count * size).reshape(count, size, 2)
+    coeffs = np.zeros((count, grid.n**grid.dim), dtype=np.complex128)
+    coeffs[:, index] = z[:, keep, 0] + 1j * z[:, keep, 1]
+    return coeffs.reshape(tuple(leading) + grid.shape)
+
+
+@lru_cache(maxsize=16)
+def _low_modes(grid: Grid, band: int) -> tuple:
+    """Per (grid, band), built once: the draws per field on |k|_inf <= band,
+    the draws kept, and the flat index each kept draw lands on (read-only)."""
     k = np.arange(-band, band + 1) % grid.n
     index = np.ravel_multi_index(np.meshgrid(*[k] * grid.dim, indexing="ij"), grid.shape)
     index = index.ravel()
     _, last = np.unique(index[::-1], return_index=True)
     keep = index.size - 1 - last
-    count = int(np.prod(leading))
-    z = rng.normal(size=2 * count * index.size).reshape(count, index.size, 2)
-    coeffs = np.zeros((count, grid.n**grid.dim), dtype=np.complex128)
-    coeffs[:, index[keep]] = z[:, keep, 0] + 1j * z[:, keep, 1]
-    return coeffs.reshape(tuple(leading) + grid.shape)
+    kept = index[keep]
+    keep.setflags(write=False)
+    kept.setflags(write=False)
+    return index.size, keep, kept
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:

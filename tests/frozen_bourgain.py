@@ -1,7 +1,8 @@
 """Frozen copies of the space-time norms, the linear-estimate check and the
 band-limited generators as they were before the norms read their weights
-from the cached lattice table, and of the Strichartz check as it was before
-it moved to the unitary lattice transform.
+from the cached lattice table, of the Strichartz check as it was before
+it moved to the unitary lattice transform, and of the one-draw band-limited
+generator as it was while it built its values and spatial_hat eagerly.
 
 Every symbol is rebuilt per call, the norms and the Strichartz check take
 the continuum-normalized transform with its phase shift, and
@@ -17,6 +18,7 @@ import numpy as np
 from zrbr.bourgain import SCHRODINGER, SpaceTimeField, StrichartzReport, mixed_norm, smooth_cutoff
 from zrbr.errors import PreconditionError
 from zrbr.exponents import strichartz_exponents
+from zrbr.spectral import low_mode_coefficients as one_draw_coefficients
 
 _TWO_PI = 2.0 * np.pi
 
@@ -131,6 +133,34 @@ def random_band_limited(grid, t_half, n_time, seed, time_band=4, space_band=2, c
     if cutoff:
         lam = smooth_cutoff(_times(f))
         f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
+    return f
+
+
+def eager_random_band_limited(grid, t_half, n_time, seed, time_band=4, space_band=2,
+                              cutoff=True):
+    """The one-draw generator that filled values and the dense spatial_hat
+    up front."""
+    rng = np.random.default_rng(seed)
+    coeffs = one_draw_coefficients(grid, rng, space_band, (2 * time_band + 1,))
+    rows = np.arange(-time_band, time_band + 1) % n_time
+    vals = np.zeros((n_time,) + grid.shape, dtype=np.complex128)
+    vals[rows] = np.fft.ifftn(coeffs, axes=range(1, grid.dim + 1), norm="forward")
+    np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
+    coeffs = coeffs.reshape(rows.size, -1)
+    cols = np.flatnonzero(np.any(coeffs, axis=0))
+    sub = np.zeros((n_time, cols.size), dtype=np.complex128)
+    sub[rows] = coeffs[:, cols]
+    sub = np.fft.ifftn(sub, axes=(0,), norm="forward")
+    sub *= np.sqrt(grid.n**grid.dim)
+    f = SpaceTimeField(grid, t_half, vals)
+    if cutoff:
+        lam = smooth_cutoff(_times(f))
+        f = SpaceTimeField(grid, t_half, lam.reshape((-1,) + (1,) * grid.dim) * vals)
+        sub *= lam[:, None]
+    hat = np.zeros(vals.shape, dtype=np.complex128)
+    hat.reshape(n_time, -1)[:, cols] = sub
+    hat.setflags(write=False)
+    f.__dict__["spatial_hat"] = hat
     return f
 
 

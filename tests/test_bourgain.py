@@ -43,6 +43,27 @@ class TestSpaceTimeField:
         with pytest.raises(ContractViolationError):
             SpaceTimeField(g, 1.0, np.zeros((7, 16, 16)))
 
+    def test_window_needs_two_samples(self):
+        with pytest.raises(ConfigurationError, match=r"n_time must be an integer >= 2, got 0"):
+            SpaceTimeField(aligned_grid(), 1.0, np.zeros((0, 16, 16)))
+
+    @pytest.mark.parametrize("n_time", [0, 8.0])
+    def test_free_evolution_checks_the_window(self, n_time):
+        g = aligned_grid()
+        free_evolution(ComplexField(g, np.ones(g.shape)), 1.0, 8, SCHRODINGER)  # caches n_time 8
+        with pytest.raises(ConfigurationError, match=r"n_time must be an integer >= 2"):
+            free_evolution(ComplexField(g, np.ones(g.shape)), 1.0, n_time, SCHRODINGER)
+
+    @pytest.mark.parametrize("n_time, seed, message", [
+        (64.0, 0, "n_time must be an integer >= 2, got 64.0"),
+        (64, -1, "seed must be an integer >= 0, got -1"),
+        (64, 1.5, "seed must be an integer >= 0, got 1.5"),
+    ])
+    def test_band_limited_checks_its_counts(self, n_time, seed, message):
+        with pytest.raises(ConfigurationError) as err:
+            random_band_limited(aligned_grid(), 2.5, n_time, seed)
+        assert str(err.value) == message
+
     def test_time_axis_contains_zero(self):
         f = random_spacetime(aligned_grid(), 32, 0)
         assert f.times[f.zero_index] == pytest.approx(0.0, abs=1e-15)
@@ -272,8 +293,17 @@ class TestLatticeTable:
             linear_estimate_ratio(f, 0.5, 1.0, 0.6, -0.35, SCHRODINGER, include_y_term=True)
             assert fft_calls == ["fftn"] * calls
 
+    def test_band_limited_ratio_builds_no_values(self, fft_calls):
+        # the generator's time inverse and the ratio's two time transforms;
+        # neither builds the physical values nor the dense spatial_hat
+        q = random_band_limited(aligned_grid(), 2.5, 64, seed=9001)
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+        assert fft_calls == ["ifftn", "fftn", "fftn"]
+        assert "values" not in vars(q) and "spatial_hat" not in vars(q)
+
     def test_strichartz_is_four_transforms(self, fft_calls):
         v = random_band_limited(aligned_grid(), 2.5, 32, seed=16)
+        v.values  # the deferred build is not the check's
         fft_calls.clear()
         strichartz_ratio(v, 0.6, 0.6, 1.0, 1.0, 0.6, T=0.5)
         assert fft_calls == ["fftn", "ifftn", "fftn", "ifftn"]
@@ -300,6 +330,7 @@ class TestLatticeTable:
 
     def test_norm_is_one_transform(self, fft_calls):
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=2)
+        f.values  # the deferred build is not the norm's
         fft_calls.clear()
         xsb_norm(f, 1.0, 0.6, SCHRODINGER)
         assert fft_calls == ["fftn"]

@@ -237,6 +237,17 @@ class TestInequalityFuzz:
             assert ra.max_ratio == rb.max_ratio
             assert ra.argmax == rb.argmax
 
+    @pytest.mark.parametrize("n_samples, seed, message", [
+        (10.0, 1, "n_samples must be an integer >= 1, got 10.0"),
+        (0, 1, "n_samples must be >= 1"),
+        (10, -1, "seed must be an integer >= 0, got -1"),
+        (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+    ])
+    def test_bad_counts_are_named(self, n_samples, seed, message):
+        with pytest.raises(ConfigurationError) as err:
+            verify_symbolic_inequalities(n_samples, seed, 2)
+        assert str(err.value) == message
+
     def test_branch_bookkeeping(self):
         res = verify_symbolic_inequalities(100, seed=1, d=2)
         tags = {(r.inequality, r.branch) for r in res}

@@ -518,6 +518,12 @@ class TestNormsCommand:
         with pytest.raises(ConfigurationError):
             cmd_norms("fractal", 1.0, 0.6, "schrodinger", 0, str(tmp_path / "out"))
 
+    @pytest.mark.parametrize("recipe", ["cutoff-free", "random-band-limited"])
+    def test_negative_seed_rejected(self, tmp_path, recipe):
+        with pytest.raises(ConfigurationError, match=r"seed must be an integer >= 0, got -1"):
+            cmd_norms(recipe, 1.0, 0.6, "schrodinger", -1, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_dispersion_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             cmd_norms("zero", 1.0, 0.6, "elastic", 0, str(tmp_path / "out"))

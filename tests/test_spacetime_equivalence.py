@@ -152,6 +152,28 @@ def test_random_band_limited_carries_its_coefficients(grid, n_time, time_band, s
         assert_bits(f.values, ref.values)
 
 
+# The cases of test_random_band_limited_bit_identical.
+@pytest.mark.parametrize("cutoff", [True, False])
+@pytest.mark.parametrize("grid, n_time, time_band, space_band", [
+    (Grid(2, 16, 2 * np.pi), 64, 4, 2),
+    (Grid(2, 16, 2 * np.pi), 128, 4, 2),
+    (Grid(2, 8, 5.0), 16, 0, 0),
+    (Grid(2, 32, 4 * np.pi), 32, 7, 5),
+    (Grid(3, 8, 4 * np.pi), 16, 2, 3),
+])
+def test_deferred_build_matches_eager_build(grid, n_time, time_band, space_band, cutoff):
+    for seed in (0, 9000, 2**31 - 1):
+        args = (grid, 2.5, n_time, seed, time_band, space_band, cutoff)
+        new, ref = random_band_limited(*args), frozen.eager_random_band_limited(*args)
+        for T in (0.25, 1.0):
+            ratio = (T, 1.0, 0.6, -0.35, SCHRODINGER)
+            a, b = linear_estimate_ratio(new, *ratio), linear_estimate_ratio(ref, *ratio)
+            assert b > 0 and abs(a - b) <= 1e-12 * b, (T, a, b)
+        assert "values" not in vars(new) and "spatial_hat" not in vars(new)
+        assert_bits(new.spatial_hat, ref.spatial_hat)
+        assert_bits(new.values, ref.values)
+
+
 def test_spatial_hat_of_values_is_the_unitary_transform():
     for dim in (2, 3):
         f = noise_field(GRIDS[dim], 16, dim)

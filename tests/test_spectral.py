@@ -39,6 +39,13 @@ class TestGrid:
             with pytest.raises(ConfigurationError):
                 Grid(2, n)
 
+    def test_rejects_a_non_integer_count(self):
+        with pytest.raises(ConfigurationError, match=r"points per axis must be an integer >= 4"):
+            Grid(2, 16.0, 1.0)
+        # an integer keeps its message
+        with pytest.raises(ConfigurationError, match=r"^points per axis must be a power of two"):
+            Grid(2, 12)
+
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConfigurationError):
             Grid(2, 8, 0.0)
