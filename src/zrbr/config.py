@@ -100,15 +100,13 @@ def make_initial_state(config: SimConfig) -> ZRState:
             (2.0 * np.pi * k / grid.length) * x for k, x in zip(mode, coords)
         )
         psi = config.amplitude * np.exp(1j * phase)
-    elif config.recipe == "random-band-limited":
+    else:  # random-band-limited; __post_init__ admits no other recipe
         # seeded coefficients on the modes |k|_inf <= 4, scaled to peak amplitude
         coeffs = low_mode_coefficients(grid, np.random.default_rng(config.seed), 4)
         psi = np.fft.ifftn(coeffs, norm="ortho")
         peak = np.max(np.abs(psi))
         if peak > 0:
             psi = psi * (config.amplitude / peak)
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ConfigurationError(config.recipe)
 
     psi_f = ComplexField(grid, psi, "physical")
     if config.normalize_h1 is not None:

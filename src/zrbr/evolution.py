@@ -255,13 +255,12 @@ class Trajectory:
         """Append one diagnostics row.
 
         psi is taken to physical space once, and |psi| and |psi|^2 once: mass,
-        energy and the sup of |psi| share them.  spectral, the same state as
-        coefficients, saves energy its forward transforms; the L2 norms of
-        rho and phi are then taken from its coefficients (Plancherel on the
-        half-spectrum, whether they are held as half or full spectra).  With
-        it and psi in physical space, a row costs energy's one transform,
-        whatever the representation of rho and phi in state; a state held
-        wholly as coefficients costs two without it.
+        energy and the sup of |psi| share them.  The half-spectra of rho and
+        phi are taken once, for energy and for their L2 norms (Plancherel).
+        spectral, the same state as coefficients, saves the forward
+        transforms: with it and psi in physical space, a row costs energy's
+        one transform, whatever the representation of rho and phi in state;
+        a state held wholly as coefficients costs two without it.
         """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
@@ -269,12 +268,14 @@ class Trajectory:
         a = np.abs(psi.values)
         a2 = a * a
         coeffs = state if spectral is None else spectral
+        rho_h, phi_h = half_spectrum(coeffs.rho), half_spectrum(coeffs.phi)
         self.times.append(t)
         self.mass.append(float(np.sum(a2) * psi.grid.cell_volume))
-        self.energy.append(_energy(state, params, coeffs, a2))
+        self.energy.append(_energy(psi.grid, params, a2, to_frequency(coeffs.psi).values,
+                                   rho_h.values, phi_h.values))
         self.max_abs_psi.append(float(np.max(a)))
-        for f, column in ((coeffs.rho, self.l2_rho), (coeffs.phi, self.l2_phi)):
-            column.append((f if f.space == PHYSICAL else half_spectrum(f)).l2_norm())
+        self.l2_rho.append(rho_h.l2_norm())
+        self.l2_phi.append(phi_h.l2_norm())
         if self.store_states:
             self.states.append(state.copy())
 

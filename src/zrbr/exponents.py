@@ -4,12 +4,13 @@ for the elementary symbolic inequalities."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .spectral import check_count
+from .spectral import check_count, check_dim
 
 
 def bracket_plus(lam, eps: float = 1e-6):
@@ -29,10 +30,7 @@ def bracket(x):
 
 @dataclass(frozen=True)
 class ExponentParams:
-    """The (b1, b2) parameter point with its derived exponents.
-
-    k2 = 1 - 2 b2, c1 = 1 - b1, c2 = 1 - b2; b0 defaults to b1.
-    """
+    """The (b1, b2) parameter point in dimension d; b0 defaults to b1."""
 
     b1: float
     b2: float
@@ -40,29 +38,16 @@ class ExponentParams:
     b0: float | None = None
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ConfigurationError(f"d must be 2 or 3, got {self.d}")
+        check_dim(self.d, "d")
         if self.b0 is None:
             object.__setattr__(self, "b0", self.b1)
 
-    @property
-    def k2(self) -> float:
-        return 1.0 - 2.0 * self.b2
-
-    @property
-    def c1(self) -> float:
-        return 1.0 - self.b1
-
-    @property
-    def c2(self) -> float:
-        return 1.0 - self.b2
-
 
 def derive(b1: float, b2: float, d: int, b0: float | None = None) -> ExponentParams:
-    """Fill the derived exponents; range violations surface in check_constraints."""
+    """The checked parameter point; range violations surface in check_constraints."""
     if not (np.isfinite(b1) and np.isfinite(b2)):
         raise ConfigurationError("b1, b2 must be finite")
-    return ExponentParams(float(b1), float(b2), int(d), b0)
+    return ExponentParams(float(b1), float(b2), d, b0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,56 +72,49 @@ class ConstraintReport:
         return [e.constraint_id for e in self.entries if not e.passed]
 
 
-# (id, formula text, lhs(b1,b2,d), rhs(b1,b2,d), strict)
+# (id, formula text, lhs(b1,b2,d), rhs(b1,b2,d), comparison)
 _CONSTRAINTS = [
-    ("base_b1", "b1 > 1/2", lambda b1, b2, d: b1, lambda b1, b2, d: 0.5, ">"),
-    ("base_b2_low", "b2 >= 0", lambda b1, b2, d: b2, lambda b1, b2, d: 0.0, ">="),
-    ("base_b2_high", "b2 <= 1/2", lambda b1, b2, d: b2, lambda b1, b2, d: 0.5, "<="),
+    ("base_b1", "b1 > 1/2", lambda b1, b2, d: b1, lambda b1, b2, d: 0.5, operator.gt),
+    ("base_b2_low", "b2 >= 0", lambda b1, b2, d: b2, lambda b1, b2, d: 0.0, operator.ge),
+    ("base_b2_high", "b2 <= 1/2", lambda b1, b2, d: b2, lambda b1, b2, d: 0.5, operator.le),
     (
         "auxi1",
         "b1 < (2 + 2 b2) / (d + 4 b2)",
         lambda b1, b2, d: b1,
         lambda b1, b2, d: (2.0 + 2.0 * b2) / (d + 4.0 * b2),
-        "<",
+        operator.lt,
     ),
-    ("auxi2", "b1 < 2/d", lambda b1, b2, d: b1, lambda b1, b2, d: 2.0 / d, "<"),
-    ("auxi3", "b2 < 1 - b1", lambda b1, b2, d: b2, lambda b1, b2, d: 1.0 - b1, "<"),
+    ("auxi2", "b1 < 2/d", lambda b1, b2, d: b1, lambda b1, b2, d: 2.0 / d, operator.lt),
+    ("auxi3", "b2 < 1 - b1", lambda b1, b2, d: b2, lambda b1, b2, d: 1.0 - b1, operator.lt),
     (
         "auxi4",
         "2 b1 + (1 + d/2) b2 > (1 + d)/2",
         lambda b1, b2, d: 2.0 * b1 + (1.0 + d / 2.0) * b2,
         lambda b1, b2, d: (1.0 + d) / 2.0,
-        ">",
+        operator.gt,
     ),
     (
         "i521_auxi1",
         "b2 < (2/3) b1 - d/12",
         lambda b1, b2, d: b2,
         lambda b1, b2, d: (2.0 / 3.0) * b1 - d / 12.0,
-        "<",
+        operator.lt,
     ),
     (
         "i521_auxi2",
         "b2 <= 1 - d/4",
         lambda b1, b2, d: b2,
         lambda b1, b2, d: 1.0 - d / 4.0,
-        "<=",
+        operator.le,
     ),
     (
         "i521_auxi3",
         "b2 < 1/6 (d=2) or 1/12 (d=3)",
         lambda b1, b2, d: b2,
         lambda b1, b2, d: 1.0 / 6.0 if d == 2 else 1.0 / 12.0,
-        "<",
+        operator.lt,
     ),
 ]
-
-_OPS = {
-    ">": lambda l, r: l > r,
-    ">=": lambda l, r: l >= r,
-    "<": lambda l, r: l < r,
-    "<=": lambda l, r: l <= r,
-}
 
 
 def check_constraints(p: ExponentParams) -> ConstraintReport:
@@ -146,7 +124,7 @@ def check_constraints(p: ExponentParams) -> ConstraintReport:
     for cid, text, lhs_f, rhs_f, op in _CONSTRAINTS:
         lhs = float(lhs_f(p.b1, p.b2, p.d))
         rhs = float(rhs_f(p.b1, p.b2, p.d))
-        entries.append(ConstraintEntry(cid, text, lhs, rhs, bool(_OPS[op](lhs, rhs))))
+        entries.append(ConstraintEntry(cid, text, lhs, rhs, bool(op(lhs, rhs))))
     return ConstraintReport(entries, all(e.passed for e in entries))
 
 
@@ -161,7 +139,7 @@ def constraint_matrix(b1, b2, d: int):
     ids = [c[0] for c in _CONSTRAINTS]
     passes = []
     for cid, text, lhs_f, rhs_f, op in _CONSTRAINTS:
-        passes.append(_OPS[op](lhs_f(b1, b2, d), rhs_f(b1, b2, d)))
+        passes.append(op(lhs_f(b1, b2, d), rhs_f(b1, b2, d)))
     return np.stack(np.broadcast_arrays(*passes), axis=0), ids
 
 
@@ -196,13 +174,13 @@ class ThetaReport:
 
 def theta_values(p: ExponentParams) -> ThetaReport:
     """Evaluate all twelve T-gain exponents at the parameter point."""
-    vals = _theta_arrays(p.b1, p.b2, p.d, p.b0, 1e-6, scalar=True)
-    values = dict(zip(THETA_NAMES, vals))
+    vals = _theta_arrays(p.b1, p.b2, p.d, p.b0, 1e-6)
+    values = {name: float(v) for name, v in zip(THETA_NAMES, vals)}
     return ThetaReport(values, min(values.values()))
 
 
-def _theta_arrays(b1, b2, d, b0, eps, scalar=False):
-    """Shared theta formulas; scalar or vectorized over (b1, b2)."""
+def _theta_arrays(b1, b2, d, b0, eps):
+    """Shared theta formulas, vectorized over (b1, b2)."""
     b1 = np.asarray(b1, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
     if np.any(b1 == b2):
@@ -228,10 +206,7 @@ def _theta_arrays(b1, b2, d, b0, eps, scalar=False):
         * (b1 - b2)
         * (1.0 - bp(b1 - b2 - 0.5) / (b1 - b2))
     )
-    out = (t1, t21, t221, t222, t223, t23, t241, t242, t243, t41, t42, t521)
-    if scalar:
-        return tuple(float(v) for v in out)
-    return out
+    return (t1, t21, t221, t222, t223, t23, t241, t242, t243, t41, t42, t521)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +240,7 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     """Scan (1/2, 1) x [0, 1/2] on the given lattice; report admissibility,
     the min-theta surface and the containment verdict for the published
     parameter rectangle.  d must be 2 or 3 (ConfigurationError)."""
-    if d not in (2, 3):
-        raise ConfigurationError(f"d must be 2 or 3, got {d!r}")
+    check_dim(d, "d")
     if not (np.isfinite(resolution) and 0.0 < resolution <= 1e-2):
         raise ConfigurationError(f"resolution must be finite, > 0 and <= 1e-2, got {resolution}")
     b1_axis = np.arange(0.5 + resolution, 1.0, resolution)
@@ -362,8 +336,7 @@ def strichartz_exponents(
     In wave mode eta is forced to 1 and r to 2, and q follows the wave rule
     2/q = 1 - (1 - gamma) a / b0.  d must be 2 or 3 (ConfigurationError).
     """
-    if d not in (2, 3):
-        raise ConfigurationError(f"d must be 2 or 3, got {d!r}")
+    check_dim(d, "d")
     checks = [
         (b0 > 0.5, "b0 > 1/2"),
         (a >= 0.0, "a >= 0"),
@@ -414,26 +387,28 @@ class InequalityResult:
     argmax: dict
 
 
-# Every fuzz batch is cut into chunks of at most _CHUNK samples, and the
-# modulations tau, tau1 are uniform on [-_TAU_SCALE, _TAU_SCALE).
+# Every fuzz batch is cut into chunks of at most _CHUNK samples, the
+# modulations tau, tau1 are uniform on [-_TAU_SCALE, _TAU_SCALE), and the
+# frequency components have magnitudes in [_LO, _HI].
 _CHUNK = 250_000
 _TAU_SCALE = 1e6
+_LO, _HI = 1e-2, 1e3
 
 
-def _sample_vectors(rng, n, d, lo=1e-2, hi=1e3, out=None, work=None):
-    """Components with log-uniform magnitude in [lo, hi] and an independent
-    fair sign, both from one uniform u on [-W, W), W = log(hi / lo): the
-    magnitude is lo * exp(|u|) and the sign is the sign of u.
+def _sample_vectors(rng, n, d, out=None, work=None):
+    """Components with log-uniform magnitude in [_LO, _HI] and an independent
+    fair sign, both from one uniform u on [-W, W), W = log(_HI / _LO): the
+    magnitude is _LO * exp(|u|) and the sign is the sign of u.
 
     out and work, (n, d) float64 arrays, take the result and u when given,
     so that a loop of draws reuses its memory.
     """
-    w = np.log(hi) - np.log(lo)
+    w = np.log(_HI) - np.log(_LO)
     u = rng.random((n, d), out=work)  # bit for bit rng.uniform(-w, w, (n, d))
     u *= 2.0 * w
     u -= w
     v = np.abs(u, out=out)
-    v += np.log(lo)
+    v += np.log(_LO)
     np.exp(v, out=v)
     return np.copysign(v, u, out=v)
 
@@ -467,8 +442,7 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[Ineq
         raise ConfigurationError("n_samples must be >= 1")
     check_count(n_samples, "n_samples", 1)
     check_count(seed, "seed")
-    if d not in (2, 3):
-        raise ConfigurationError(f"d must be 2 or 3, got {d}")
+    check_dim(d, "d")
     results = []
     for ineq in INEQUALITY_IDS:
         # ineq1 has no tau and ineq5 has fixed signs; only the others carry

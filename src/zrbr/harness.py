@@ -447,9 +447,9 @@ _DISPERSIONS = {d.kind: d for d in (SCHRODINGER, WAVE_PLUS, WAVE_MINUS, NO_DISPE
 NORM_RECIPES = ("zero", "one-mode", "cutoff-free", "random-band-limited")
 
 
-def _norms_field(recipe: str, seed: int, n: int = 16, n_time: int = 64) -> SpaceTimeField:
-    grid = Grid(2, n, 2.0 * np.pi)
-    t_half = 2.5
+def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
+    grid = Grid(2, 16, 2.0 * np.pi)
+    t_half, n_time = 2.5, 64
     if recipe == "zero":
         return SpaceTimeField(grid, t_half, np.zeros((n_time,) + grid.shape))
     if recipe == "one-mode":

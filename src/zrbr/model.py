@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .spectral import (
-    PHYSICAL,
     ComplexField,
     Grid,
     frozen_symbol,
@@ -300,58 +299,47 @@ def mass(state: ZRState) -> float:
     return float(np.sum(np.abs(p) ** 2) * state.grid.cell_volume)
 
 
-def energy(state: ZRState, params: ModelParams, spectral: ZRState | None = None) -> float:
+def energy(state: ZRState, params: ModelParams) -> float:
     """Conserved energy functional, specialized to delta=sigma1=M=1, sigma3=0:
 
     E = int |grad psi|^2 + (W/2) rho^2 + (W/2) |grad phi|^2
         + (sigma2/2) |psi|^4 + W rho |psi|^2 + D W |psi|^2 phi_x  dx
 
     rho and phi are taken as real: their imaginary parts are dropped.  The
-    gradient terms come by discrete Plancherel, int |grad f|^2 =
+    cost is whatever brings psi to both spaces and rho and phi to
+    half-spectra, plus the rfftn of |psi|^2: 4 transforms for a state held
+    in physical space, 2 for one held as coefficients (see _energy).
+    """
+    a2 = np.abs(to_physical(state.psi).values)
+    a2 *= a2
+    return _energy(state.grid, params, a2, to_frequency(state.psi).values,
+                   half_spectrum(state.rho).values, half_spectrum(state.phi).values)
+
+
+def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h) -> float:
+    """energy from a2 = |psi|^2 in physical space, psi's spectrum psi_h and
+    the rfftn half-spectra rho_h and phi_h; no argument is changed.
+
+    The gradient terms come by discrete Plancherel, int |grad f|^2 =
     cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), and the
     terms in rho and phi_x by Parseval against the rfftn half-spectrum of
     |psi|^2: int |psi|^2 (rho + D phi_x) = cell_volume * Re sum
     conj((|psi|^2)_hat) (rho_hat + D dx phi_hat).  Sums over a half-spectrum
     weigh its last-axis columns 1, 2, ..., 2, 1.  |psi|^4 is summed in
-    physical space, and so are rho's terms when rho is held there.
-
-    spectral, the same state as coefficients, saves the forward transforms;
-    rho and phi are read off their half-spectra whether they are held as
-    half or full spectra.  The cost is the rfftn of |psi|^2 plus whatever
-    brings psi to both spaces and phi to coefficients: 1 transform with
-    spectral and psi in physical space, 2 for a state wholly held as
-    coefficients, 3 for one wholly in physical space.
+    physical space.
     """
-    a2 = np.abs(to_physical(state.psi).values)
-    a2 *= a2
-    return _energy(state, params, spectral, a2)
-
-
-def _energy(state: ZRState, params: ModelParams, spectral: ZRState | None,
-            a2: np.ndarray) -> float:
-    """energy, given a2 = |psi|^2 in physical space; a2 is left untouched."""
-    grid = state.grid
-    coeffs = state if spectral is None else spectral
-    psi_h = to_frequency(coeffs.psi).values
-    phi_h = half_spectrum(coeffs.phi).values
     a2_h = np.fft.rfftn(a2, norm="ortho")
-
     # dx is zero on the axis-0 Nyquist plane, where the derivative of a real
     # field has no real part.
     mix_h = half_dx(grid) * phi_h
     mix_h *= params.D
-    if coeffs.rho.space == PHYSICAL:
-        rho = coeffs.rho.values.real
-        rho_terms = np.sum(rho * (0.5 * rho + a2))
-    else:
-        rho_h = half_spectrum(coeffs.rho).values
-        rho_terms = 0.5 * hermitian_sum(np.abs(rho_h) ** 2)
-        mix_h += rho_h
+    mix_h += rho_h
     total = (
         np.sum(grid.xi_squared * np.abs(psi_h) ** 2)
         + 0.5 * params.W * hermitian_sum(grid.half_xi_squared * np.abs(phi_h) ** 2)
         + 0.5 * params.sigma2 * np.sum(a2 * a2)
-        + params.W * (rho_terms + hermitian_sum((np.conj(a2_h) * mix_h).real))
+        + params.W * (0.5 * hermitian_sum(np.abs(rho_h) ** 2)
+                      + hermitian_sum((np.conj(a2_h) * mix_h).real))
     )
     return float(total * grid.cell_volume)
 

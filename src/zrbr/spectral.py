@@ -38,8 +38,7 @@ class Grid:
     length: float = 2.0 * np.pi * 16.0
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ConfigurationError(f"dim must be 2 or 3, got {self.dim}")
+        check_dim(self.dim, "dim")
         if isinstance(self.n, (int, np.integer)) and (self.n < 4 or not _is_power_of_two(self.n)):
             raise ConfigurationError(f"points per axis must be a power of two >= 4, got {self.n}")
         check_count(self.n, "points per axis", 4)
@@ -140,8 +139,8 @@ def hermitian_sum(a: np.ndarray) -> float:
     return 2.0 * np.sum(a) - np.sum(a[..., 0]) - np.sum(a[..., -1])
 
 
-def zero_field(grid: Grid, space: str = PHYSICAL) -> ComplexField:
-    return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128), space)
+def zero_field(grid: Grid) -> ComplexField:
+    return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -229,6 +228,12 @@ def make_multiplier(grid: Grid, name: str) -> np.ndarray:
     else:
         raise ConfigurationError(f"unknown multiplier name {name!r}")
     return frozen_symbol(sym)
+
+
+def check_dim(value, name: str) -> None:
+    """A dimension is the integer 2 or 3 (a bool or a float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (2, 3):
+        raise ConfigurationError(f"{name} must be 2 or 3, got {value!r}")
 
 
 def check_count(value, name: str, least: int = 0) -> None:

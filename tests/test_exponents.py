@@ -8,6 +8,7 @@ from zrbr.exponents import (
     INEQUALITY_IDS,
     REFERENCE_BOX,
     THETA_NAMES,
+    ExponentParams,
     bracket,
     bracket_plus,
     check_constraints,
@@ -37,9 +38,7 @@ class TestBrackets:
 class TestDerivedExponents:
     def test_values(self):
         p = derive(0.8, 0.1, 2)
-        assert p.k2 == pytest.approx(0.8)
-        assert p.c1 == pytest.approx(0.2)
-        assert p.c2 == pytest.approx(0.9)
+        assert (p.b1, p.b2, p.d) == (0.8, 0.1, 2)
         assert p.b0 == 0.8  # defaults to b1
 
     def test_b0_override(self):
@@ -52,6 +51,35 @@ class TestDerivedExponents:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigurationError):
             derive(np.nan, 0.1, 2)
+
+
+# Every entry point that takes a dimension, called with d.
+DIMENSION_TAKERS = {
+    "derive": lambda d: derive(0.8, 0.1, d),
+    "ExponentParams": lambda d: ExponentParams(0.8, 0.1, d),
+    "region_scan": lambda d: region_scan(d, 1e-2),
+    "strichartz_exponents": lambda d: strichartz_exponents(0.6, 0.6, 1.0, 1.0, 0.6, d),
+    "verify_symbolic_inequalities": lambda d: verify_symbolic_inequalities(10, 1, d),
+}
+
+
+class TestDimensionRule:
+    """d is an int, not a bool, in {2, 3}; a float is never read as one."""
+
+    @pytest.mark.parametrize("taker", sorted(DIMENSION_TAKERS))
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, True, "2", None])
+    def test_a_non_integer_is_refused(self, taker, d):
+        with pytest.raises(ConfigurationError, match=f"^d must be 2 or 3, got {d!r}$"):
+            DIMENSION_TAKERS[taker](d)
+
+    @pytest.mark.parametrize("taker", sorted(DIMENSION_TAKERS))
+    def test_an_integer_keeps_its_message(self, taker):
+        with pytest.raises(ConfigurationError, match="^d must be 2 or 3, got 4$"):
+            DIMENSION_TAKERS[taker](4)
+
+    @pytest.mark.parametrize("taker", sorted(DIMENSION_TAKERS))
+    def test_a_numpy_integer_is_a_dimension(self, taker):
+        DIMENSION_TAKERS[taker](np.int64(3))
 
 
 class TestConstraints:

@@ -341,7 +341,6 @@ def test_energy_from_coefficients_matches_reference(dim):
     st = full_spectrum_state(grid, 60 + dim)
     spectral = in_frequency(st)
     expected = reference_energy(st, params)
-    assert energy(st, params, spectral) == pytest.approx(expected, rel=1e-12)
     assert energy(st, params) == pytest.approx(expected, rel=1e-12)
     assert energy(spectral, params) == pytest.approx(expected, rel=1e-12)
 
@@ -353,14 +352,13 @@ def test_energy_fft_budget(dim, fft_calls):
     st = full_spectrum_state(grid, 70 + dim)
     spectral = in_frequency(st)
     budget = []
-    for args in ((st, params, spectral), (st, params), (spectral, params)):
+    for state in (st, spectral):
         fft_calls.clear()
-        energy(*args)
-        budget.append(len(fft_calls))
-    # rho and phi_x in one inverse transform; the forward transforms of psi
-    # and phi and the inverse one of phi_x; the inverse transforms of psi and
-    # of rho packed with phi_x
-    assert budget == [1, 3, 2]
+        energy(state, params)
+        budget.append(list(fft_calls))
+    # A physical state: psi forward, then rho, phi and |psi|^2 to
+    # half-spectra.  Coefficients: psi back, and |psi|^2 to its half-spectrum.
+    assert budget == [["fftn", "rfftn", "rfftn", "rfftn"], ["ifftn", "rfftn"]]
 
 
 class TestDecomposeProperties:

@@ -33,6 +33,13 @@ class TestGrid:
             Grid(1, 8)
         with pytest.raises(ConfigurationError):
             Grid(4, 8)
+        with pytest.raises(ConfigurationError, match="^dim must be 2 or 3, got 4$"):
+            Grid(4, 16)
+
+    @pytest.mark.parametrize("dim", [2.0, 3.0, True])
+    def test_rejects_a_non_integer_dimension(self, dim):
+        with pytest.raises(ConfigurationError, match=f"^dim must be 2 or 3, got {dim!r}$"):
+            Grid(dim, 16)
 
     def test_rejects_non_power_of_two(self):
         for n in (3, 12, 0, -8):
