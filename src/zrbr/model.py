@@ -8,9 +8,9 @@ fields rho (density) and phi (velocity potential):
     phi_t + rho + |psi|^2 = 0
 
 (coefficients already specialized to delta = sigma1 = M = 1, sigma3 = 0).
-Decoupling the wave part and splitting into half-wave components gives the
-five-field system in (psi, rho_+, rho_-, varphi_+, varphi_-), where
-rho_pm = rho ± i omega^{-1} rho_t and varphi_pm = d/dx (phi ± i omega^{-1} phi_t).
+Its five-field half-wave form, in psi, rho_pm = rho ± i omega^{-1} rho_t and
+varphi_pm = d/dx (phi ± i omega^{-1} phi_t), omega = |xi|, has d/dt rho_+ =
+-i omega rho_+ - i G_+ from rho_tt - Lap rho = Lap|psi|^2 - D (|psi|^2)_xt.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def source_symbols(grid: Grid, D: float) -> SourceSymbols:
     lap, winv, dx = (make_multiplier(grid, n) for n in ("laplacian", "omega_inv", "dx"))
     return SourceSymbols(
         laplacian=lap,
-        g=(frozen_symbol(winv * lap), frozen_symbol(D * winv * dx)),
+        g=(frozen_symbol(-winv * lap), frozen_symbol(D * winv * dx)),
         h=(frozen_symbol(-D * winv * dx * dx), frozen_symbol(winv * dx)),
     )
 
@@ -222,7 +222,7 @@ def envelope_rate(psi_hat, F, grid: Grid, params: ModelParams):
 def half_wave_sources(a2, psi, psi_t, grid: Grid, params: ModelParams):
     """Fourier coefficients of the '+' sources G_+ and H_+, given a2 = |psi|^2.
 
-    G_+ = omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
+    G_+ = -omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
     H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt, from one FFT of
     |psi|^2 and one of its rate 2 Re(conj(psi) psi_t).  The '-' sources are
     their negatives.
@@ -259,7 +259,7 @@ def _half_wave_source(which, psi, psi_t, params, sign):
 
 def nonlinearity_G(psi: ComplexField, psi_t: ComplexField, params: ModelParams,
                    sign: int) -> ComplexField:
-    """Half-wave density source: ± omega^{-1} Lap(|psi|^2) ± D omega^{-1} d/dx d/dt(|psi|^2).
+    """Half-wave density source: ∓ omega^{-1} Lap(|psi|^2) ± D omega^{-1} d/dx d/dt(|psi|^2).
 
     sign is +1 or -1.
     """

@@ -150,7 +150,7 @@ class TestNonlinearities:
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
 
     def test_G_matches_multiplier_chain(self, grid):
-        # independent assembly of +omega^{-1} Lap(|psi|^2) + D omega^{-1} dx dt(|psi|^2)
+        # independent assembly of -omega^{-1} Lap(|psi|^2) + D omega^{-1} dx dt(|psi|^2)
         params = ModelParams(D=0.4)
         psi = random_field(grid, 21)
         psi_t = apply_symbol(grid, "laplacian", psi)
@@ -164,7 +164,7 @@ class TestNonlinearities:
         term2 = apply_symbol(
             grid, "omega_inv", apply_symbol(grid, "dx", ComplexField(grid, a2t + 0j))
         )
-        expected = term1.values + 0.4 * term2.values
+        expected = -term1.values + 0.4 * term2.values
 
         out = nonlinearity_G(psi, psi_t, params, +1)
         np.testing.assert_allclose(out.values, expected, atol=1e-11)

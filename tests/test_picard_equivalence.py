@@ -51,7 +51,7 @@ def reference_G_H(psi, psi_t, params, s):
     g1 = apply_symbol(grid, "omega_inv", apply_symbol(grid, "laplacian", f))
     g2 = apply_symbol(grid, "omega_inv", apply_symbol(grid, "dx", ft))
     h1 = apply_symbol(grid, "omega_inv", apply_symbol(grid, "dx", apply_symbol(grid, "dx", f)))
-    g = s * (g1.values + params.D * g2.values)
+    g = s * (-g1.values + params.D * g2.values)
     h = -s * params.D * h1.values + s * g2.values
     return g, h
 
