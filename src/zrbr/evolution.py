@@ -31,16 +31,16 @@ from .model import (
 )
 from .spectral import (
     FREQUENCY,
-    HALF,
     PHYSICAL,
     ComplexField,
     Grid,
     check_count,
     dealias_mask,
     frozen_symbol,
+    full_spectrum,
     half_spectrum,
     half_width,
-    sup_bound,
+    hermitian_sum,
     to_frequency,
     to_physical,
 )
@@ -65,7 +65,6 @@ from .spectral import (
 # and its root bounds the sup-norm, so the divergence proxy rarely needs more.
 
 _FIELDS = ("psi", "rho", "phi")
-_SPACES = (FREQUENCY, HALF, HALF)  # how a Strang step holds each field
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,24 +121,26 @@ def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _
 
 
 def _coefficients(state: ZRState) -> list[np.ndarray]:
-    """psi's full spectrum and the half-spectra of rho and phi, as copies
-    the caller may change in place."""
+    """psi's full spectrum and the half-spectra of rho and phi, as new
+    arrays the caller may change in place."""
     return [
         to_frequency(state.psi).values.copy(),
-        half_spectrum(state.rho).values.copy(),
-        half_spectrum(state.phi).values.copy(),
+        half_spectrum(state.rho),
+        half_spectrum(state.phi),
     ]
 
 
 def _like(state: ZRState, coeffs) -> ZRState:
     """A state of the given coefficients (as _coefficients returns them),
-    each field in the representation of the same field of state."""
+    each field in the representation of the same field of state: a full
+    spectrum rebuilt from a half-spectrum by Hermitian copy, physical
+    values by ifftn of it."""
+    psi_h, rho_h, phi_h = coeffs
     fields = []
-    for name, c, space in zip(_FIELDS, coeffs, _SPACES):
-        f = ComplexField(state.grid, c, space)
-        given = getattr(state, name).space
-        fields.append(to_physical(f) if given == PHYSICAL
-                      else to_frequency(f) if given == FREQUENCY else f)
+    for name, c in zip(_FIELDS, (psi_h, full_spectrum(state.grid, rho_h),
+                                 full_spectrum(state.grid, phi_h))):
+        f = ComplexField(state.grid, c, FREQUENCY)
+        fields.append(to_physical(f) if getattr(state, name).space == PHYSICAL else f)
     return ZRState(*fields)
 
 
@@ -248,39 +249,35 @@ class Trajectory:
     l2_rho: list = field(default_factory=list)
     l2_phi: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    store_states: bool = False
 
-    def record(self, t: float, state: ZRState, params: ModelParams,
-               spectral: ZRState | None = None):
-        """Append one diagnostics row.
+    def record(self, t: float, grid: Grid, params: ModelParams, psi, psi_h, rho_h, phi_h):
+        """Append one diagnostics row from psi's physical values psi and its
+        spectrum psi_h, and the rfftn half-spectra rho_h and phi_h; no
+        argument is changed.
 
-        psi is taken to physical space once, and |psi| and |psi|^2 once: mass,
-        energy and the sup of |psi| share them.  The half-spectra of rho and
-        phi are taken once, for energy and for their L2 norms (Plancherel).
-        spectral, the same state as coefficients, saves the forward
-        transforms: with it and psi in physical space, a row costs energy's
-        one transform, whatever the representation of rho and phi in state;
-        a state held wholly as coefficients costs two without it.
+        |psi| and |psi|^2 are taken once: mass, energy and the sup of |psi|
+        share them.  energy takes one transform, and the L2 norms of rho and
+        phi come off their half-spectra (Plancherel).
         """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
-        psi = to_physical(state.psi)
-        a = np.abs(psi.values)
+        a = np.abs(psi)
         a2 = a * a
-        coeffs = state if spectral is None else spectral
-        rho_h, phi_h = half_spectrum(coeffs.rho), half_spectrum(coeffs.phi)
         self.times.append(t)
-        self.mass.append(float(np.sum(a2) * psi.grid.cell_volume))
-        self.energy.append(_energy(psi.grid, params, a2, to_frequency(coeffs.psi).values,
-                                   rho_h.values, phi_h.values))
+        self.mass.append(float(np.sum(a2) * grid.cell_volume))
+        self.energy.append(_energy(grid, params, a2, psi_h, rho_h, phi_h))
         self.max_abs_psi.append(float(np.max(a)))
-        self.l2_rho.append(rho_h.l2_norm())
-        self.l2_phi.append(phi_h.l2_norm())
-        if self.store_states:
-            self.states.append(state.copy())
+        for column, c in ((self.l2_rho, rho_h), (self.l2_phi, phi_h)):
+            column.append(float(np.sqrt(hermitian_sum(np.abs(c) ** 2) * grid.cell_volume)))
 
     def __len__(self):
         return len(self.times)
+
+
+def _values(grid: Grid, name: str, c) -> np.ndarray:
+    """Physical values of a field held as run_simulation holds it: psi's
+    spectrum, or a half-spectrum, filled Hermitian first."""
+    return np.fft.ifftn(c if name == "psi" else full_spectrum(grid, c), norm="ortho")
 
 
 # Relative slack on the coefficient bounds for the round-off of their sums
@@ -294,44 +291,49 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     """Integrate from t=0 to t_end, recording diagnostics every stride steps.
 
     The loop steps psi's spectrum and the rfftn half-spectra of rho and phi
-    in place, as plain arrays.  The divergence proxy stops the run as soon
-    as any field's sup-norm exceeds blowup_factor times its initial value;
-    the partial trajectory, the field and its growth factor are attached to
-    the raised DivergenceError.
+    in place, as plain arrays; the initial datum is dropped before the first
+    step.  The divergence proxy stops the run as soon as any field's
+    sup-norm exceeds blowup_factor times its initial value; the partial
+    trajectory, the field and its growth factor are attached to the raised
+    DivergenceError.
 
     Only a step that writes a diagnostics row (every stride-th step and the
     last) goes back to physical space.  There psi takes one inverse FFT, and
     the row one more (see Trajectory.record); the last step, and every row
-    step when store_states is set, also bring rho and phi back, so the
-    stored states are physical.  The proxy tries three bounds on sup|f| in
-    turn, until one is under the threshold: the l2 norm of the coefficients
-    (the finiteness check's squared norm), N^{-1/2} sum|f_hat|, and the
-    exact sup, for which a field held as coefficients takes its inverse FFT.
-    So it trips at the same step, on the same field, as an exact check
-    every step.
+    step when store_states is set, also bring rho and phi back.  The states
+    kept in the trajectory are physical: the initial one and the last, or
+    with store_states that of every row.  The proxy tries three bounds on
+    sup|f| in turn, until one is under the threshold: the l2 norm of the
+    coefficients (the finiteness check's squared norm), N^{-1/2} sum|f_hat|,
+    and the exact sup, for which a field held as coefficients takes its
+    inverse FFT.  So it trips at the same step, on the same field, as an
+    exact check every step.
     """
     state = make_initial_state(config)
-    spectral = ZRState(*(to_frequency(getattr(state, name)) for name in _FIELDS))
-    traj = Trajectory(store_states=store_states)
-    traj.record(0.0, state, config.params, spectral)
-    if not store_states:
-        traj.states = [state.copy()]
-    # The loop steps these in place; the full spectra of rho and phi go.
-    coeffs = _coefficients(spectral)
-    del spectral
     grid = state.grid
+    # The copy is made before the coefficients: in this allocation order the
+    # step's temporaries reuse the datum's memory once it is dropped, where
+    # the other order costs fresh pages on every row step.
+    traj = Trajectory(states=[state.copy()])
+    psi = state.psi.values
+    # The loop steps these in place.
+    coeffs = [np.fft.fftn(psi, norm="ortho")] + [
+        half_spectrum(to_frequency(getattr(state, name))) for name in _FIELDS[1:]]
+    traj.record(0.0, grid, config.params, psi, *coeffs)
+    raw_sup = {
+        name: float(np.max(np.abs(getattr(state, name).values))) for name in _FIELDS
+    }
+    del state, psi
+    last = traj.states[0]
     prop = _step_propagators(grid, config.dt, config.params.epsilon, config.dealias)
 
     n_steps = int(round(config.t_end / config.dt))
-    raw_sup = {
-        name: float(np.max(np.abs(to_physical(getattr(state, name)).values)))
-        for name in _FIELDS
-    }
     # Fields starting at zero are judged against the largest initial field,
     # otherwise any excitation at all would trip the proxy.
     floor = max(max(raw_sup.values()), 1e-300)
     initial_sup = {name: max(v, floor) for name, v in raw_sup.items()}
     limits = {name: config.blowup_factor * sup0 for name, sup0 in initial_sup.items()}
+    root_n = np.sqrt(grid.n**grid.dim)
 
     t = 0.0
     for k in range(n_steps):
@@ -342,21 +344,20 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
             raise DivergenceError(str(err), time=t, trajectory=traj, field=err.field) from None
         t = (k + 1) * config.dt
         row = (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1
-        if row:
-            spectral = ZRState(*(ComplexField(grid, c, sp) for c, sp in zip(coeffs, _SPACES)))
-            psi = to_physical(spectral.psi)
-            if store_states or k == n_steps - 1:
-                state = ZRState(psi, to_physical(spectral.rho), to_physical(spectral.phi))
-            else:
-                state = ZRState(psi, spectral.rho, spectral.phi)
-        for name, c, space, sq in zip(_FIELDS, coeffs, _SPACES, norms):
+        whole = row and (store_states or k == n_steps - 1)
+        # The fields this step takes to physical space.
+        physical = {name: _values(grid, name, c) for name, c in zip(_FIELDS, coeffs)
+                    if row and (whole or name == "psi")}
+        for name, c, sq in zip(_FIELDS, coeffs, norms):
             limit = limits[name]
             if (1.0 + _L2_MARGIN) * math.sqrt(sq) < limit:
                 continue
-            f = getattr(state, name) if row else ComplexField(grid, c, space)
-            if f.space != PHYSICAL and (1.0 + _BOUND_MARGIN) * sup_bound(f) < limit:
-                continue
-            sup = np.max(np.abs(to_physical(f).values))
+            if name not in physical:
+                total = np.sum(np.abs(c)) if name == "psi" else hermitian_sum(np.abs(c))
+                if (1.0 + _BOUND_MARGIN) * (total / root_n) < limit:
+                    continue
+                physical[name] = _values(grid, name, c)
+            sup = np.max(np.abs(physical[name]))
             if sup > limit:
                 raise DivergenceError(
                     f"{name} sup-norm exceeded {config.blowup_factor:g} x initial",
@@ -366,9 +367,13 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
                     growth=float(sup / initial_sup[name]),
                 )
         if row:
-            traj.record(t, state, config.params, spectral)
+            traj.record(t, grid, config.params, physical["psi"], *coeffs)
+        if whole:
+            last = ZRState(*(ComplexField(grid, physical[name]) for name in _FIELDS))
+            if store_states:
+                traj.states.append(last)
     if not store_states:
-        traj.states.append(state.copy())
+        traj.states.append(last)
     return traj
 
 

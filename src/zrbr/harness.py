@@ -23,7 +23,7 @@ from .errors import ConfigurationError, DivergenceError
 from .evolution import picard_iterate, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities
 from .model import ModelParams, PlusMinusState, ZRState, decompose
-from .spectral import ComplexField, Grid, check_count, to_physical, zero_field
+from .spectral import ComplexField, Grid, check_count, to_physical
 from .bourgain import (
     SCHRODINGER,
     WAVE_MINUS,
@@ -82,9 +82,16 @@ def write_csv(path: str, header: list, blocks):
         fh.writelines(blocks)
 
 
+def _plain(x):
+    """A numpy scalar (an np.int64 count, say) as the Python number it holds."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def write_report(path: str, report: dict):
     with open(path, "w", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
 
@@ -401,11 +408,8 @@ def cmd_fuzz(n: int, seed: int, out_dir: str):
 
 
 def initial_plus_minus(config: SimConfig) -> PlusMinusState:
-    """Half-wave initial data from a SimConfig (zero acoustic fields)."""
-    state = make_initial_state(config)
-    state.rho_t = zero_field(state.grid)
-    state.phi_t = zero_field(state.grid)
-    return decompose(state)
+    """The half-wave form of the datum that simulate integrates."""
+    return decompose(make_initial_state(config), config.params)
 
 
 def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str,

@@ -55,24 +55,19 @@ class ModelParams:
 
 @dataclass
 class ZRState:
-    """The triple (psi, rho, phi) with optional time-derivative slots.
+    """The triple (psi, rho, phi), each tagged physical or frequency.
 
-    psi is tagged physical or frequency.  rho and phi are real fields: they
-    may also be held as rfftn half-spectra (tag half), and the integrator
-    and energy drop any imaginary part they are given.
+    rho and phi are real fields: the integrator and energy drop any
+    imaginary part they are given.
     """
 
     psi: ComplexField
     rho: ComplexField
     phi: ComplexField
-    rho_t: ComplexField | None = None
-    phi_t: ComplexField | None = None
 
     def __post_init__(self):
-        grid = self.psi.grid
-        for name in ("rho", "phi", "rho_t", "phi_t"):
-            f = getattr(self, name)
-            if f is not None and f.grid != grid:
+        for name in ("rho", "phi"):
+            if getattr(self, name).grid != self.psi.grid:
                 raise ContractViolationError(f"{name} lives on a different grid")
 
     @property
@@ -80,13 +75,7 @@ class ZRState:
         return self.psi.grid
 
     def copy(self) -> "ZRState":
-        return ZRState(
-            self.psi.copy(),
-            self.rho.copy(),
-            self.phi.copy(),
-            None if self.rho_t is None else self.rho_t.copy(),
-            None if self.phi_t is None else self.phi_t.copy(),
-        )
+        return ZRState(self.psi.copy(), self.rho.copy(), self.phi.copy())
 
 
 @dataclass
@@ -113,13 +102,10 @@ class PlusMinusState:
         return [self.psi, self.rho_plus, self.rho_minus, self.varphi_plus, self.varphi_minus]
 
 
-def _half_wave_pair(f: ComplexField, f_t: ComplexField, d_dx: bool):
-    """Return g_pm = P(f ± i omega^{-1} f_t), P = d/dx when requested."""
-    grid = f.grid
-    fh = to_frequency(f).values
-    ft_h = to_frequency(f_t).values
-    winv = make_multiplier(grid, "omega_inv")
-    corr = 1j * winv * ft_h
+def _half_wave_pair(grid: Grid, fh, ft_h, d_dx: bool):
+    """Return g_pm = P(f ± i omega^{-1} f_t), P = d/dx when requested, from
+    the spectra fh and ft_h of f and f_t."""
+    corr = 1j * make_multiplier(grid, "omega_inv") * ft_h
     plus = fh + corr
     minus = fh - corr
     if d_dx:
@@ -132,16 +118,20 @@ def _half_wave_pair(f: ComplexField, f_t: ComplexField, d_dx: bool):
     )
 
 
-def decompose(state: ZRState) -> PlusMinusState:
-    """Split (rho, phi) with their time derivatives into half-wave fields.
+def decompose(state: ZRState, params: ModelParams) -> PlusMinusState:
+    """Split (rho, phi) into half-wave fields, with the rates the acoustic
+    equations give: rho_t = -Lap phi - D (|psi|^2)_x, phi_t = -rho - |psi|^2.
 
     The zero mode of omega^{-1} is projected out, so the mean of rho_t and
     phi_t does not survive a decompose/recombine round trip.
     """
-    if state.rho_t is None or state.phi_t is None:
-        raise ContractViolationError("decompose requires rho_t and phi_t slots")
-    rp, rm = _half_wave_pair(state.rho, state.rho_t, d_dx=False)
-    vp, vm = _half_wave_pair(state.phi, state.phi_t, d_dx=True)
+    grid = state.grid
+    rho_h, phi_h = to_frequency(state.rho).values, to_frequency(state.phi).values
+    a2_h = np.fft.fftn(np.abs(to_physical(state.psi).values) ** 2, norm="ortho")
+    rho_t = -make_multiplier(grid, "laplacian") * phi_h
+    rho_t -= params.D * make_multiplier(grid, "dx") * a2_h
+    rp, rm = _half_wave_pair(grid, rho_h, rho_t, d_dx=False)
+    vp, vm = _half_wave_pair(grid, phi_h, -rho_h - a2_h, d_dx=True)
     return PlusMinusState(state.psi.copy(), rp, rm, vp, vm)
 
 
@@ -313,7 +303,7 @@ def energy(state: ZRState, params: ModelParams) -> float:
     a2 = np.abs(to_physical(state.psi).values)
     a2 *= a2
     return _energy(state.grid, params, a2, to_frequency(state.psi).values,
-                   half_spectrum(state.rho).values, half_spectrum(state.phi).values)
+                   half_spectrum(state.rho), half_spectrum(state.phi))
 
 
 def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h) -> float:

@@ -4,11 +4,11 @@ Everything here lives on a uniform periodic box [-L/2, L/2)^d with a
 power-of-two number of points per axis.  Transforms are unitary (1/sqrt(N)
 per axis in both directions) so the discrete Plancherel identity is exact.
 
-A field is tagged by its representation: physical values, the full
-frequency spectrum, or, for a real field, the half-spectrum of rfftn (the
-last axis cut to n//2 + 1 columns).  The other columns of a real field's
-spectrum are the conjugates of these, so a half-spectrum is filled back to
-the full one by copying, without a transform.
+A field is tagged by its representation: physical values or the full
+frequency spectrum.  A real field's rfftn half-spectrum (the last axis cut
+to n//2 + 1 columns) is a plain array: the other columns of its spectrum are
+the conjugates of these, so it is filled back to the full one by copying,
+without a transform.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import ConfigurationError, ContractViolationError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
-HALF = "half"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -48,11 +47,6 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
-
-    @property
-    def half_shape(self) -> tuple:
-        """Shape of a real field's rfftn half-spectrum."""
-        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @property
     def dx(self) -> float:
@@ -106,23 +100,20 @@ class ComplexField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.space not in (PHYSICAL, FREQUENCY, HALF):
+        if self.space not in (PHYSICAL, FREQUENCY):
             raise ContractViolationError(f"unknown representation tag {self.space!r}")
-        shape = self.grid.half_shape if self.space == HALF else self.grid.shape
-        if self.values.shape != shape:
+        if self.values.shape != self.grid.shape:
             raise ContractViolationError(
-                f"field shape {self.values.shape} does not match grid {shape}"
+                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.values.copy(), self.space)
 
     def l2_norm(self) -> float:
-        """Discrete L2 norm, sqrt(sum |f|^2 * dx^d); the same in every
-        representation (a half-spectrum counts its conjugate columns)."""
-        a2 = np.abs(self.values) ** 2
-        total = hermitian_sum(a2) if self.space == HALF else np.sum(a2)
-        return float(np.sqrt(total * self.grid.cell_volume))
+        """Discrete L2 norm, sqrt(sum |f|^2 * dx^d); the same in both
+        representations."""
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
 
 def half_width(a: np.ndarray) -> np.ndarray:
@@ -155,44 +146,28 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-def half_spectrum(f: ComplexField) -> ComplexField:
-    """The rfftn half-spectrum of a real field.  Physical values go through
-    rfftn of their real part; a full spectrum is cut to its first n//2 + 1
-    columns, so an imaginary part of the field is dropped either way."""
-    if f.space == HALF:
-        return f
+def half_spectrum(f: ComplexField) -> np.ndarray:
+    """The rfftn half-spectrum of a real field, as a new array.  Physical
+    values go through rfftn of their real part; a full spectrum is cut to its
+    first n//2 + 1 columns, so an imaginary part of the field is dropped
+    either way."""
     if f.space == FREQUENCY:
-        values = half_width(f.values)
-    else:
-        values = np.fft.rfftn(f.values.real, norm="ortho")
-    return ComplexField(f.grid, values, HALF)
+        return half_width(f.values)
+    return np.fft.rfftn(f.values.real, norm="ortho")
 
 
 def to_frequency(f: ComplexField) -> ComplexField:
-    """Unitary forward DFT; a field already in frequency space is returned as
-    is, and a half-spectrum is filled to the full one without a transform."""
+    """Unitary forward DFT; a field already in frequency space is returned as is."""
     if f.space == FREQUENCY:
         return f
-    if f.space == HALF:
-        return ComplexField(f.grid, full_spectrum(f.grid, f.values), FREQUENCY)
     return ComplexField(f.grid, np.fft.fftn(f.values, norm="ortho"), FREQUENCY)
 
 
 def to_physical(f: ComplexField) -> ComplexField:
-    """Unitary inverse DFT; a field already in physical space is returned as
-    is.  A half-spectrum goes through its full spectrum and ifftn, so it
-    comes back with the same bits as that full spectrum would."""
+    """Unitary inverse DFT; a field already in physical space is returned as is."""
     if f.space == PHYSICAL:
         return f
-    return ComplexField(f.grid, np.fft.ifftn(to_frequency(f).values, norm="ortho"), PHYSICAL)
-
-
-def sup_bound(f: ComplexField) -> float:
-    """N^{-1/2} sum |f_hat| over the whole lattice, for a field held as
-    coefficients: a bound on sup|f|, since the transform is unitary."""
-    a = np.abs(f.values)
-    total = hermitian_sum(a) if f.space == HALF else np.sum(a)
-    return float(total / np.sqrt(f.grid.n**f.grid.dim))
+    return ComplexField(f.grid, np.fft.ifftn(f.values, norm="ortho"), PHYSICAL)
 
 
 def frozen_symbol(a) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from test_picard_equivalence import GRIDS as EQUIVALENCE_GRIDS
 from test_picard_equivalence import PARAMS as PICARD_PARAMS
 from test_picard_equivalence import small_data as equivalence_data
+from test_row_equivalence import record_state
+from test_spectral import half_shape
 from zrbr import evolution
 from zrbr.config import SimConfig, h1_norm, make_initial_state
 from zrbr.errors import ConfigurationError, ContractViolationError, DivergenceError
@@ -25,12 +28,13 @@ from zrbr.spectral import (
     ComplexField,
     Grid,
     dealias_mask,
+    full_spectrum,
     half_spectrum,
+    hermitian_sum,
     to_frequency,
     to_physical,
     zero_field,
 )
-from zrbr.spectral import sup_bound as spectral_sup_bound
 
 FIELDS = ("psi", "rho", "phi")
 EQUIVALENCE_PARAMS = ModelParams(sigma2=-1.0, W=1.3, D=0.5, epsilon=0.7)
@@ -165,10 +169,17 @@ def reference_strang_step(state, dt, params, dealias=True):
 # ---------------------------------------------------------------------------
 
 def reference_run_simulation(config, store_states=False):
+    def record(t, state, spectral):
+        # psi's physical values from state, every coefficient from spectral
+        traj.record(t, state.grid, config.params, state.psi.values, spectral.psi.values,
+                    half_spectrum(spectral.rho), half_spectrum(spectral.phi))
+        if store_states:
+            traj.states.append(state.copy())
+
     state = make_initial_state(config)
     spectral = ZRState(*(to_frequency(getattr(state, name)) for name in FIELDS))
-    traj = Trajectory(store_states=store_states)
-    traj.record(0.0, state, config.params, spectral)
+    traj = Trajectory()
+    record(0.0, state, spectral)
     if not store_states:
         traj.states = [state.copy()]
 
@@ -197,7 +208,7 @@ def reference_run_simulation(config, store_states=False):
                     trajectory=traj,
                 )
         if (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1:
-            traj.record(t, state, config.params, spectral)
+            record(t, state, spectral)
     if not store_states:
         traj.states.append(state.copy())
     return traj
@@ -305,12 +316,12 @@ class TestStrangStep:
         )
 
     @pytest.mark.parametrize("spaces", [("physical",) * 3, ("frequency",) * 3,
-                                        ("frequency", "half", "half"),
-                                        ("physical", "frequency", "half")])
+                                        ("frequency", "physical", "frequency"),
+                                        ("physical", "frequency", "physical")])
     def test_inputs_unchanged(self, spaces):
         # the step runs the in-place kernel on copies of its inputs
         st = random_state_nd(Grid(2, 16, 4 * np.pi), 4, scale=2.0)
-        convert = {"physical": to_physical, "frequency": to_frequency, "half": half_spectrum}
+        convert = {"physical": to_physical, "frequency": to_frequency}
         st = ZRState(*(convert[sp](getattr(st, name)) for name, sp in zip(FIELDS, spaces)))
         before = [getattr(st, name).values.copy() for name in FIELDS]
         out = strang_step(st, 1e-2, EQUIVALENCE_PARAMS)
@@ -383,11 +394,11 @@ class TestReferenceEquivalence:
 
         ref = Trajectory()
         state = make_initial_state(cfg)
-        ref.record(0.0, state, cfg.params)
+        record_state(ref, 0.0, state, cfg.params)
         for k in range(50):
             state = reference_strang_step(state, cfg.dt, cfg.params, cfg.dealias)
             if (k + 1) % 7 == 0 or k == 49:
-                ref.record((k + 1) * cfg.dt, state, cfg.params)
+                record_state(ref, (k + 1) * cfg.dt, state, cfg.params)
 
         assert traj.times == ref.times
         for column in ("mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"):
@@ -512,24 +523,30 @@ class TestRunSimulation:
         assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 10
                              + ["ifftn"] * 3 + ["rfftn"])
 
-        state = run_simulation(cfg).states[-1]
-        coeffs = ZRState(to_frequency(state.psi), half_spectrum(state.rho),
-                         half_spectrum(state.phi))
+        # a state held as coefficients: half-spectra are cut and filled back
+        # by copying
+        coeffs = in_frequency(run_simulation(cfg).states[-1])
         fft_calls.clear()
         out = strang_step(coeffs, cfg.dt, cfg.params)
         assert fft_calls == step
-        assert [getattr(out, name).space for name in FIELDS] == ["frequency", "half", "half"]
+        assert [getattr(out, name).space for name in FIELDS] == ["frequency"] * 3
 
     def test_record_takes_psi_to_physical_once(self, fft_calls):
         st = random_state_nd(Grid(3, 8, 3 * np.pi), 21)
         params = ModelParams(sigma2=-1.0, W=1.5, D=0.5)
         spectral = in_frequency(st)
+        arrays = (st.psi.values, spectral.psi.values, half_spectrum(spectral.rho),
+                  half_spectrum(spectral.phi))
+        fft_calls.clear()
+        # the row itself: energy's rfftn of |psi|^2
+        Trajectory().record(0.0, st.grid, params, *arrays)
+        assert fft_calls == ["rfftn"]
         fft_calls.clear()
         coeff_row = Trajectory()
-        coeff_row.record(0.0, spectral, params)
+        record_state(coeff_row, 0.0, spectral, params)
         assert fft_calls == ["ifftn", "rfftn"]
         phys_row = Trajectory()
-        phys_row.record(0.0, st, params)
+        record_state(phys_row, 0.0, st, params)
         for column in ("mass", "energy", "max_abs_psi", "l2_rho", "l2_phi"):
             assert getattr(coeff_row, column)[0] == pytest.approx(
                 getattr(phys_row, column)[0], rel=1e-12, abs=0.0), column
@@ -563,7 +580,7 @@ class TestRunSimulation:
         # |1e155|^2 overflows, so rho's squared norm is not finite, though
         # every coefficient is: the proxy, not the finiteness check, stops it.
         grid = small_grid()
-        big = np.zeros(grid.half_shape, dtype=np.complex128)
+        big = np.zeros(half_shape(grid), dtype=np.complex128)
         big[1, 2] = 1e155
         norms = _squared_norms([np.zeros(grid.shape, dtype=np.complex128), big, big])
         assert norms[0] == 0.0 and not np.isfinite(norms[1])
@@ -584,24 +601,56 @@ class TestRunSimulation:
                         params=ModelParams(sigma2=-1.0, W=1.0, D=0.5, epsilon=1.0),
                         recipe="gaussian", width=1.0, normalize_h1=1.0,
                         diagnostics_stride=100)
-        bounds = []
-        monkeypatch.setattr(evolution, "sup_bound",
-                            lambda f: bounds.append(f) or spectral_sup_bound(f))
+        norms = []
+        squared_norms = evolution._squared_norms
+        monkeypatch.setattr(evolution, "_squared_norms",
+                            lambda coeffs: norms.append(squared_norms(coeffs)) or norms[-1])
         step = ["ifftn", "rfftn", "irfftn", "fftn"]
-        make_initial_state(cfg)
+        psi0 = make_initial_state(cfg).psi.values
         setup = list(fft_calls)
         fft_calls.clear()
         run_simulation(cfg)
         assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 20
                              + ["ifftn"] * 3 + ["rfftn"])
-        assert bounds == []
+        # rho and phi start at zero, so every field's limit is psi's
+        limit = cfg.blowup_factor * np.max(np.abs(psi0))
+        assert len(norms) == 20
+        assert all((1.0 + _L2_MARGIN) * np.sqrt(sq) < limit for per_step in norms for sq in per_step)
 
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
         st = random_state(small_grid(), 2)
-        traj.record(0.0, st, ModelParams())
+        record_state(traj, 0.0, st, ModelParams())
         with pytest.raises(ContractViolationError):
-            traj.record(0.0, st, ModelParams())
+            record_state(traj, 0.0, st, ModelParams())
+
+    @pytest.mark.parametrize("store_states", [False, True])
+    def test_datum_is_freed_before_the_first_step(self, monkeypatch, store_states):
+        # Held through the loop, the datum keeps the step's temporaries from
+        # reusing freed memory, which costs page faults on every step.
+        cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.003,
+                        params=PROXY_PARAMS, recipe="gaussian", diagnostics_stride=1)
+        build, kernel = evolution.make_initial_state, evolution._strang_coefficients
+        datum, alive = [], []
+
+        def build_and_watch(config):
+            state = build(config)
+            datum.extend(weakref.ref(x) for x in
+                         [state] + [getattr(state, name).values for name in FIELDS])
+            return state
+
+        def kernel_and_check(*args):
+            alive.append([ref() is not None for ref in datum])
+            return kernel(*args)
+
+        monkeypatch.setattr(evolution, "make_initial_state", build_and_watch)
+        monkeypatch.setattr(evolution, "_strang_coefficients", kernel_and_check)
+        traj = run_simulation(cfg, store_states)
+        assert len(datum) == 4 and len(alive) == 3
+        assert alive[0] == [False] * 4
+        # the trajectory keeps a copy of the datum
+        np.testing.assert_array_equal(traj.states[0].psi.values,
+                                      build(cfg).psi.values)
 
 
 PROXY_PARAMS = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
@@ -618,6 +667,12 @@ def proxy_config(blowup_factor, stride):
 def sup_bound(coeffs):
     """The bound run_simulation reads off unitary Fourier coefficients."""
     return (1.0 + _BOUND_MARGIN) * np.sum(np.abs(coeffs)) / np.sqrt(coeffs.size)
+
+
+def half_sup_bound(grid, half):
+    """The same bound read off a real field's half-spectrum, whose columns
+    but the first and the Nyquist one stand for their conjugates too."""
+    return (1.0 + _BOUND_MARGIN) * hermitian_sum(np.abs(half)) / np.sqrt(grid.n**grid.dim)
 
 
 class TestDivergenceProxy:
@@ -679,25 +734,51 @@ class TestDivergenceProxy:
         assert used >= 1 + 408 + 99
 
     @pytest.mark.parametrize("blowup_factor", [1.3, 2.05, 5.7])
-    def test_each_tier_decides(self, monkeypatch, blowup_factor):
+    def test_each_tier_decides(self, monkeypatch, fft_calls, blowup_factor):
         # A row only at t = 0, so every check up to the trip reads
-        # coefficients: the l2 bound decides unless sup_bound is called, and
-        # the exact sup is taken when sup_bound reaches the limit.
+        # coefficients: the l2 bound decides, or else the coefficient bound,
+        # or else the exact sup, whose inverse FFT is the only transform
+        # between two steps.
         cfg = proxy_config(blowup_factor, 1000)
-        bounds = []
+        kernel = evolution._strang_coefficients
+        steps = []  # per step: a copy of the coefficients, FFT counts at entry and exit
+
+        def kernel_and_copy(*args):
+            entry = len(fft_calls)
+            out = kernel(*args)
+            steps.append(([c.copy() for c in out], entry, len(fft_calls)))
+            return out
+
         with monkeypatch.context() as m:
-            m.setattr(evolution, "sup_bound",
-                      lambda f: bounds.append(spectral_sup_bound(f)) or bounds[-1])
+            m.setattr(evolution, "_strang_coefficients", kernel_and_copy)
             traj, err = outcome(run_simulation, cfg)
+        exits = [exit for _, _, exit in steps]
+        inverse = np.subtract([entry for _, entry, _ in steps[1:]] + [len(fft_calls)], exits)
         ref_traj, ref_err = outcome(reference_run_simulation, cfg)
         assert_same_trajectory(traj, ref_traj)
         assert (err.time, str(err)) == (ref_err.time, str(ref_err))
+        assert len(steps) == round(err.time / cfg.dt)
+
         # rho and phi start at zero, so every field's limit is psi's
+        grid = cfg.grid
         limit = blowup_factor * np.max(np.abs(make_initial_state(cfg).psi.values))
-        checks = 3 * (round(err.time / cfg.dt) - 1) + FIELDS.index(err.field) + 1
-        exact = sum((1.0 + _BOUND_MARGIN) * b >= limit for b in bounds)
-        decided = (checks - len(bounds), len(bounds) - exact, exact)
-        assert min(decided) >= 1, decided
+        decided = {"l2": 0, "bound": 0, "exact": 0}
+        for (coeffs, _, _), n_inverse in zip(steps, inverse):
+            exact = 0
+            for name, c, sq in zip(FIELDS, coeffs, _squared_norms(coeffs)):
+                full = c if name == "psi" else full_spectrum(grid, c)
+                if (1.0 + _L2_MARGIN) * np.sqrt(sq) < limit:
+                    decided["l2"] += 1
+                elif (sup_bound(c) if name == "psi" else half_sup_bound(grid, c)) < limit:
+                    decided["bound"] += 1
+                else:
+                    decided["exact"] += 1
+                    exact += 1
+                    if np.max(np.abs(np.fft.ifftn(full, norm="ortho"))) > limit:
+                        assert name == err.field
+                        break
+            assert n_inverse == exact
+        assert min(decided.values()) >= 1, decided
 
     @staticmethod
     def _assert_l2_bound_dominates_sup(grid, full, half):
@@ -705,9 +786,9 @@ class TestDivergenceProxy:
         _squared_norms gives, against the exact sup of psi's spectrum full
         and of a half-spectrum half, filled Hermitian as the proxy fills it."""
         norms = _squared_norms([full, half, half])
-        for sq, c, space in zip(norms, (full, half), ("frequency", "half")):
-            sup = np.max(np.abs(to_physical(ComplexField(grid, c, space)).values))
-            assert (1.0 + _L2_MARGIN) * np.sqrt(sq) >= sup, space
+        for sq, spectrum in zip(norms, (full, full_spectrum(grid, half))):
+            sup = np.max(np.abs(np.fft.ifftn(spectrum, norm="ortho")))
+            assert (1.0 + _L2_MARGIN) * np.sqrt(sq) >= sup, spectrum is full
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 3])
@@ -726,10 +807,10 @@ class TestDivergenceProxy:
 
         for n_modes in (1, 2, 5, None):
             full = coefficients(grid.shape, n_modes)
-            half = coefficients(grid.half_shape, n_modes)
+            half = coefficients(half_shape(grid), n_modes)
             self._assert_l2_bound_dominates_sup(grid, full, half)
-            edges = np.zeros(grid.half_shape, dtype=np.complex128)
-            edges[..., [0, -1]] = 1j * coefficients(grid.half_shape, n_modes)[..., :2]
+            edges = np.zeros(half_shape(grid), dtype=np.complex128)
+            edges[..., [0, -1]] = 1j * coefficients(half_shape(grid), n_modes)[..., :2]
             self._assert_l2_bound_dominates_sup(grid, full, edges)
 
     def test_l2_bound_margin_at_32_cubed(self):
@@ -762,11 +843,11 @@ class TestDivergenceProxy:
                 assert sup_bound(coeffs) >= sup, n_modes
             # The real field as run_simulation carries it: its half-spectrum,
             # whose exact sup is taken through the Hermitian-filled spectrum.
-            half = half_spectrum(ComplexField(Grid(dim, n), real, "frequency"))
-            sup = np.max(np.abs(to_physical(half).values))
-            assert (1.0 + _BOUND_MARGIN) * spectral_sup_bound(half) >= sup, n_modes
-            assert spectral_sup_bound(half) == pytest.approx(
-                np.sum(np.abs(real)) / np.sqrt(real.size), rel=1e-14, abs=0.0)
+            grid = Grid(dim, n)
+            half = half_spectrum(ComplexField(grid, real, "frequency"))
+            sup = np.max(np.abs(np.fft.ifftn(full_spectrum(grid, half), norm="ortho")))
+            assert half_sup_bound(grid, half) >= sup, n_modes
+            assert half_sup_bound(grid, half) == pytest.approx(sup_bound(real), rel=1e-14, abs=0.0)
 
 
 class TestPicard:

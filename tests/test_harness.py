@@ -376,6 +376,27 @@ def test_reports_without_a_proxy_do_not_name_one(tmp_path):
         assert "divergence_proxy" not in saved
 
 
+
+def _written(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("command, args", [
+    (cmd_region, (np.int64(2), 1e-2)),
+    (cmd_fuzz, (np.int64(10), 0)),
+    (cmd_fuzz, (10, np.int64(0))),
+    (cmd_norms, ("random-band-limited", 1.0, 0.6, "schrodinger", np.int64(0))),
+], ids=["region-d", "fuzz-n", "fuzz-seed", "norms-seed"])
+def test_numpy_integer_arguments_write_the_same_bytes(tmp_path, command, args):
+    # The validators accept numpy integers, so the report writer must too.
+    plain = tuple(int(a) if isinstance(a, np.integer) else a for a in args)
+    command(*plain, str(tmp_path / "plain"))
+    command(*args, str(tmp_path / "numpy"))
+    written = _written(tmp_path / "numpy")
+    assert "report.json" in written
+    assert written == _written(tmp_path / "plain")
+
+
 class TestEpsilonScaling:
     def test_constant_proxy_and_zero_slope(self, tmp_path):
         cfg, echo = config_from_dict(BASE_DOC)

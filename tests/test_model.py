@@ -46,6 +46,16 @@ def grid():
     return Grid(2, 16, 4 * np.pi)
 
 
+def acoustic_rates(state, D):
+    """rho_t = -Lap phi - D (|psi|^2)_x and phi_t = -rho - |psi|^2, physical
+    values, through the frozen symbols."""
+    grid = state.grid
+    a2 = ComplexField(grid, np.abs(to_physical(state.psi).values) ** 2 + 0j)
+    rho_t = -apply_symbol(grid, "laplacian", state.phi).values
+    rho_t -= D * apply_symbol(grid, "dx", a2).values
+    return rho_t, -state.rho.values - a2.values
+
+
 class TestParams:
     def test_negative_W_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -64,33 +74,44 @@ class TestParams:
 
 
 class TestDecompose:
-    def test_requires_time_derivative_slots(self, grid):
-        st = ZRState(zero_field(grid), zero_field(grid), zero_field(grid))
-        with pytest.raises(ContractViolationError):
-            decompose(st)
+    def test_zero_acoustic_fields_move_with_the_envelope(self, grid):
+        # rho = phi = 0 is not at rest: phi_t = -|psi|^2, so varphi_pm =
+        # ± i omega^{-1} (phi_t)_x, and rho_t = -D (|psi|^2)_x.
+        params = ModelParams(D=0.5)
+        st = ZRState(random_field(grid, 1), zero_field(grid), zero_field(grid))
+        pm = decompose(st, params)
+        rho_t, phi_t = acoustic_rates(st, params.D)
+        winv = ComplexField(grid, 1j * apply_symbol(grid, "omega_inv",
+                                                     ComplexField(grid, phi_t)).values)
+        expected = apply_symbol(grid, "dx", winv).values
+        assert np.max(np.abs(expected)) > 0.1
+        np.testing.assert_allclose(pm.varphi_plus.values, expected, atol=1e-12)
+        np.testing.assert_allclose(pm.varphi_minus.values, -expected, atol=1e-12)
+        np.testing.assert_allclose(pm.rho_plus.values, -pm.rho_minus.values, atol=1e-12)
+        assert np.max(np.abs(pm.rho_plus.values)) > 0.01
+        # without an envelope the acoustic datum is at rest
+        rest = decompose(ZRState(zero_field(grid), zero_field(grid), zero_field(grid)), params)
+        assert all(np.all(f.values == 0.0) for f in rest.fields())
 
     def test_roundtrip_modulo_zero_mode(self, grid):
-        st = ZRState(
-            random_field(grid, 1),
-            real_random_field(grid, 2),
-            real_random_field(grid, 3),
-            rho_t=real_random_field(grid, 4),
-            phi_t=real_random_field(grid, 5),
-        )
-        pm = decompose(st)
+        params = ModelParams(D=0.7)
+        st = ZRState(random_field(grid, 1), real_random_field(grid, 2),
+                     real_random_field(grid, 3))
+        pm = decompose(st, params)
         rho, varphi, rho_t, varphi_t = recombine(pm)
 
         np.testing.assert_allclose(rho.values, st.rho.values, atol=1e-10)
         phi_x = apply_symbol(grid, "dx", st.phi)
         np.testing.assert_allclose(varphi.values, phi_x.values, atol=1e-10)
 
-        # time-derivative slots come back with their spatial mean removed
-        def demean(f):
-            return f.values - np.mean(f.values)
+        # the rates come back with their spatial mean removed
+        def demean(values):
+            return values - np.mean(values)
 
-        np.testing.assert_allclose(rho_t.values, demean(st.rho_t), atol=1e-10)
-        phi_t_x = apply_symbol(grid, "dx", st.phi_t)
-        np.testing.assert_allclose(varphi_t.values, demean(phi_t_x), atol=1e-10)
+        expected_rho_t, expected_phi_t = acoustic_rates(st, params.D)
+        np.testing.assert_allclose(rho_t.values, demean(expected_rho_t), atol=1e-10)
+        phi_t_x = apply_symbol(grid, "dx", ComplexField(grid, expected_phi_t))
+        np.testing.assert_allclose(varphi_t.values, demean(phi_t_x.values), atol=1e-10)
 
     def test_grid_mismatch_rejected(self, grid):
         other = Grid(2, 32, 4 * np.pi)
@@ -369,12 +390,14 @@ class TestDecomposeProperties:
         rng = np.random.default_rng(seed)
         grid = Grid(int(rng.integers(2, 4)), int(rng.choice([4, 8, 16])),
                     float(rng.uniform(1.0, 10.0)) * np.pi)
-        rho, phi, rho_t, phi_t = (
+        rho, phi = (
             ComplexField(grid, float(rng.uniform(0.1, 10.0)) * rng.normal(size=grid.shape) + 0j)
-            for _ in range(4)
+            for _ in range(2)
         )
-        st = ZRState(random_field(grid, seed), rho, phi, rho_t=rho_t, phi_t=phi_t)
-        rho_b, varphi_b, rho_t_b, varphi_t_b = recombine(decompose(st))
+        params = ModelParams(D=float(rng.uniform(-1.0, 1.0)))
+        st = ZRState(random_field(grid, seed), rho, phi)
+        rho_t, phi_t = (ComplexField(grid, r) for r in acoustic_rates(st, params.D))
+        rho_b, varphi_b, rho_t_b, varphi_t_b = recombine(decompose(st, params))
 
         def close(a, b):
             scale = np.max(np.abs(b))

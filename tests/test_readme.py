@@ -2,11 +2,15 @@
 
 import argparse
 import dataclasses
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
+import zrbr
 from zrbr.cli import build_parser
 from zrbr.config import SimConfig
 from zrbr.errors import ConfigurationError
@@ -40,3 +44,65 @@ def test_config_table_lists_every_key():
     # config_from_dict names every unknown key before it reads any value.
     with pytest.raises(ConfigurationError, match=r"^unknown config keys: zz_not_a_key$"):
         config_from_dict({**dict.fromkeys(names), "zz_not_a_key": 0})
+
+
+# The package and every module in it, where a name in "Removed API" is looked up.
+MODULES = [zrbr] + [importlib.import_module(f"zrbr.{m.name}")
+                    for m in pkgutil.iter_modules(zrbr.__path__)]
+
+
+def removed_api():
+    """(dotted names, (callable, parameter) pairs) that the bullets of
+    "Removed API" name as removed: the whole code spans before a bullet's
+    first ": " or ". ", like `spectral.HALF`, `Class.attr`, `f(param=)` or
+    `module.f(args)`."""
+    text = README.read_text()
+    section = text[text.index("### Removed API\n"):]
+    section = section[:section.index("\n## ")]
+    names, params = [], []
+    for bullet in re.split(r"\n- ", section)[1:]:
+        bullet = " ".join(bullet.split())
+        head = re.match(r"(?:`[^`]*`|[^`])*?(?:: |\. |$)", bullet).group(0)
+        for span in re.findall(r"`([^`]+)`", head):
+            m = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\((.*)\))?", span)
+            if m is None:
+                continue
+            name, args = m.groups()
+            if args is not None and re.fullmatch(r"\w+=", args):
+                params.append((name, args[:-1]))
+            elif "." in name:
+                names.append(name)
+    return names, params
+
+
+def lookup(dotted):
+    """The object a dotted name stands for, its first part looked up on the
+    package and then on each module; None when a part does not resolve."""
+    first, *rest = dotted.split(".")
+    obj = next((getattr(m, first) for m in MODULES if hasattr(m, first)), None)
+    for part in rest:
+        if obj is None:
+            return None
+        fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+        if not hasattr(obj, part) and part not in fields:
+            return None
+        obj = getattr(obj, part, dataclasses.MISSING)
+    return obj
+
+
+def test_removed_api_is_gone():
+    names, params = removed_api()
+    # the parse finds what the list names, old and new
+    assert {"spectral.Multiplier", "SourceSymbols.omega_inv", "spectral.HALF", "Grid.half_shape",
+            "spectral.sup_bound", "Trajectory.store_states", "ZRState.rho_t",
+            "ZRState.phi_t"} <= set(names)
+    assert {("picard_iterate", "burn_in"), ("spectral.zero_field", "space"),
+            ("Trajectory.record", "spectral")} <= set(params)
+    for name in names:
+        owner = name.rpartition(".")[0]
+        assert lookup(owner) is not None, f"{owner} names nothing"
+        assert lookup(name) is None, f"{name} is listed as removed but resolves"
+    for name, param in params:
+        f = lookup(name)
+        assert callable(f), f"{name} names nothing callable"
+        assert param not in inspect.signature(f).parameters, f"{name}({param}=) is listed as removed"
