@@ -42,7 +42,6 @@ from .spectral import (
     half_width,
     hermitian_sum,
     to_frequency,
-    to_physical,
 )
 
 
@@ -130,17 +129,24 @@ def _coefficients(state: ZRState) -> list[np.ndarray]:
     ]
 
 
+def _values(grid: Grid, name: str, c) -> np.ndarray:
+    """Physical values of a field held as coefficients: psi's spectrum, or a
+    half-spectrum, filled Hermitian first."""
+    return np.fft.ifftn(c if name == "psi" else full_spectrum(grid, c), norm="ortho")
+
+
 def _like(state: ZRState, coeffs) -> ZRState:
     """A state of the given coefficients (as _coefficients returns them),
-    each field in the representation of the same field of state: a full
-    spectrum rebuilt from a half-spectrum by Hermitian copy, physical
-    values by ifftn of it."""
-    psi_h, rho_h, phi_h = coeffs
+    each field in the representation of the same field of state: physical
+    values by _values, a full spectrum rebuilt from a half-spectrum by
+    Hermitian copy."""
     fields = []
-    for name, c in zip(_FIELDS, (psi_h, full_spectrum(state.grid, rho_h),
-                                 full_spectrum(state.grid, phi_h))):
-        f = ComplexField(state.grid, c, FREQUENCY)
-        fields.append(to_physical(f) if getattr(state, name).space == PHYSICAL else f)
+    for name, c in zip(_FIELDS, coeffs):
+        if getattr(state, name).space == PHYSICAL:
+            fields.append(ComplexField(state.grid, _values(state.grid, name, c)))
+        else:
+            full = c if name == "psi" else full_spectrum(state.grid, c)
+            fields.append(ComplexField(state.grid, full, FREQUENCY))
     return ZRState(*fields)
 
 
@@ -274,10 +280,11 @@ class Trajectory:
         return len(self.times)
 
 
-def _values(grid: Grid, name: str, c) -> np.ndarray:
-    """Physical values of a field held as run_simulation holds it: psi's
-    spectrum, or a half-spectrum, filled Hermitian first."""
-    return np.fft.ifftn(c if name == "psi" else full_spectrum(grid, c), norm="ortho")
+def _coefficient_bound(name: str, c, root_n: float) -> float:
+    """N^{-1/2} sum |f_hat| over the whole lattice, from psi's spectrum or a
+    half-spectrum: a bound on sup|f|, since the transform is unitary."""
+    a = np.abs(c)
+    return float((np.sum(a) if name == "psi" else hermitian_sum(a)) / root_n)
 
 
 # Relative slack on the coefficient bounds for the round-off of their sums
@@ -324,7 +331,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
         name: float(np.max(np.abs(getattr(state, name).values))) for name in _FIELDS
     }
     del state, psi
-    last = traj.states[0]
+    last = None
     prop = _step_propagators(grid, config.dt, config.params.epsilon, config.dealias)
 
     n_steps = int(round(config.t_end / config.dt))
@@ -353,8 +360,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
             if (1.0 + _L2_MARGIN) * math.sqrt(sq) < limit:
                 continue
             if name not in physical:
-                total = np.sum(np.abs(c)) if name == "psi" else hermitian_sum(np.abs(c))
-                if (1.0 + _BOUND_MARGIN) * (total / root_n) < limit:
+                if (1.0 + _BOUND_MARGIN) * _coefficient_bound(name, c, root_n) < limit:
                     continue
                 physical[name] = _values(grid, name, c)
             sup = np.max(np.abs(physical[name]))
@@ -373,7 +379,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
             if store_states:
                 traj.states.append(last)
     if not store_states:
-        traj.states.append(last)
+        traj.states.append(traj.states[0].copy() if last is None else last)
     return traj
 
 

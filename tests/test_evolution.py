@@ -16,6 +16,7 @@ from zrbr.evolution import (
     _BOUND_MARGIN,
     _L2_MARGIN,
     Trajectory,
+    _coefficient_bound,
     _linear_flow,
     _squared_norms,
     picard_iterate,
@@ -30,7 +31,6 @@ from zrbr.spectral import (
     dealias_mask,
     full_spectrum,
     half_spectrum,
-    hermitian_sum,
     to_frequency,
     to_physical,
     zero_field,
@@ -463,6 +463,12 @@ class TestRunSimulation:
         traj = run_simulation(cfg)
         assert len(traj) == 1
         assert traj.times == [0.0]
+        first, last = traj.states
+        assert first is not last
+        for name in FIELDS:
+            a, b = getattr(first, name).values, getattr(last, name).values
+            assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, b)
 
     def test_linear_run_conserves_mass_tightly(self):
         params = ModelParams(sigma2=0.0, W=1.0, D=0.0)
@@ -601,21 +607,18 @@ class TestRunSimulation:
                         params=ModelParams(sigma2=-1.0, W=1.0, D=0.5, epsilon=1.0),
                         recipe="gaussian", width=1.0, normalize_h1=1.0,
                         diagnostics_stride=100)
-        norms = []
-        squared_norms = evolution._squared_norms
-        monkeypatch.setattr(evolution, "_squared_norms",
-                            lambda coeffs: norms.append(squared_norms(coeffs)) or norms[-1])
+        bounds = []
+        coefficient_bound = evolution._coefficient_bound
+        monkeypatch.setattr(evolution, "_coefficient_bound",
+                            lambda *args: bounds.append(args) or coefficient_bound(*args))
         step = ["ifftn", "rfftn", "irfftn", "fftn"]
-        psi0 = make_initial_state(cfg).psi.values
+        make_initial_state(cfg)
         setup = list(fft_calls)
         fft_calls.clear()
         run_simulation(cfg)
         assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 20
                              + ["ifftn"] * 3 + ["rfftn"])
-        # rho and phi start at zero, so every field's limit is psi's
-        limit = cfg.blowup_factor * np.max(np.abs(psi0))
-        assert len(norms) == 20
-        assert all((1.0 + _L2_MARGIN) * np.sqrt(sq) < limit for per_step in norms for sq in per_step)
+        assert bounds == []
 
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
@@ -666,13 +669,13 @@ def proxy_config(blowup_factor, stride):
 
 def sup_bound(coeffs):
     """The bound run_simulation reads off unitary Fourier coefficients."""
-    return (1.0 + _BOUND_MARGIN) * np.sum(np.abs(coeffs)) / np.sqrt(coeffs.size)
+    return (1.0 + _BOUND_MARGIN) * _coefficient_bound("psi", coeffs, np.sqrt(coeffs.size))
 
 
 def half_sup_bound(grid, half):
     """The same bound read off a real field's half-spectrum, whose columns
     but the first and the Nyquist one stand for their conjugates too."""
-    return (1.0 + _BOUND_MARGIN) * hermitian_sum(np.abs(half)) / np.sqrt(grid.n**grid.dim)
+    return (1.0 + _BOUND_MARGIN) * _coefficient_bound("rho", half, np.sqrt(grid.n**grid.dim))
 
 
 class TestDivergenceProxy:
@@ -736,49 +739,35 @@ class TestDivergenceProxy:
     @pytest.mark.parametrize("blowup_factor", [1.3, 2.05, 5.7])
     def test_each_tier_decides(self, monkeypatch, fft_calls, blowup_factor):
         # A row only at t = 0, so every check up to the trip reads
-        # coefficients: the l2 bound decides, or else the coefficient bound,
-        # or else the exact sup, whose inverse FFT is the only transform
-        # between two steps.
+        # coefficients: the l2 bound decides unless _coefficient_bound is
+        # called, and the exact sup is taken when that bound reaches the
+        # limit, by the only transform between two steps.
         cfg = proxy_config(blowup_factor, 1000)
-        kernel = evolution._strang_coefficients
-        steps = []  # per step: a copy of the coefficients, FFT counts at entry and exit
+        kernel, coefficient_bound = evolution._strang_coefficients, evolution._coefficient_bound
+        bounds, entries, exits = [], [], []  # entries, exits: FFT counts at the kernel
 
-        def kernel_and_copy(*args):
-            entry = len(fft_calls)
+        def kernel_counted(*args):
+            entries.append(len(fft_calls))
             out = kernel(*args)
-            steps.append(([c.copy() for c in out], entry, len(fft_calls)))
+            exits.append(len(fft_calls))
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(evolution, "_strang_coefficients", kernel_and_copy)
+            m.setattr(evolution, "_strang_coefficients", kernel_counted)
+            m.setattr(evolution, "_coefficient_bound",
+                      lambda *args: bounds.append(coefficient_bound(*args)) or bounds[-1])
             traj, err = outcome(run_simulation, cfg)
-        exits = [exit for _, _, exit in steps]
-        inverse = np.subtract([entry for _, entry, _ in steps[1:]] + [len(fft_calls)], exits)
+        between = [fft_calls[a:b] for a, b in zip(exits, entries[1:] + [len(fft_calls)])]
         ref_traj, ref_err = outcome(reference_run_simulation, cfg)
         assert_same_trajectory(traj, ref_traj)
         assert (err.time, str(err)) == (ref_err.time, str(ref_err))
-        assert len(steps) == round(err.time / cfg.dt)
-
         # rho and phi start at zero, so every field's limit is psi's
-        grid = cfg.grid
         limit = blowup_factor * np.max(np.abs(make_initial_state(cfg).psi.values))
-        decided = {"l2": 0, "bound": 0, "exact": 0}
-        for (coeffs, _, _), n_inverse in zip(steps, inverse):
-            exact = 0
-            for name, c, sq in zip(FIELDS, coeffs, _squared_norms(coeffs)):
-                full = c if name == "psi" else full_spectrum(grid, c)
-                if (1.0 + _L2_MARGIN) * np.sqrt(sq) < limit:
-                    decided["l2"] += 1
-                elif (sup_bound(c) if name == "psi" else half_sup_bound(grid, c)) < limit:
-                    decided["bound"] += 1
-                else:
-                    decided["exact"] += 1
-                    exact += 1
-                    if np.max(np.abs(np.fft.ifftn(full, norm="ortho"))) > limit:
-                        assert name == err.field
-                        break
-            assert n_inverse == exact
-        assert min(decided.values()) >= 1, decided
+        checks = 3 * (round(err.time / cfg.dt) - 1) + FIELDS.index(err.field) + 1
+        exact = sum((1.0 + _BOUND_MARGIN) * b >= limit for b in bounds)
+        assert sum(between, []) == ["ifftn"] * exact
+        decided = (checks - len(bounds), len(bounds) - exact, exact)
+        assert min(decided) >= 1, decided
 
     @staticmethod
     def _assert_l2_bound_dominates_sup(grid, full, half):
