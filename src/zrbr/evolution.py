@@ -55,7 +55,7 @@ from .spectral import (
 # rfftn half-spectra and their symbols are built at half width.  A step needs
 # two complex and two real transforms: psi to physical space, rfftn of
 # |psi|^2, irfftn of the coupling, and the rotated psi back.  The symbols it
-# multiplies by are built once per (grid, dt, epsilon, dealias) and cached.
+# multiplies by are one table, cached per (grid, dt/2, epsilon, dealias).
 # run_simulation owns the three coefficient arrays and steps them in place.
 # It goes back to physical space only for a diagnostics row, and there only
 # with psi (all three fields on the last step or when states are stored):
@@ -67,14 +67,17 @@ _FIELDS = ("psi", "rho", "phi")
 
 
 @dataclass(frozen=True, eq=False)
-class _LinearPropagator:
-    """Symbols of the exact linear flow over one time t: psi's on the full
-    lattice, the acoustic ones on the half-spectrum columns."""
+class _Propagator:
+    """Symbols of the exact linear flow over one time t, psi's on the full
+    lattice and the acoustic ones on the half-spectrum columns, and the two
+    more that a Strang step with half-step t multiplies by."""
 
     schrodinger: np.ndarray  # exp(-i epsilon t |xi|^2)
     cos: np.ndarray  # cos(|xi| t)
     omega_sin: np.ndarray  # |xi| sin(|xi| t)
     sinc: np.ndarray  # sin(|xi| t) / |xi|, and t at xi = 0
+    dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane; half width
+    mask: np.ndarray | None  # the 2/3 rule at half width, None without dealiasing
 
     def apply_in_place(self, psi_h, rho_h, phi_h):
         """Flow the given coefficient arrays in place and return them."""
@@ -87,33 +90,17 @@ class _LinearPropagator:
         return psi_h, rho_h, phi_h
 
 
-@dataclass(frozen=True, eq=False)
-class _StepPropagators:
-    """What a Strang step multiplies by, for one (grid, dt, epsilon, dealias)."""
-
-    half: _LinearPropagator  # the linear flow over dt/2
-    dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane; half width
-    mask: np.ndarray | None  # the 2/3 rule at half width, None without dealiasing
-
-
 @lru_cache(maxsize=8)
-def _linear_propagator(grid: Grid, t: float, epsilon: float) -> _LinearPropagator:
+def _propagator(grid: Grid, t: float, epsilon: float, dealias: bool) -> _Propagator:
     absxi = half_width(grid.xi_modulus)
     sinc = np.full(absxi.shape, t, dtype=np.float64)
     nz = absxi > 0
     sinc[nz] = np.sin(absxi[nz] * t) / absxi[nz]
-    return _LinearPropagator(
+    return _Propagator(
         schrodinger=frozen_symbol(np.exp(-1j * (epsilon * t) * grid.xi_squared)),
         cos=frozen_symbol(np.cos(absxi * t)),
         omega_sin=frozen_symbol(absxi * np.sin(absxi * t)),
         sinc=frozen_symbol(sinc),
-    )
-
-
-@lru_cache(maxsize=8)
-def _step_propagators(grid: Grid, dt: float, epsilon: float, dealias: bool) -> _StepPropagators:
-    return _StepPropagators(
-        half=_linear_propagator(grid, dt / 2.0, epsilon),
         dx=half_dx(grid),
         mask=frozen_symbol(half_width(dealias_mask(grid))) if dealias else None,
     )
@@ -158,19 +145,20 @@ def _linear_flow(state: ZRState, t: float, params: ModelParams) -> ZRState:
     rho constant and moves phi by -t*rho.  Each field comes back in the
     representation it was given in; rho and phi are taken as real.
     """
-    flow = _linear_propagator(state.grid, t, params.epsilon)
+    flow = _propagator(state.grid, t, params.epsilon, False)
     return _like(state, flow.apply_in_place(*_coefficients(state)))
 
 
-def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _StepPropagators):
+def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _Propagator):
     """L(dt/2) N(dt) L(dt/2) in place on psi's spectrum and the half-spectra
-    of rho and phi, with two complex and two real transforms.
+    of rho and phi, with two complex and two real transforms; prop is the
+    propagator over dt/2.
 
     The nonlinear substep uses that |psi|^2 is invariant under the phase
     rotation: rho and phi are advanced with the frozen source, and psi is
     rotated with the substep means of rho and phi_x.
     """
-    prop.half.apply_in_place(psi_h, rho_h, phi_h)
+    prop.apply_in_place(psi_h, rho_h, phi_h)
     shape = psi_h.shape
     work = np.empty_like(rho_h)
 
@@ -204,7 +192,7 @@ def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _St
     psi *= rotation
     np.fft.fftn(psi, norm="ortho", out=psi)
 
-    return prop.half.apply_in_place(psi, rho_h, phi_h)
+    return prop.apply_in_place(psi, rho_h, phi_h)
 
 
 def _squared_norms(coeffs) -> list[float]:
@@ -237,7 +225,7 @@ def strang_step(state: ZRState, dt: float, params: ModelParams, dealias: bool = 
     if dt == 0.0:
         return state.copy()
 
-    prop = _step_propagators(state.grid, dt, params.epsilon, dealias)
+    prop = _propagator(state.grid, dt / 2.0, params.epsilon, dealias)
     coeffs = _coefficients(state)
     _strang_coefficients(*coeffs, dt, params, prop)
     _squared_norms(coeffs)
@@ -332,7 +320,7 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     }
     del state, psi
     last = None
-    prop = _step_propagators(grid, config.dt, config.params.epsilon, config.dealias)
+    prop = _propagator(grid, config.dt / 2.0, config.params.epsilon, config.dealias)
 
     n_steps = int(round(config.t_end / config.dt))
     # Fields starting at zero are judged against the largest initial field,

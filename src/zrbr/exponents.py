@@ -444,12 +444,12 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[Ineq
     check_count(seed, "seed")
     check_dim(d, "d")
     results = []
-    for ineq in INEQUALITY_IDS:
+    for tag, ineq in enumerate(INEQUALITY_IDS):
         # ineq1 has no tau and ineq5 has fixed signs; only the others carry
         # a +/- branch.
         branches = ("+", "-") if ineq in ("ineq2", "ineq3", "ineq4") else ("+",)
         for branch in branches:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, _ineq_tag(ineq), 0 if branch == "+" else 1, d]))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, tag, 0 if branch == "+" else 1, d]))
             best = -np.inf
             arg = {}
             remaining = n_samples
@@ -467,77 +467,66 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[Ineq
     return results
 
 
-def _ineq_tag(ineq: str) -> int:
-    return INEQUALITY_IDS.index(ineq)
+# Per inequality, in draw order: the frequency vectors it samples, then its
+# modulations.  ineq2's vectors come from a rejection loop (_ineq2_vectors).
+_DRAWS = {
+    "ineq1": (("xi", "xi1", "xi2"), ()),
+    "ineq2": (("xi", "xi1"), ("tau", "tau1")),
+    "ineq3": (("xi", "xi1"), ("tau", "tau1")),
+    "ineq4": (("xi",), ("tau",)),
+    "ineq5": (("xi", "xi1"), ("tau", "tau1")),
+}
 
 
 def _ineq_ratios(rng, n, d, ineq, branch):
-    s = 1.0 if branch == "+" else -1.0
-    if ineq == "ineq1":
-        xi = _sample_vectors(rng, n, d)
-        xi1 = _sample_vectors(rng, n, d)
-        xi2 = _sample_vectors(rng, n, d)
-        lhs = bracket(xi)
-        rhs = bracket(xi2) + bracket(xi1 - xi2) + bracket(xi - xi1)
-        return lhs / rhs, {"xi": xi, "xi1": xi1, "xi2": xi2}
-
+    """The ratios of ineq at n points drawn from rng, and the points: a dict
+    of (n, d) frequency vectors and length-n modulations, keyed as in _DRAWS."""
+    vectors, modulations = _DRAWS[ineq]
     if ineq == "ineq2":
-        # rejection: keep only |xi|^2 > 4 |xi - xi1|^2; every pass draws
-        # into the same three buffers
-        cand, cand1, work = (np.empty((2 * n, d)) for _ in range(3))
-        xi, xi1 = [], []
-        kept = 0
-        while kept < n:
-            _sample_vectors(rng, 2 * n, d, out=cand, work=work)
-            _sample_vectors(rng, 2 * n, d, out=cand1, work=work)
-            keep = _squared_norm(cand) > 4.0 * _squared_norm(np.subtract(cand, cand1, out=work))
-            xi.append(cand.compress(keep, axis=0))  # cheaper than cand[keep] at a 2 % yield
-            xi1.append(cand1.compress(keep, axis=0))
-            kept += len(xi[-1])
-        xi = np.concatenate(xi)[:n]
-        xi1 = np.concatenate(xi1)[:n]
-        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        lhs = bracket(xi) ** 2
-        rhs = (
-            _bracket_each(tau1 + s * _norm(xi1))
-            + _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2)
-            + _bracket_each(tau + _norm(xi) ** 2)
-        )
-        return lhs / rhs, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
+        point = dict(zip(vectors, _ineq2_vectors(rng, n, d)))
+    else:
+        point = {name: _sample_vectors(rng, n, d) for name in vectors}
+    point.update((name, rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)) for name in modulations)
+    return _ratio(ineq, 1.0 if branch == "+" else -1.0, point), point
 
+
+def _ineq2_vectors(rng, n, d):
+    """n pairs (xi, xi1) with |xi|^2 > 4 |xi - xi1|^2, by rejection; every
+    pass draws into the same three buffers."""
+    cand, cand1, work = (np.empty((2 * n, d)) for _ in range(3))
+    xi, xi1 = [], []
+    kept = 0
+    while kept < n:
+        _sample_vectors(rng, 2 * n, d, out=cand, work=work)
+        _sample_vectors(rng, 2 * n, d, out=cand1, work=work)
+        keep = _squared_norm(cand) > 4.0 * _squared_norm(np.subtract(cand, cand1, out=work))
+        xi.append(cand.compress(keep, axis=0))  # cheaper than cand[keep] at a 2 % yield
+        xi1.append(cand1.compress(keep, axis=0))
+        kept += len(xi[-1])
+    return np.concatenate(xi)[:n], np.concatenate(xi1)[:n]
+
+
+def _ratio(ineq, s, point):
+    """The stated ratio of ineq on branch s = +1 or -1, at every row of a
+    point dict as _ineq_ratios fills it: bounded side over bounding side."""
+    xi, xi1, tau, tau1 = (point.get(name) for name in ("xi", "xi1", "tau", "tau1"))
+    if ineq == "ineq1":
+        xi2 = point["xi2"]
+        return bracket(xi) / (bracket(xi2) + bracket(xi1 - xi2) + bracket(xi - xi1))
+    if ineq == "ineq2":
+        return bracket(xi) ** 2 / (
+            _bracket_each(tau1 + s * _norm(xi1)) + _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2)
+            + _bracket_each(tau + _norm(xi) ** 2))
     if ineq == "ineq3":
-        xi = _sample_vectors(rng, n, d)
-        xi1 = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        lhs = bracket(xi) ** 2
-        rhs = (
-            _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2)
-            + _bracket_each(tau1 - _norm(xi1) ** 2)
-            + _bracket_each(tau + s * _norm(xi))
-        )
-        return lhs / rhs, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
-
+        return bracket(xi) ** 2 / (
+            _bracket_each(tau - tau1 + _norm(xi - xi1) ** 2) + _bracket_each(tau1 - _norm(xi1) ** 2)
+            + _bracket_each(tau + s * _norm(xi)))
     if ineq == "ineq4":
-        xi = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        lower = np.sqrt(np.abs(tau))
-        upper = bracket(xi) * np.sqrt(_bracket_each(tau + s * _norm(xi) ** 2))
-        return lower / upper, {"xi": xi, "tau": tau}
-
+        return np.sqrt(np.abs(tau)) / (
+            bracket(xi) * np.sqrt(_bracket_each(tau + s * _norm(xi) ** 2)))
     if ineq == "ineq5":
-        xi = _sample_vectors(rng, n, d)
-        xi1 = _sample_vectors(rng, n, d)
-        tau = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        tau1 = rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)
-        lower = np.sqrt(np.abs(tau))
-        upper = (
-            bracket(xi1)
-            * bracket(xi - xi1)
+        return np.sqrt(np.abs(tau)) / (
+            bracket(xi1) * bracket(xi - xi1)
             * np.sqrt(_bracket_each(tau - tau1 + _norm(xi - xi1) ** 2))
-            * np.sqrt(_bracket_each(tau1 - _norm(xi1) ** 2))
-        )
-        return lower / upper, {"xi": xi, "xi1": xi1, "tau": tau, "tau1": tau1}
-
+            * np.sqrt(_bracket_each(tau1 - _norm(xi1) ** 2)))
     raise ConfigurationError(f"unknown inequality {ineq!r}")

@@ -77,6 +77,7 @@ def csv_text(rows) -> str:
 def write_csv(path: str, header: list, blocks):
     """Write the header line, then each block: already-formatted CSV text of
     whole lines.  A generator of blocks streams a large table to disk."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(blocks)
@@ -90,6 +91,7 @@ def _plain(x):
 
 
 def write_report(path: str, report: dict):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
@@ -188,6 +190,7 @@ SNAPSHOT_VERSION = 1
 def write_snapshot(path: str, state: ZRState):
     """Raw binary state dump of the physical fields; layout documented in the
     README."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     grid = state.grid
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -256,7 +259,6 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
     frequency lattice: epsilon times it is the largest phase the linear
     Schrodinger flow turns a mode through in one step.
     """
-    os.makedirs(out_dir, exist_ok=True)
     code = EXIT_OK
     diverged_at = diverged_field = growth_factor = None
     try:
@@ -304,7 +306,6 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
         raise ConfigurationError("epsilon list must be nonempty and positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("epsilon list must be strictly descending")
-    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     for eps in eps_list:
@@ -344,7 +345,6 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
 
 def cmd_region(d: int, resolution: float, out_dir: str):
     """Admissible-region scan export with the containment verdict."""
-    os.makedirs(out_dir, exist_ok=True)
     scan = region_scan(d, resolution)
     # A block of lines per b1 value; only min_theta is formatted per sample
     # (format_float's spec, written inline).
@@ -380,7 +380,6 @@ def cmd_region(d: int, resolution: float, out_dir: str):
 def cmd_fuzz(n: int, seed: int, out_dir: str):
     """Randomized worst-constant search for the elementary inequalities;
     EXIT_CAP_EXCEEDED when an inequality not in KNOWN_FALSE is over its cap."""
-    os.makedirs(out_dir, exist_ok=True)
     payload = {"n_samples": n, "results": [], "caps": INEQUALITY_CAPS,
                "known_false": KNOWN_FALSE}
     exceeded = False
@@ -418,7 +417,6 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     # The contraction factor is a ratio of two successive differences.
     if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 2:
         raise ConfigurationError(f"picard needs at least 2 iterations, got {n_iters!r}")
-    os.makedirs(out_dir, exist_ok=True)
     initial = initial_plus_minus(config)
     rows = []
     reports = []
@@ -482,7 +480,6 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         raise ConfigurationError(
             f"unknown dispersion {disp_name!r}; choose from {sorted(_DISPERSIONS)}"
         )
-    os.makedirs(out_dir, exist_ok=True)
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
     x = xsb_norm(f, s, b, disp)

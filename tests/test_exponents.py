@@ -18,6 +18,7 @@ from zrbr.exponents import (
     strichartz_exponents,
     theta_values,
     verify_symbolic_inequalities,
+    _ratio,
 )
 
 
@@ -344,3 +345,25 @@ def test_max_ratio_is_the_stated_ratio_at_its_argmax(d, n):
     ineq2 = [r.argmax for r in results if r.inequality == "ineq2"]
     for a in ineq2:
         assert _stated_norm(a["xi"]) > 2.0 * _stated_norm(np.subtract(a["xi"], a["xi1"]))
+
+
+@pytest.mark.parametrize("r", [10.0, 1e3])
+@pytest.mark.parametrize("s", [1.0, -1.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_fuzz_formula_at_the_ineq3_resonance(d, s, r):
+    # Gate 04b's witness family: tau = -s|xi|, tau1 = |xi1|^2 and xi1
+    # parallel to xi with |xi1| = (|xi| - s)/2 make every right-hand bracket
+    # 1, so the fuzzer's own formula must read (1 + |xi|^2)/3.
+    e = np.arange(1.0, d + 1.0)
+    e /= _stated_norm(e)
+    xi, xi1 = r * e, 0.5 * (r - s) * e
+    point = {"xi": xi[None], "xi1": xi1[None],
+             "tau": np.array([-s * _stated_norm(xi)]), "tau1": np.array([_stated_norm(xi1) ** 2])}
+    ratio = _ratio("ineq3", s, point)
+    assert ratio.shape == (1,)
+    assert ratio[0] == pytest.approx((1.0 + r**2) / 3.0, rel=1e-12, abs=0.0)
+
+
+def test_unknown_inequality_is_named():
+    with pytest.raises(ConfigurationError, match="unknown inequality 'ineq6'"):
+        _ratio("ineq6", 1.0, {"xi": np.zeros((1, 2))})

@@ -591,6 +591,19 @@ class TestCli:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["fuzz", "--n", "0"],
+        ["region", "--d", "2", "--resolution", "0.5"],
+        ["norms", "--recipe", "nope"],
+        ["picard", "--T", "2.0"],
+        ["picard", "--n-time", "7"],
+    ])
+    def test_rejected_command_leaves_no_output_directory(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = ["--config", write_config(tmp_path), "--out", str(out)]
+        assert main(argv + command) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_negative_seed_in_config_rejected(self, tmp_path):
         doc = {**BASE_DOC, "recipe": "random-band-limited", "seed": -5}
         with pytest.raises(ConfigurationError, match="seed must be non-negative"):

@@ -3,7 +3,7 @@ import pytest
 
 from zrbr.bourgain import WAVE_MINUS, WAVE_PLUS, _group
 from zrbr.errors import ConfigurationError, ContractViolationError
-from zrbr.evolution import _linear_propagator
+from zrbr.evolution import _propagator
 from zrbr.spectral import (
     FREQUENCY,
     ComplexField,
@@ -150,12 +150,12 @@ class TestMultipliers:
 
     def test_schrodinger_group_is_unitary_phase(self):
         g = Grid(2, 8)
-        np.testing.assert_allclose(np.abs(_linear_propagator(g, 0.7, 1.0).schrodinger), 1.0)
+        np.testing.assert_allclose(np.abs(_propagator(g, 0.7, 1.0, False).schrodinger), 1.0)
 
     def test_schrodinger_group_phase_on_plane_wave(self):
         g = Grid(2, 16, 2 * np.pi)
         f = plane_wave(g, (1, 2))
-        hat = _linear_propagator(g, 0.3, 1.0).schrodinger * to_frequency(f).values
+        hat = _propagator(g, 0.3, 1.0, False).schrodinger * to_frequency(f).values
         out = np.fft.ifftn(hat, norm="ortho")
         np.testing.assert_allclose(out, np.exp(-1j * 5 * 0.3) * f.values, atol=1e-12)
 
@@ -167,7 +167,7 @@ class TestMultipliers:
 
     def test_wave_source_propagator_zero_mode_is_t(self):
         g = Grid(2, 8)
-        assert _linear_propagator(g, 0.25, 1.0).sinc[0, 0] == pytest.approx(0.25)
+        assert _propagator(g, 0.25, 1.0, False).sinc[0, 0] == pytest.approx(0.25)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
