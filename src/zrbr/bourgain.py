@@ -361,8 +361,8 @@ class _BandLimited(SpaceTimeField):
 # so a caller that starts from spatial coefficients needs no space-time round
 # trip: linear_estimate_ratio ends with a time-axis transform into the norms,
 # and picard_iterate keeps its iterates as spatial coefficients.  Here the
-# group comes from the lattice table; picard_iterate builds its own for its
-# window and phases.
+# group comes from the lattice table; picard_iterate reads the table's window
+# but builds its groups itself, so the cache keeps none per Picard window.
 
 def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelParams, ZRState
-from .spectral import ComplexField, Grid, low_mode_coefficients, to_frequency
+from .spectral import ComplexField, Grid, check_count, low_mode_coefficients, to_frequency
 
 RECIPES = ("gaussian", "plane-wave", "random-band-limited", "zero")
 
@@ -63,13 +63,14 @@ class SimConfig:
             raise ConfigurationError(f"unknown initial-data recipe {self.recipe!r}")
         if self.recipe == "random-band-limited" and self.seed is None:
             raise ConfigurationError("random recipe requires a seed")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        if self.seed is not None:
+            if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+                raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+            check_count(self.seed, "seed")
         if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                    for k in self.mode):
             raise ConfigurationError(f"mode components must be integers, got {list(self.mode)}")
-        if self.diagnostics_stride < 1:
-            raise ConfigurationError("diagnostics_stride must be >= 1")
+        check_count(self.diagnostics_stride, "diagnostics_stride", 1)
         # Grid construction validates dim / n / length.
         self.grid = Grid(self.dim, self.n, self.length)
 

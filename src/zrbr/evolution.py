@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bourgain import _group, _retarded, smooth_cutoff
+from .bourgain import WAVE_PLUS, _group, _lattice, _retarded, _window_cutoff
 from .config import SimConfig, make_initial_state
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .model import (
@@ -398,13 +398,6 @@ def _sup_l2(values: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->i", pairs, pairs)) * grid.cell_volume))
 
 
-def _mirror(hat: np.ndarray) -> np.ndarray:
-    """conj(hat(-xi)): the coefficients of the complex conjugate of the field
-    whose coefficients are hat."""
-    minus_k = (-np.arange(hat.shape[0])) % hat.shape[0]
-    return np.conj(hat[np.ix_(*[minus_k] * hat.ndim)])
-
-
 def picard_iterate(
     initial: PlusMinusState,
     T: float,
@@ -442,29 +435,27 @@ def picard_iterate(
         raise ConfigurationError(f"n_time must be even, got {n_time}")
 
     grid = initial.grid
-    dt = 4.0 * T / n_time
-    times = -2.0 * T + dt * np.arange(n_time)
-    zero_index = n_time // 2
+    # The window [-2T, 2T) is the wave lattice's: its times, step and |xi|.
+    lat = _lattice(grid, 2.0 * T, n_time, WAVE_PLUS)
     axes = tuple(range(1, grid.dim + 1))
     tshape = (-1,) + (1,) * grid.dim
 
-    lam = smooth_cutoff(times).reshape(tshape)
-    lam_T = smooth_cutoff(times / T).reshape(tshape)
+    lam, lam_T = (_window_cutoff(lat.t_half, n_time, c).reshape(tshape) for c in (1.0, T))
     # The screening lambda_{2T}(s) of the sources is exactly 1.0 on the
     # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
     # multiplying by it would change no bit.  It is left out.
 
     # Per carried component: exp(-i t p), its source, and lambda_T times
     # its Duhamel coefficient, -i epsilon (psi) or -i (the acoustic ones).
-    wave = _group(times, grid.xi_modulus)
-    psi_group = _group(times, params.epsilon * grid.xi_squared)
+    # The wave group is built here, not read from the lattice, whose cache
+    # would then hold one (n_time, *grid) array per window.
+    wave = _group(lat.times, lat.phase)
+    psi_group = _group(lat.times, params.epsilon * grid.xi_squared)
     plan = {"psi": (psi_group, "F", -1j * params.epsilon * lam_T),
             "rho_plus": (wave, "G", -1j * lam_T),
             "varphi_plus": (wave, "H", -1j * lam_T)}
 
     u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
-    # The acoustic free parts are lambda * wave * data[name]; they are not held.
-    data = {name: _mirror(u0[name]) if name in _MINUS else u0[name] for name in _COMPONENTS[1:]}
     free_psi = lam * (psi_group * u0["psi"])
     cwave = np.conj(wave)
     # (rho_+ + rho_-) + D (varphi_+ + varphi_-) of the free part, as F reads it.
@@ -472,31 +463,20 @@ def picard_iterate(
     free_sum += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
     free_acoustic = lam * np.fft.ifftn(free_sum, axes=axes, norm="ortho")
     del free_sum
-
-    # |free + D|^2 = |free|^2 + |D|^2 + 2 Re <free, D> per time slice, where
-    # |free|^2 = lambda^2 |data|^2 and <free, D> = lambda <data, conj(wave) D>.
-    lam_rows = lam.ravel()
-    free_sq = {name: lam_rows**2 * np.vdot(a, a).real for name, a in data.items()}
-
-    def sup_l2_acoustic(plus):
-        """The larger sup_l2 of a plus component and its minus partner, whose
-        Duhamel parts are duh[plus] (carried as the conjugate for the minus one)."""
-        pairs = duh[plus].reshape(n_time, -1).view(np.float64)
-        sq = np.einsum("ij,ij->i", pairs, pairs)
-        tilted = np.multiply(cwave, duh[plus]).reshape(n_time, -1)
-        top = max(np.max(free_sq[name] + sq
-                         + 2.0 * lam_rows * (tilted @ np.conj(data[name]).ravel()).real)
-                  for name in _COMPONENTS[1:] if _MINUS.get(name, name) == plus)
-        return float(np.sqrt(max(top, 0.0) * grid.cell_volume))
+    # An acoustic free part lambda * group * u0_hat is never larger than its
+    # datum: lambda <= 1, the group is unitary and a mirrored datum (a minus
+    # component's, as carried) keeps its norm.
+    free_top = _sup_l2(np.stack([u0[name] for name in _COMPONENTS[1:]]), grid)
 
     duh = {name: np.zeros((n_time,) + grid.shape, dtype=np.complex128) for name in plan}
     component_diffs = {name: [] for name in _COMPONENTS}
     largest = 0.0
     for it in range(n_iters + 1):
-        # The current iterate: psi's coefficients, and the norms of all five.
+        # The current iterate: psi's coefficients, psi's norm and a bound on
+        # the acoustic ones (free part plus Duhamel part).
         psi_hat = free_psi + duh["psi"]
-        largest = max(largest, _sup_l2(psi_hat, grid),
-                      sup_l2_acoustic("rho_plus"), sup_l2_acoustic("varphi_plus"))
+        largest = max(largest, _sup_l2(psi_hat, grid), free_top
+                      + max(_sup_l2(duh[p], grid) for p in ("rho_plus", "varphi_plus")))
         if it == n_iters:
             break
 
@@ -518,7 +498,7 @@ def picard_iterate(
         del psi, a2, psi_t
 
         for name, (group, source, coef) in plan.items():
-            new = _retarded(sources.pop(source), group, dt, zero_index)
+            new = _retarded(sources.pop(source), group, lat.dt, n_time // 2)
             new *= coef
             # The old Duhamel part is not read again; the difference overwrites it.
             diff = np.subtract(duh[name], new, out=duh[name])
@@ -546,7 +526,8 @@ def picard_iterate(
     for a, b in zip(diffs[:-1], diffs[1:]):
         ratios.append(0.0 if a == 0.0 else b / a)
     # Differences within 64 ulps of the largest iterate are round-off, and
-    # ratios taken from them say nothing about contraction.
+    # ratios taken from them say nothing about contraction.  largest bounds
+    # the acoustic norms by the triangle inequality, at most about twice over.
     floor = 64 * np.finfo(np.float64).eps * largest
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -257,12 +258,12 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     texts = [";".join(c for i, c in enumerate(ids) if code >> i & 1) for code in codes.tolist()]
     violated = np.array(texts, dtype=object)[which].tolist()
 
-    # min theta where defined (b1 != b2 guaranteed off the diagonal samples).
+    # min theta where defined (b1 != b2 guaranteed off the diagonal samples),
+    # as a running minimum: no (12, N) stack of the thetas is built.
     safe = b1 != b2
     min_theta = np.full(len(b1), np.nan)
     if np.any(safe):
-        thetas = _theta_arrays(b1[safe], b2[safe], d, b1[safe], 1e-6)
-        min_theta[safe] = np.min(np.stack(thetas, axis=0), axis=0)
+        min_theta[safe] = reduce(np.minimum, _theta_arrays(b1[safe], b2[safe], d, b1[safe], 1e-6))
 
     box = REFERENCE_BOX[d]
     margin = 2.0 * resolution

@@ -10,6 +10,7 @@ from test_picard_equivalence import small_data as equivalence_data
 from test_row_equivalence import record_state
 from test_spectral import half_shape
 from zrbr import evolution
+from zrbr.bourgain import WAVE_PLUS, _lattice, smooth_cutoff
 from zrbr.config import SimConfig, h1_norm, make_initial_state
 from zrbr.errors import ConfigurationError, ContractViolationError, DivergenceError
 from zrbr.evolution import (
@@ -21,7 +22,6 @@ from zrbr.evolution import (
     _squared_norms,
     picard_iterate,
     run_simulation,
-    smooth_cutoff,
     strang_step,
 )
 from zrbr.model import ModelParams, PlusMinusState, ZRState, mass
@@ -922,9 +922,8 @@ class TestPicard:
     @pytest.mark.parametrize("T", [1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 0.123456789])
     def test_source_screening_is_one_on_the_window(self, T, n_time):
         # picard_iterate leaves out lambda_{2T}(s) because it is exactly 1.0
-        # on its window; these are the window's times as it builds them.
-        dt = 4.0 * T / n_time
-        times = -2.0 * T + dt * np.arange(n_time)
+        # on its window, the times of the wave lattice it reads.
+        times = _lattice(small_grid(), 2.0 * T, n_time, WAVE_PLUS).times
         assert np.all(smooth_cutoff(times / (2.0 * T)) == 1.0)
 
     def test_parameter_validation(self):
@@ -1001,6 +1000,21 @@ class TestConfig:
     def test_unknown_recipe_rejected(self):
         with pytest.raises(ConfigurationError):
             SimConfig(recipe="soliton")
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed reached numpy's SeedSequence, and True ran as seed 1
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            SimConfig(recipe="random-band-limited", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SimConfig(recipe="random-band-limited", seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, 0, -1])
+    def test_diagnostics_stride_must_be_a_positive_integer(self, stride):
+        # 2.5 wrote a row every 5 steps, and True ran as stride 1
+        with pytest.raises(ConfigurationError, match="diagnostics_stride must be an integer >= 1"):
+            SimConfig(diagnostics_stride=stride)
 
     def test_h1_normalization(self):
         cfg = SimConfig(dim=2, n=32, recipe="gaussian", normalize_h1=1e-3)

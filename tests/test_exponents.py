@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,18 @@ class TestRegionScan:
         n_b1 = len(np.arange(0.5 + res, 1.0, res))
         n_b2 = len(np.arange(0.0, 0.5 + 0.5 * res, res))
         assert len(scan.b1) == n_b1 * n_b2
+
+    def test_min_theta_builds_no_stack(self):
+        # the twelve thetas at N = 250,000 samples: a (12, N) stack of them
+        # took the traced peak of the scan to 52.5 MiB; a running minimum
+        # holds two arrays at a time, 39.4 MiB
+        tracemalloc.start()
+        try:
+            region_scan(2, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * 2**20
 
     def test_reports_both_b1_ranges(self):
         scan = region_scan(2, 5e-3)

@@ -15,7 +15,7 @@ from zrbr.bourgain import (
     smooth_cutoff,
 )
 from zrbr.config import h1_norm
-from zrbr.evolution import picard_iterate
+from zrbr.evolution import _BURN_IN, picard_iterate
 from zrbr.model import ModelParams, PlusMinusState
 from zrbr.spectral import ComplexField, Grid, to_frequency, to_physical
 
@@ -160,6 +160,19 @@ def max_rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def sup_l2(values, grid):
+    axes = tuple(range(1, grid.dim + 1))
+    return float(np.max(np.sqrt(np.sum(np.abs(values) ** 2, axis=axes) * grid.cell_volume)))
+
+
+def factor_with_floor(report, floor):
+    """The contraction factor of report's diffs and ratios, with ratios off
+    differences at or below floor left out and the burn-in skipped."""
+    tail = [r for r, a in zip(report.ratios, report.diffs[:-1]) if a > floor]
+    tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail
+    return max(tail) if tail else 0.0
+
+
 class TestPicardReferenceEquivalence:
     @pytest.mark.parametrize("params", PARAMS, ids=list(PARAMS))
     @pytest.mark.parametrize("n_time", [32, 64])
@@ -180,6 +193,29 @@ class TestPicardReferenceEquivalence:
             diffs = ref_diffs[:n_iters]
             assert len(report.diffs) == len(diffs)
             assert np.max(np.abs(np.subtract(report.diffs, diffs))) <= 1e-12 * ref_diffs[0]
+            # picard_iterate floors the differences at 64 ulps of a bound on
+            # the largest iterate; the exact largest gives the same factor
+            largest = max(sup_l2(it[name], grid) for it in ref_iterates[: n_iters + 1]
+                          for name in COMPONENTS)
+            floor = 64 * np.finfo(np.float64).eps * largest
+            assert factor_with_floor(report, floor) == report.contraction_factor, n_iters
+
+    @pytest.mark.parametrize("params", PARAMS, ids=list(PARAMS))
+    @pytest.mark.parametrize("grid", GRIDS, ids=list(GRIDS))
+    def test_floor_keeps_the_factor_at_round_off(self, grid, params):
+        # a small datum whose differences fall below the floor within six
+        # iterations (3.9e-16 against a floor of 5.2e-16 on 3D 8^3, D = 0); the
+        # exact largest iterate is read off the iterates of n_iters = 1..6
+        grid, params = GRIDS[grid], PARAMS[params]
+        init = small_data(grid)
+        largest = 0.0
+        for n_iters in range(1, 7):
+            iterates, report = picard_iterate(init, 0.1, n_iters, params, n_time=32)
+            largest = max([largest] + [sup_l2(it[name], grid) for it in iterates
+                                       for name in COMPONENTS])
+        floor = 64 * np.finfo(np.float64).eps * largest
+        assert min(report.diffs) <= floor
+        assert factor_with_floor(report, floor) == report.contraction_factor
 
     @pytest.mark.parametrize("disp", [SCHRODINGER, WAVE_PLUS, WAVE_MINUS],
                              ids=lambda d: d.kind)

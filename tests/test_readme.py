@@ -95,7 +95,7 @@ def test_removed_api_is_gone():
     # the parse finds what the list names, old and new
     assert {"spectral.Multiplier", "SourceSymbols.omega_inv", "spectral.HALF", "Grid.half_shape",
             "spectral.sup_bound", "Trajectory.store_states", "ZRState.rho_t",
-            "ZRState.phi_t"} <= set(names)
+            "ZRState.phi_t", "evolution.smooth_cutoff"} <= set(names)
     assert {("picard_iterate", "burn_in"), ("spectral.zero_field", "space"),
             ("Trajectory.record", "spectral")} <= set(params)
     for name in names:
