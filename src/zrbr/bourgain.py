@@ -257,9 +257,8 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
     """sup over time slices of the spatial H^s norm."""
     _check_finite(s=s)
     axes = tuple(range(1, f.grid.dim + 1))
-    hats = np.fft.fftn(f.values, axes=axes, norm="ortho")
     w = (1.0 + f.grid.xi_squared) ** s
-    norms = np.sqrt(np.sum(w[None] * np.abs(hats) ** 2, axis=axes) * f.grid.cell_volume)
+    norms = np.sqrt(np.sum(w[None] * np.abs(f.spatial_hat) ** 2, axis=axes) * f.grid.cell_volume)
     return float(np.max(norms))
 
 

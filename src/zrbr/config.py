@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelParams, ZRState
-from .spectral import ComplexField, Grid, check_count, low_mode_coefficients, to_frequency
+from .spectral import (ComplexField, Grid, check_count, check_types, low_mode_coefficients,
+                       to_frequency)
 
 RECIPES = ("gaussian", "plane-wave", "random-band-limited", "zero")
 
@@ -18,8 +19,9 @@ class SimConfig:
     """Everything a simulation run needs, validated on construction.
 
     Every field except `params` is a config-file key, and so is every
-    `ModelParams` field; `harness.config_from_dict` reads their types from
-    these annotations (`| None`: the key may be null)."""
+    `ModelParams` field.  Each field has its annotated type (`| None`: it may
+    be None), checked by `spectral.check_types` on construction, from a
+    config file or from Python alike."""
 
     dim: int = 2
     n: int = 64
@@ -38,14 +40,14 @@ class SimConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "blowup_factor", "length", "width", "amplitude"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.normalize_h1 is not None:
-            if not np.isfinite(self.normalize_h1):
-                raise ConfigurationError(f"normalize_h1 must be finite, got {self.normalize_h1}")
-            if self.normalize_h1 <= 0:
-                raise ConfigurationError(f"normalize_h1 must be positive, got {self.normalize_h1}")
+        if self.seed is not None:
+            if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+                raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+            check_count(self.seed, "seed")
+        check_count(self.diagnostics_stride, "diagnostics_stride", 1)
+        check_types(self)
+        if self.normalize_h1 is not None and self.normalize_h1 <= 0:
+            raise ConfigurationError(f"normalize_h1 must be positive, got {self.normalize_h1}")
         if self.width <= 0:
             raise ConfigurationError(f"width must be positive, got {self.width}")
         if self.blowup_factor <= 0:
@@ -63,14 +65,9 @@ class SimConfig:
             raise ConfigurationError(f"unknown initial-data recipe {self.recipe!r}")
         if self.recipe == "random-band-limited" and self.seed is None:
             raise ConfigurationError("random recipe requires a seed")
-        if self.seed is not None:
-            if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-                raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-            check_count(self.seed, "seed")
         if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                    for k in self.mode):
             raise ConfigurationError(f"mode components must be integers, got {list(self.mode)}")
-        check_count(self.diagnostics_stride, "diagnostics_stride", 1)
         # Grid construction validates dim / n / length.
         self.grid = Grid(self.dim, self.n, self.length)
 

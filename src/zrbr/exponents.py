@@ -11,7 +11,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .spectral import check_count, check_dim
+from .spectral import check_count, check_dim, check_types
 
 
 def bracket_plus(lam, eps: float = 1e-6):
@@ -40,15 +40,14 @@ class ExponentParams:
 
     def __post_init__(self):
         check_dim(self.d, "d")
+        check_types(self)
         if self.b0 is None:
             object.__setattr__(self, "b0", self.b1)
 
 
 def derive(b1: float, b2: float, d: int, b0: float | None = None) -> ExponentParams:
     """The checked parameter point; range violations surface in check_constraints."""
-    if not (np.isfinite(b1) and np.isfinite(b2)):
-        raise ConfigurationError("b1, b2 must be finite")
-    return ExponentParams(float(b1), float(b2), d, b0)
+    return ExponentParams(b1, b2, d, b0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import struct
-import typing
 
 import numpy as np
 
@@ -30,13 +29,13 @@ from .bourgain import (
     WAVE_PLUS,
     NO_DISPERSION,
     SpaceTimeField,
+    _check_finite,
+    _lattice,
     free_evolution,
     mixed_norm,
     random_band_limited,
     smooth_cutoff,
     spatial_sobolev_sup,
-    xsb_norm,
-    ys_norm,
 )
 
 EXIT_OK = 0
@@ -125,43 +124,19 @@ def make_report(command: str, config_echo: dict, master_seed, payload: dict,
     return report
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list",
-               bool: "true or false"}
-# The config keys are the ModelParams fields and every SimConfig field but params.
-_PARAM_HINTS = typing.get_type_hints(ModelParams)
-_SIM_HINTS = {k: v for k, v in typing.get_type_hints(SimConfig).items() if k != "params"}
-
-
-def _check_type(key: str, value, hint):
-    """Raise ConfigurationError unless value has the field's annotated type:
-    an int stands for a float, a list for a tuple, a bool for no number, and
-    null only for a field annotated `| None`."""
-    kinds = typing.get_args(hint) or (hint,)
-    kind = kinds[0]
-    if value is None:
-        ok = type(None) in kinds
-    elif isinstance(value, bool):
-        ok = kind is bool
-    else:
-        ok = isinstance(value, {float: (int, float), tuple: list}.get(kind, kind))
-    if not ok:
-        raise ConfigurationError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-
-
 def config_from_dict(doc: dict, seed_override=None) -> tuple[SimConfig, dict]:
-    """Validate a flat key-value document; unknown keys are hard errors."""
-    hints = {**_PARAM_HINTS, **_SIM_HINTS}
-    unknown = sorted(set(doc) - set(hints))
+    """Build a run from a flat key-value document; unknown keys are hard
+    errors, and SimConfig and ModelParams check the types of the values."""
+    params = {f.name for f in dataclasses.fields(ModelParams)}
+    sim = {f.name for f in dataclasses.fields(SimConfig)} - {"params"}
+    unknown = sorted(set(doc) - params - sim)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
-    for key, value in doc.items():
-        _check_type(key, value, hints[key])
-    params = ModelParams(**{k: float(v) for k, v in doc.items() if k in _PARAM_HINTS})
-    cfg = SimConfig(params=params, **{
-        k: tuple(v) if _SIM_HINTS[k] is tuple else v for k, v in doc.items() if k in _SIM_HINTS
+    cfg = SimConfig(params=ModelParams(**{k: v for k, v in doc.items() if k in params}), **{
+        k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k not in params
     })
     return cfg, doc
 
@@ -473,8 +448,7 @@ def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
 
 def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_dir: str):
     """Norm panel for one synthetic field, with the embedding ratio."""
-    if not (np.isfinite(s) and np.isfinite(b)):
-        raise ConfigurationError(f"s and b must be finite, got s={s}, b={b}")
+    _check_finite(s=s, b=b)
     check_count(seed, "seed")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
@@ -482,7 +456,9 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         )
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
-    x = xsb_norm(f, s, b, disp)
+    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    hat = np.fft.fftn(f.values, norm="ortho")  # the one space-time transform of both norms
+    x = lat.xsb(hat, s, b)
     sup_hs = spatial_sobolev_sup(f, s)
     payload = {
         "recipe": recipe,
@@ -490,7 +466,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         "b": b,
         "dispersion": disp_name,
         "xsb_norm": x,
-        "ys_norm": ys_norm(f, s, disp),
+        "ys_norm": lat.ys(hat, s),
         "l2_norm": f.l2_norm(),
         "mixed_norm_inf_2": mixed_norm(f, np.inf, 2),
         "sup_t_sobolev": sup_hs,

@@ -24,6 +24,7 @@ from .errors import ContractViolationError
 from .spectral import (
     ComplexField,
     Grid,
+    check_types,
     frozen_symbol,
     half_spectrum,
     half_width,
@@ -44,9 +45,7 @@ class ModelParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma2", "W", "D", "epsilon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
+        check_types(self)
         if not self.W >= 0:
             raise ContractViolationError(f"W must be nonnegative, got {self.W}")
         if not self.epsilon > 0:

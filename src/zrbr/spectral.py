@@ -13,6 +13,7 @@ without a transform.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,6 +42,7 @@ class Grid:
         if isinstance(self.n, (int, np.integer)) and (self.n < 4 or not _is_power_of_two(self.n)):
             raise ConfigurationError(f"points per axis must be a power of two >= 4, got {self.n}")
         check_count(self.n, "points per axis", 4)
+        check_types(self)
         if not (self.length > 0):
             raise ConfigurationError(f"box length must be positive, got {self.length}")
 
@@ -215,6 +217,33 @@ def check_count(value, name: str, least: int = 0) -> None:
     """A count, such as a band of low modes, is an integer >= least (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# Per annotated type, its name in messages and the types of the values that
+# stand for it: an int stands for a float, a list for a tuple.
+_KINDS = {int: ("an integer", (int, np.integer)), str: ("a string", str),
+          float: ("a number", (int, float, np.integer, np.floating)),
+          tuple: ("a list", (tuple, list)), bool: ("true or false", bool)}
+_annotations = lru_cache(maxsize=8)(typing.get_type_hints)
+
+
+def check_types(obj) -> None:
+    """Every annotated field of a dataclass has its annotated type, by the
+    config file's rules: those of _KINDS, a bool for no number, None only
+    under `| None`, any other class by isinstance; a number is finite."""
+    for name, hint in _annotations(type(obj)).items():
+        value = getattr(obj, name)
+        kinds = typing.get_args(hint) or (hint,)
+        kind = kinds[0]
+        kind_name, accepted = _KINDS.get(kind, (f"a {kind.__name__}", kind))
+        if value is None:
+            ok = type(None) in kinds
+        else:
+            ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+        if not ok:
+            raise ConfigurationError(f"{name} must be {kind_name}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def low_mode_coefficients(

@@ -147,6 +147,14 @@ class TestSnapshots:
         with pytest.raises(ConfigurationError, match="not cubic"):
             self._read_bytes(tmp_path, data)
 
+    @pytest.mark.parametrize("length", [float("inf"), float("nan")])
+    def test_non_finite_length_rejected(self, tmp_path, length):
+        # an inf length read back as a state on an infinite box
+        data = (SNAPSHOT_MAGIC + struct.pack("<IIIId", 1, 2, 8, 8, length)
+                + bytes(3 * 16 * 8 * 8))
+        with pytest.raises(ConfigurationError, match="^length must be finite"):
+            self._read_bytes(tmp_path, data)
+
     def test_bad_dimension_rejected(self, tmp_path):
         data = SNAPSHOT_MAGIC + struct.pack("<IIIIIId", 1, 4, 8, 8, 8, 8, 5.0)
         with pytest.raises(ConfigurationError, match="dimension"):
@@ -534,6 +542,13 @@ class TestNormsCommand:
         assert p["xsb_norm"] == 0.0
         assert p["ys_norm"] == 0.0
         assert p["embedding_ratio"] == 0.0
+
+    @pytest.mark.parametrize("recipe, fftn", [("cutoff-free", 2), ("random-band-limited", 1)])
+    def test_each_transform_taken_once(self, tmp_path, fft_calls, recipe, fftn):
+        # one space-time fftn for xsb_norm and ys_norm, and the spatial one
+        # only for a field that does not carry its spatial coefficients
+        cmd_norms(recipe, 1.0, 0.6, "schrodinger", 0, str(tmp_path / "out"))
+        assert fft_calls.count("fftn") == fftn
 
     def test_unknown_recipe_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,99 @@
+"""Every input dataclass checks its fields' types on construction, from a
+config file and from Python alike.
+
+The wrong values are generated from the annotations, so a new field is
+covered without a new case: a bool for a number, a string for a number or a
+bool, None where the annotation has no `| None`, and inf and nan for a
+float.  Each raises ConfigurationError naming the field, and a config-file
+key that gets one makes the command exit 2.
+"""
+
+import json
+import typing
+
+import numpy as np
+import pytest
+
+from zrbr.cli import main
+from zrbr.config import SimConfig
+from zrbr.errors import ConfigurationError
+from zrbr.exponents import ExponentParams, derive
+from zrbr.harness import EXIT_VALIDATION
+from zrbr.model import ModelParams
+from zrbr.spectral import Grid
+
+# A valid construction of each class, as keyword arguments.
+VALID = {
+    SimConfig: {},
+    ModelParams: {},
+    Grid: {"dim": 2, "n": 16, "length": 2 * np.pi},
+    ExponentParams: {"b1": 0.8, "b2": 0.1, "d": 2},
+}
+# The name a field's messages use where it is not the field's own: Grid's
+# count check names n by what it counts.
+LABELS = {(Grid, "n"): "points per axis"}
+
+
+def wrong_values(hint) -> list:
+    """The values the annotation hint rejects, one of each kind."""
+    kinds = typing.get_args(hint) or (hint,)
+    wrong = [] if type(None) in kinds else [None]
+    if kinds[0] in (int, float):
+        wrong.append(True)
+    if kinds[0] in (int, float, bool):
+        wrong.append("1")
+    if kinds[0] is float:
+        wrong += [float("inf"), float("nan")]
+    return wrong
+
+
+CASES = [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+    for cls in VALID
+    for name, hint in typing.get_type_hints(cls).items()
+    for value in wrong_values(hint)
+]
+
+
+@pytest.mark.parametrize("cls, name, value", CASES)
+def test_wrong_type_is_named(cls, name, value):
+    label = LABELS.get((cls, name), name)
+    with pytest.raises(ConfigurationError, match=f"^{label} must be "):
+        cls(**{**VALID[cls], name: value})
+
+
+CONFIG_KEYS = sorted(set(typing.get_type_hints(ModelParams))
+                     | set(typing.get_type_hints(SimConfig)) - {"params"})
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_wrong_type_in_a_config_file_exits_2(tmp_path, capsys, key):
+    hint = {**typing.get_type_hints(SimConfig), **typing.get_type_hints(ModelParams)}[key]
+    for value in wrong_values(hint):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 16, "t_end": 0.01, key: value}))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "simulate"]) == EXIT_VALIDATION
+        assert f"{key} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("make, message", [
+    # "no" is true, so the run was dealiased
+    (lambda: SimConfig(dealias="no"), "^dealias must be true or false, got 'no'$"),
+    (lambda: SimConfig(params="x"), "^params must be a ModelParams, got 'x'$"),
+    # True ran as b1 = 1.0
+    (lambda: derive(True, 0.1, 2), "^b1 must be a number, got True$"),
+    # a raw numpy TypeError
+    (lambda: derive("0.7", 0.1, 2), "^b1 must be a number, got '0.7'$"),
+], ids=["dealias-no", "params-x", "derive-true", "derive-string"])
+def test_reported_inputs(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
+
+
+def test_numbers_of_other_kinds_are_accepted():
+    cfg = SimConfig(length=12, dt=np.float32(0.5), t_end=np.int64(1), mode=[1, 0],
+                    params=ModelParams(D=0, epsilon=np.float64(0.5)))
+    assert cfg.grid == Grid(2, 64, 12.0)
+    assert derive(np.float64(0.8), 0, np.int64(3)).b0 == 0.8

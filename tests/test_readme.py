@@ -7,6 +7,7 @@ import inspect
 import pathlib
 import pkgutil
 import re
+import typing
 
 import pytest
 
@@ -20,13 +21,19 @@ from zrbr.model import ModelParams
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def table_names(heading):
-    """The backquoted names in the first column of the first table under a
-    heading; one row may name several, as `sigma2`, `W`, `D`."""
+def table_rows(heading):
+    """(names, second cell) per row of the first table under a heading: the
+    backquoted names in its first column, as one row may name several
+    (`sigma2`, `W`, `D`), and the text of its second column."""
     text = README.read_text()
     section = text[text.index(heading + "\n"):]
     rows = re.search(r"((?:^\|.*\n)+)", section, re.M).group(1).splitlines()[2:]
-    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    return [(re.findall(r"`([^`]+)`", row.split("|")[1]), row.split("|")[2].strip())
+            for row in rows]
+
+
+def table_names(heading):
+    return [name for names, _ in table_rows(heading) for name in names]
 
 
 def test_command_table_lists_every_subcommand():
@@ -44,6 +51,19 @@ def test_config_table_lists_every_key():
     # config_from_dict names every unknown key before it reads any value.
     with pytest.raises(ConfigurationError, match=r"^unknown config keys: zz_not_a_key$"):
         config_from_dict({**dict.fromkeys(names), "zz_not_a_key": 0})
+
+
+# How the configuration table writes each annotated type.
+TYPE_TEXT = {int: "int", float: "float", str: "str", bool: "bool", tuple: "list"}
+
+
+def test_config_table_types_match_the_annotations():
+    hints = {**typing.get_type_hints(SimConfig), **typing.get_type_hints(ModelParams)}
+    for names, cell in table_rows("### Configuration file"):
+        for name in names:
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            text = TYPE_TEXT[kinds[0]] + (" or null" if type(None) in kinds else "")
+            assert cell == text, f"{name}: the table says {cell!r}, the annotation {text!r}"
 
 
 # The package and every module in it, where a name in "Removed API" is looked up.
