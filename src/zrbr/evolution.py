@@ -35,6 +35,7 @@ from .spectral import (
     ComplexField,
     Grid,
     check_count,
+    check_number,
     dealias_mask,
     frozen_symbol,
     full_spectrum,
@@ -427,6 +428,7 @@ def picard_iterate(
     Differences are taken on the Duhamel parts by Plancherel, and a minus
     component's are its plus partner's.
     """
+    T = check_number(T, "T")
     if not (0.0 < T <= 1.0):
         raise ConfigurationError(f"T must be in (0, 1], got {T}")
     check_count(n_iters, "n_iters", 1)

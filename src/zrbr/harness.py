@@ -22,7 +22,7 @@ from .errors import ConfigurationError, DivergenceError
 from .evolution import picard_iterate, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities
 from .model import ModelParams, PlusMinusState, ZRState, decompose
-from .spectral import ComplexField, Grid, check_count, to_physical
+from .spectral import ComplexField, Grid, check_count, check_number, to_physical
 from .bourgain import (
     SCHRODINGER,
     WAVE_MINUS,
@@ -276,7 +276,7 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
 
 def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
     """Sweep epsilon over a descending list; fit log T_proxy vs log(1/eps)."""
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [check_number(e, "epsilon") for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise ConfigurationError("epsilon list must be nonempty and positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -392,12 +392,13 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     # The contraction factor is a ratio of two successive differences.
     if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 2:
         raise ConfigurationError(f"picard needs at least 2 iterations, got {n_iters!r}")
+    T_list = [check_number(T, "T") for T in T_list]
     initial = initial_plus_minus(config)
     rows = []
     reports = []
     for T in T_list:
-        _, rep = picard_iterate(initial, float(T), n_iters, config.params, n_time=n_time)
-        rows.append((float(T), rep.contraction_factor, int(rep.contracting)))
+        _, rep = picard_iterate(initial, T, n_iters, config.params, n_time=n_time)
+        rows.append((T, rep.contraction_factor, int(rep.contracting)))
         reports.append(
             {
                 "T": rep.T,

@@ -219,6 +219,13 @@ def check_count(value, name: str, least: int = 0) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_number(value, name: str) -> float:
+    """check_types' rule for a float (finite, no bool); returns it as a float."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[float][1]) or not np.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # Per annotated type, its name in messages and the types of the values that
 # stand for it: an int stands for a float, a list for a tuple.
 _KINDS = {int: ("an integer", (int, np.integer)), str: ("a string", str),

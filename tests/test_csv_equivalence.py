@@ -139,8 +139,13 @@ def read_bytes(path):
 # ---------------------------------------------------------------------------
 
 class TestRegionExport:
+    # region_scan takes whole b1 rows, at most 2**14 samples at a time:
+    # 7e-3 is 71 rows of 72 samples, one block; 2e-3 is 249 rows of 251,
+    # several blocks of 65 rows with a partial last one of 54, and 251 does
+    # not divide 2**14; 1/510 is 254 rows of 256, which divides 2**14, so the
+    # blocks are 64 rows, full but for the last one of 62.
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("resolution", [2e-3, 7e-3])
+    @pytest.mark.parametrize("resolution", [2e-3, 7e-3, 1 / 510])
     def test_csv_and_report_byte_identical(self, tmp_path, d, resolution):
         cmd_region(d, resolution, str(tmp_path / "new"))
         reference_cmd_region(d, resolution, str(tmp_path / "ref"))

@@ -189,16 +189,24 @@ class TestRegionScan:
         assert len(scan.b1) == n_b1 * n_b2
 
     def test_min_theta_builds_no_stack(self):
-        # the twelve thetas at N = 250,000 samples: a (12, N) stack of them
-        # took the traced peak of the scan to 52.5 MiB; a running minimum
-        # holds two arrays at a time, 39.4 MiB
-        tracemalloc.start()
-        try:
-            region_scan(2, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 44 * 2**20
+        # At 1e-3 (N = 250,000 samples) a (12, N) stack of the thetas took the
+        # traced peak of the scan to 52.5 MiB, and the other whole-lattice
+        # temporaries (constraint matrix, codes and their sort) to 39.4 MiB.
+        # In blocks of b1 rows the scan holds its result, 7.9 MiB, and one
+        # block, about 2 MiB, so the peak above the result does not grow
+        # with N: 2.0 MiB at 1e-3 and at 5e-4 (N = 1,001,000).
+        for d in (2, 3):
+            for resolution in (1e-3, 5e-4):
+                tracemalloc.start()
+                try:
+                    scan = region_scan(d, resolution)
+                    held, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                if resolution == 1e-3:
+                    assert peak <= 14 * 2**20, d
+                assert peak - held <= 3 * 2**20, (d, resolution)
+                del scan
 
     def test_reports_both_b1_ranges(self):
         scan = region_scan(2, 5e-3)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zrbr.cli import main
 from zrbr.config import SimConfig
 from zrbr.evolution import run_simulation
 from zrbr.errors import ConfigurationError, ZRBRError
+from zrbr.exponents import region_scan
 from zrbr.harness import (
     EXIT_CAP_EXCEEDED,
     EXIT_OK,
@@ -461,6 +463,24 @@ class TestRegionCommand:
         argv = ["--out", str(out), "region", "--d", "2", "--resolution", resolution]
         assert main(argv) == EXIT_VALIDATION
         assert not (out / "region_d2.csv").exists()
+
+    def test_holds_the_scan_and_one_row_of_text(self, tmp_path):
+        # The call perfbench's verify workload times.  The CSV is written one
+        # b1 row at a time, so the traced peak is region_scan's result plus
+        # one block of the scan (about 2 MiB) or one row's text (about
+        # 0.1 MiB); the whole table's text, or the scan's whole-lattice
+        # temporaries, would add more than 30 MiB.
+        tracemalloc.start()
+        try:
+            scan = region_scan(3, 1e-3)
+            result = tracemalloc.get_traced_memory()[0]
+            del scan
+            tracemalloc.reset_peak()
+            cmd_region(3, 1e-3, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result + 3 * 2**20
 
 
 class TestFuzzCommand:

@@ -17,8 +17,9 @@ import pytest
 from zrbr.cli import main
 from zrbr.config import SimConfig
 from zrbr.errors import ConfigurationError
-from zrbr.exponents import ExponentParams, derive
-from zrbr.harness import EXIT_VALIDATION
+from zrbr.evolution import picard_iterate
+from zrbr.exponents import ExponentParams, derive, region_scan
+from zrbr.harness import EXIT_VALIDATION, cmd_epsilon_scaling, cmd_picard, initial_plus_minus
 from zrbr.model import ModelParams
 from zrbr.spectral import Grid
 
@@ -97,3 +98,47 @@ def test_numbers_of_other_kinds_are_accepted():
                     params=ModelParams(D=0, epsilon=np.float64(0.5)))
     assert cfg.grid == Grid(2, 64, 12.0)
     assert derive(np.float64(0.8), 0, np.int64(3)).b0 == 0.8
+
+
+# A scalar argument of a library call is checked by check_types' rule for a
+# float: an int or a numpy number stands for one, a bool never does, and it
+# is finite.
+PICARD_CFG = SimConfig(n=16, length=4 * np.pi, t_end=0.0, normalize_h1=1e-3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # raw TypeErrors
+    (lambda out: region_scan(2, "0.001"), "^resolution must be a finite number, got '0.001'$"),
+    (lambda out: region_scan(2, None), "^resolution must be a finite number, got None$"),
+    (lambda out: region_scan(2, [1e-3]), r"^resolution must be a finite number, got \[0.001\]$"),
+    # read as 1.0 and refused only by the range check
+    (lambda out: region_scan(2, True), "^resolution must be a finite number, got True$"),
+    (lambda out: picard_iterate(initial_plus_minus(PICARD_CFG), "0.1", 2, PICARD_CFG.params),
+     "^T must be a finite number, got '0.1'$"),
+    # ran and reported T = True
+    (lambda out: picard_iterate(initial_plus_minus(PICARD_CFG), True, 2, PICARD_CFG.params),
+     "^T must be a finite number, got True$"),
+    # ran epsilon = 2.0 and 1.0
+    (lambda out: cmd_epsilon_scaling(PICARD_CFG, {}, ["2.0", True], out),
+     "^epsilon must be a finite number, got '2.0'$"),
+    (lambda out: cmd_epsilon_scaling(PICARD_CFG, {}, [2.0, True], out),
+     "^epsilon must be a finite number, got True$"),
+    # reported T = 1.0
+    (lambda out: cmd_picard(PICARD_CFG, {}, [True], 2, out, n_time=16),
+     "^T must be a finite number, got True$"),
+    (lambda out: cmd_picard(PICARD_CFG, {}, [0.1, float("nan")], 2, out, n_time=16),
+     "^T must be a finite number, got nan$"),
+], ids=["region-string", "region-none", "region-list", "region-true", "picard-string",
+        "picard-true", "eps-string", "eps-true", "cmd-picard-true", "cmd-picard-nan"])
+def test_scalar_arguments_are_named(tmp_path, call, message):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match=message):
+        call(str(out))
+    assert not out.exists()
+
+
+def test_scalar_arguments_of_other_kinds_are_accepted(tmp_path):
+    assert region_scan(2, np.float64(5e-3)).resolution == 5e-3
+    _, report = cmd_picard(PICARD_CFG, {}, [np.float32(0.25), 1], 2, str(tmp_path), n_time=16)
+    assert [row["T"] for row in report["payload"]["per_T"]] == [0.25, 1.0]
+    assert (tmp_path / "picard.csv").read_text().splitlines()[1].startswith("0.25,")
