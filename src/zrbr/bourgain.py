@@ -354,33 +354,47 @@ class _BandLimited(SpaceTimeField):
 # Retarded convolution and the linear estimate check
 # ---------------------------------------------------------------------------
 
-# The space-time kernel shared with evolution.picard_iterate: the free group
+# The space-time kernel shared with the Picard map: the free group
 # exp(-i t p) and the anchored trapezoid retarded integral.  Both act on
 # spatial Fourier coefficients sampled at the window times, pointwise in xi,
 # so a caller that starts from spatial coefficients needs no space-time round
 # trip: linear_estimate_ratio ends with a time-axis transform into the norms,
-# and picard_iterate keeps its iterates as spatial coefficients.  Here the
-# group comes from the lattice table; picard_iterate reads the table's window
-# but builds its groups itself, so the cache keeps none per Picard window.
+# and the Picard map keeps its iterates as spatial coefficients.  Its groups
+# are its own, for t >= 0 only, so the lattice cache keeps none per Picard
+# window, and it integrates block by block through a carry.
 
 def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""
     return np.exp(-1j * times.reshape((-1,) + (1,) * phase.ndim) * phase[None])
 
 
-def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int) -> np.ndarray:
+def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int,
+              carry: np.ndarray | None = None) -> np.ndarray:
     """int_0^t exp(-i (t-s) p) q_hat(s) ds, given group = exp(-i t p).
 
     Trapezoid rule in s, anchored so the integral vanishes at zero_index.
-    q_hat is left untouched.
+    A time block of a longer sweep passes carry instead: the (2, *grid)
+    integral and integrand at the slice before its first.  The sum goes on
+    from there, and carry moves to the block's last slice; (0, -q_hat) at
+    t = 0 starts a sweep there.  q_hat is left untouched.
     """
     integrand = np.conj(group)
     integrand *= q_hat
-    seg = integrand[1:] + integrand[:-1]
-    seg *= 0.5 * dt
-    integrand[0] = 0.0
-    np.cumsum(seg, axis=0, out=integrand[1:])
-    integrand -= integrand[zero_index]
+    seg = np.empty_like(integrand)
+    np.add(integrand[1:], integrand[:-1], out=seg[1:])
+    if carry is None:  # a whole window, summed from 0 at its first slice
+        seg[0] = 0.0
+        seg *= 0.5 * dt
+        np.cumsum(seg, axis=0, out=integrand)
+        integrand -= integrand[zero_index]
+    else:  # a block, short in time: a loop over its slices beats cumsum
+        np.add(integrand[0], carry[1], out=seg[0])
+        carry[1] = integrand[-1]
+        seg *= 0.5 * dt
+        seg[0] += carry[0]
+        for prev, row in zip(seg, seg[1:]):
+            row += prev
+        carry[0], integrand = seg[-1], seg
     return np.multiply(group, integrand, out=integrand)
 
 

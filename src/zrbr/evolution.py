@@ -375,11 +375,19 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Cutoff Duhamel-Picard iteration for the half-wave system
 # ---------------------------------------------------------------------------
+#
+# An iterate is carried as the Duhamel parts of psi, rho_+ and varphi_+, three
+# (n_time, *grid) stacks of spatial coefficients; its free part is rebuilt
+# where it is read.  Every source is pointwise in time and the retarded
+# integral runs outward from t = 0, so the map sweeps the window forward and
+# then backward from t = 0 in blocks of whole time slices, carrying the sum
+# across block edges and overwriting each block once its sources are read.
 
 _COMPONENTS = ("psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus")
 _MINUS = {"rho_minus": "rho_plus", "varphi_minus": "varphi_plus"}  # -> plus partner
 # The contraction factor skips the first ratio above round-off.
 _BURN_IN = 2
+_BLOCK_POINTS = 1 << 14  # grid points per time block of a sweep, or one slice
 
 
 @dataclass
@@ -393,153 +401,149 @@ class PicardReport:
     component_diffs: dict = field(default_factory=dict)  # component -> diffs
 
 
-def _sup_l2(values: np.ndarray, grid: Grid) -> float:
-    """sup over time slices of the spatial L2 norm of a contiguous stack."""
-    pairs = values.reshape(len(values), -1).view(np.float64)  # (re, im) per point
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", pairs, pairs)) * grid.cell_volume))
+class _PicardContext:
+    """What the Picard map reads besides the iterate: u0, lambda and the
+    Duhamel coefficients at the window times, psi's and the wave group at
+    t = k dt, k <= n_time/2 (at -t, their conjugates), and a workspace."""
+
+    def __init__(self, initial: PlusMinusState, T: float, params: ModelParams, n_time: int):
+        self.T = check_number(T, "T")
+        if not (0.0 < self.T <= 1.0):
+            raise ConfigurationError(f"T must be in (0, 1], got {T}")
+        check_count(n_time, "n_time", 4)
+        if n_time % 2:
+            raise ConfigurationError(f"n_time must be even, got {n_time}")
+        grid = self.grid = initial.grid
+        self.params = params
+        # The window [-2T, 2T) is the wave lattice's: its times, step and |xi|.
+        lat = _lattice(grid, 2.0 * self.T, n_time, WAVE_PLUS)
+        self.dt, tshape = lat.dt, (-1,) + (1,) * grid.dim
+        self.lam, lam_T = (_window_cutoff(lat.t_half, n_time, c).reshape(tshape)
+                           for c in (1.0, self.T))
+        # The screening lambda_{2T}(s) of the sources is exactly 1.0 on the
+        # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
+        # multiplying by it would change no bit.  It is left out.
+        self.coef = {"psi": -1j * params.epsilon * lam_T, "rho_plus": -1j * lam_T,
+                     "varphi_plus": -1j * lam_T}
+        self.u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
+        half = lat.dt * np.arange(n_time // 2 + 1)  # the groups are exactly 1 at t = 0
+        self.groups = (_group(half, params.epsilon * grid.xi_squared), _group(half, lat.phase))
+        self.mirror = np.roll(np.flip(np.arange(grid.n**grid.dim).reshape(grid.shape)), 1,
+                              tuple(range(grid.dim))).ravel()  # the flat index of -xi per xi
+        m = min(max(1, _BLOCK_POINTS // grid.n**grid.dim), n_time // 2)
+        self.work = np.empty((4, m) + grid.shape, dtype=np.complex128)
+
+    def blocks(self):
+        """(s, sign, psi's group, the wave group, its conjugate) per time
+        block in sweep order, forward from t = 0 and then backward: a window
+        stack's slices in the block are a[s][::sign], outward from t = 0."""
+        z, m = len(self.lam) // 2, len(self.work[0])
+        for sign, k0 in [(1, k) for k in range(0, z, m)] + [(-1, k) for k in range(1, z + 1, m)]:
+            k1 = min(k0 + m, z + (sign < 0))
+            psi, wave = (g[k0:k1] if sign > 0 else np.conj(g[k0:k1]) for g in self.groups)
+            s = slice(z + k0, z + k1) if sign > 0 else slice(z - k1 + 1, z - k0 + 1)
+            yield s, sign, psi, wave, np.conj(wave) if sign > 0 else self.groups[1][k0:k1]
 
 
-def picard_iterate(
-    initial: PlusMinusState,
-    T: float,
-    n_iters: int,
-    params: ModelParams,
-    n_time: int = 64,
-):
-    """Iterate the cutoff Duhamel equations on the window [-2T, 2T).
-
-    Iterate 0 is the cutoff free flow lambda(t) * group(t) * u0 per
-    component; each following iterate applies the retarded integral with the
-    nonlinearity screened by lambda_{2T}(s), which is 1 on the window.
-    Returns [iterate 0, last iterate] (dicts of space-time value arrays,
-    physical space) and a PicardReport of successive-difference norms and
-    the empirical contraction factor.
-
-    Iterates are carried on whole (n_time, *grid) stacks of spatial Fourier
-    coefficients, as the free part lambda * group * u0_hat, which needs no
-    transform, plus a Duhamel part.  G_- = -G_+ and H_- = -H_+ are real, so
-    the Duhamel part of a minus component is, in physical space, the complex
-    conjugate of its plus partner's.  A minus component is carried as its
-    conjugate, whose coefficients conj(u_hat(-xi)) obey the plus equation,
-    and an iteration takes three retarded integrals (psi, rho_+, varphi_+)
-    and six transforms: psi and Lap psi to physical space, one inverse of
-    the Duhamel part of the acoustic sum in F (its free part is transformed
-    once per call), and the forward transforms of F, |psi|^2 and its rate.
-    Differences are taken on the Duhamel parts by Plancherel, and a minus
-    component's are its plus partner's.
-    """
-    T = check_number(T, "T")
-    if not (0.0 < T <= 1.0):
-        raise ConfigurationError(f"T must be in (0, 1], got {T}")
-    check_count(n_iters, "n_iters", 1)
-    check_count(n_time, "n_time", 4)
-    if n_time % 2:
-        raise ConfigurationError(f"n_time must be even, got {n_time}")
-
-    grid = initial.grid
-    # The window [-2T, 2T) is the wave lattice's: its times, step and |xi|.
-    lat = _lattice(grid, 2.0 * T, n_time, WAVE_PLUS)
+def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
+    """Apply the cutoff Duhamel map once: duh, the Duhamel stacks of psi,
+    rho_+ and varphi_+ in that order, becomes the next iterate's in place.
+    Returns per stack the largest squared spatial L2 sum of the difference
+    over time slices.  A block takes six transforms, as the whole window
+    did, and one retarded integral per stack."""
+    grid, params, u0 = ctx.grid, ctx.params, ctx.u0
     axes = tuple(range(1, grid.dim + 1))
-    tshape = (-1,) + (1,) * grid.dim
-
-    lam, lam_T = (_window_cutoff(lat.t_half, n_time, c).reshape(tshape) for c in (1.0, T))
-    # The screening lambda_{2T}(s) of the sources is exactly 1.0 on the
-    # window: |t| <= 2T there, so |t / 2T| <= 1 even after rounding, and
-    # multiplying by it would change no bit.  It is left out.
-
-    # Per carried component: exp(-i t p), its source, and lambda_T times
-    # its Duhamel coefficient, -i epsilon (psi) or -i (the acoustic ones).
-    # The wave group is built here, not read from the lattice, whose cache
-    # would then hold one (n_time, *grid) array per window.
-    wave = _group(lat.times, lat.phase)
-    psi_group = _group(lat.times, params.epsilon * grid.xi_squared)
-    plan = {"psi": (psi_group, "F", -1j * params.epsilon * lam_T),
-            "rho_plus": (wave, "G", -1j * lam_T),
-            "varphi_plus": (wave, "H", -1j * lam_T)}
-
-    u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
-    free_psi = lam * (psi_group * u0["psi"])
-    cwave = np.conj(wave)
-    # (rho_+ + rho_-) + D (varphi_+ + varphi_-) of the free part, as F reads it.
-    free_sum = wave * (u0["rho_plus"] + params.D * u0["varphi_plus"])
-    free_sum += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
-    free_acoustic = lam * np.fft.ifftn(free_sum, axes=axes, norm="ortho")
-    del free_sum
-    # An acoustic free part lambda * group * u0_hat is never larger than its
-    # datum: lambda <= 1, the group is unitary and a mirrored datum (a minus
-    # component's, as carried) keeps its norm.
-    free_top = _sup_l2(np.stack([u0[name] for name in _COMPONENTS[1:]]), grid)
-
-    duh = {name: np.zeros((n_time,) + grid.shape, dtype=np.complex128) for name in plan}
-    component_diffs = {name: [] for name in _COMPONENTS}
-    largest = 0.0
-    for it in range(n_iters + 1):
-        # The current iterate: psi's coefficients, psi's norm and a bound on
-        # the acoustic ones (free part plus Duhamel part).
-        psi_hat = free_psi + duh["psi"]
-        largest = max(largest, _sup_l2(psi_hat, grid), free_top
-                      + max(_sup_l2(duh[p], grid) for p in ("rho_plus", "varphi_plus")))
-        if it == n_iters:
-            break
-
-        psi = np.fft.ifftn(psi_hat, axes=axes, norm="ortho")
+    diff2, carry = dict.fromkeys(duh, 0.0), {}
+    for s, sign, psi_group, wave, cwave in ctx.blocks():
+        psi_hat, psi, acoustic, spare = (w[: len(wave)] for w in ctx.work)
+        lam = ctx.lam[s][::sign]
+        np.multiply(psi_group, u0["psi"], out=psi_hat)
+        psi_hat *= lam
+        psi_hat += duh["psi"][s][::sign]
+        np.fft.ifftn(psi_hat, axes=axes, norm="ortho", out=psi)
         a2 = np.abs(psi)
         a2 *= a2
-        # The plus Duhamel part, its conjugate (the minus one) and the free sum.
-        acoustic = params.D * duh["varphi_plus"]
-        acoustic += duh["rho_plus"]
+        # The coefficients of (rho_+ + rho_-) + D (varphi_+ + varphi_-): the
+        # plus Duhamel part d, the minus one conj(d(-xi)), and the free part.
+        d = np.multiply(duh["varphi_plus"][s][::sign], params.D, out=acoustic)
+        d += duh["rho_plus"][s][::sign]
+        np.take(d.reshape(len(d), -1), ctx.mirror, axis=1, out=spare.reshape(len(d), -1))
+        acoustic += np.conjugate(spare, out=spare)
+        np.multiply(wave, u0["rho_plus"] + params.D * u0["varphi_plus"], out=spare)
+        spare += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
+        spare *= lam
+        acoustic += spare
         np.fft.ifftn(acoustic, axes=axes, norm="ortho", out=acoustic)
-        acoustic += np.conj(acoustic)
-        acoustic += free_acoustic
         F = coupled_source(psi, a2, acoustic, params)
-        del acoustic
         psi_t = envelope_rate(psi_hat, F, grid, params)
-        sources = {"F": np.fft.fftn(F, axes=axes, norm="ortho", out=F)}
-        del psi_hat, F
-        sources["G"], sources["H"] = half_wave_sources(a2, psi, psi_t, grid, params)
-        del psi, a2, psi_t
+        sources = (np.fft.fftn(F, axes=axes, norm="ortho", out=F),
+                   *half_wave_sources(a2, psi, psi_t, grid, params))
+        for (name, stack), group, q in zip(duh.items(), (psi_group, wave, wave), sources):
+            if name not in carry:  # both sweeps start at t = 0, where the integrand is q
+                carry[name] = np.array([[0 * q[0], -q[0]], [0 * q[0], q[0]]])
+            new = _retarded(q, group, sign * ctx.dt, None, carry[name][int(sign < 0)])
+            new *= ctx.coef[name][s][::sign]
+            old = stack[s][::sign]
+            diff = np.subtract(old, new, out=q).reshape(len(q), -1).view(np.float64)
+            diff2[name] = max(diff2[name], np.max(np.einsum("ij,ij->i", diff, diff)))
+            old[...] = new
+    return diff2
 
-        for name, (group, source, coef) in plan.items():
-            new = _retarded(sources.pop(source), group, lat.dt, n_time // 2)
-            new *= coef
-            # The old Duhamel part is not read again; the difference overwrites it.
-            diff = np.subtract(duh[name], new, out=duh[name])
-            component_diffs[name].append(_sup_l2(diff, grid))
-            duh[name] = new
+
+def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
+                       n_time: int = 64, progress=None):
+    """Iterate the cutoff Duhamel map on the window [-2T, 2T) from the cutoff
+    free flow lambda(t) * group(t) * u0 (the sources' screening lambda_{2T}
+    is 1 there).  Returns the map's context, the last Duhamel stacks and a
+    PicardReport of the differences per component (on the Duhamel parts, by
+    Plancherel) and the contraction factor; progress(k, diff) follows
+    iteration k."""
+    check_count(n_iters, "n_iters", 1)
+    ctx = _PicardContext(initial, T, params, n_time)
+    duh = {name: np.zeros((n_time,) + ctx.grid.shape, dtype=np.complex128) for name in ctx.coef}
+    component_diffs = {name: [] for name in _COMPONENTS}
+    for it in range(1, n_iters + 1):
+        for name, d2 in _picard_map(duh, ctx).items():
+            component_diffs[name].append(float(np.sqrt(d2 * ctx.grid.cell_volume)))
+        if progress is not None:
+            progress(it, max(component_diffs[name][-1] for name in duh))
     for minus, plus in _MINUS.items():
         component_diffs[minus] = list(component_diffs[plus])
 
-    # Iterate 0 on the physical grid, and the last iterate as its free part
-    # plus the Duhamel parts, conjugated for the minus components.
-    del free_psi, free_acoustic
-    free, current = {}, {}
-    for name in _COMPONENTS:
-        if name in duh:
-            d = duh.pop(name)
-            np.fft.ifftn(d, axes=axes, norm="ortho", out=d)
-        f = (cwave if name in _MINUS else plan[name][0]) * u0[name]
-        np.fft.ifftn(f, axes=axes, norm="ortho", out=f)
-        f *= lam
-        free[name] = f
-        current[name] = f + (np.conj(d) if name in _MINUS else d)
-
     diffs = [max(d) for d in zip(*component_diffs.values())]
-    ratios = []
-    for a, b in zip(diffs[:-1], diffs[1:]):
-        ratios.append(0.0 if a == 0.0 else b / a)
+    ratios = [0.0 if a == 0.0 else b / a for a, b in zip(diffs, diffs[1:])]
     # Differences within 64 ulps of the largest iterate are round-off, and
     # ratios taken from them say nothing about contraction.  largest bounds
-    # the acoustic norms by the triangle inequality, at most about twice over.
-    floor = 64 * np.finfo(np.float64).eps * largest
+    # every iterate's sup_t L2 norm by the triangle inequality: its free part
+    # by the largest datum's norm (lambda <= 1 and the groups are unitary),
+    # and its Duhamel part by the sum of the differences before it.
+    largest = math.sqrt(max(np.vdot(u, u).real for u in ctx.u0.values()) * ctx.grid.cell_volume)
+    floor = 64 * np.finfo(np.float64).eps * (largest + sum(diffs))
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail
     factor = max(tail) if tail else 0.0
-    return [free, current], PicardReport(
-        T=T,
-        n_time=n_time,
-        diffs=diffs,
-        ratios=ratios,
-        contraction_factor=factor,
-        contracting=factor < 1.0,
-        component_diffs=component_diffs,
-    )
+    return ctx, duh, PicardReport(ctx.T, n_time, diffs, ratios, factor, factor < 1.0,
+                                  component_diffs)
+
+
+def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
+                   n_time: int = 64):
+    """picard_contraction's iteration; returns [iterate 0, last iterate] in
+    physical space and the PicardReport.  G_- = -G_+ and H_- = -H_+ are
+    real, so a minus component's Duhamel part is, in physical space, the
+    conjugate of its plus partner's."""
+    ctx, duh, report = picard_contraction(initial, T, n_iters, params, n_time)
+    axes = tuple(range(1, ctx.grid.dim + 1))
+    free = {name: np.empty_like(duh["psi"]) for name in _COMPONENTS}
+    for s, sign, psi_group, wave, cwave in ctx.blocks():
+        for name, group in zip(_COMPONENTS, (psi_group, wave, cwave, wave, cwave)):
+            f = np.multiply(group, ctx.u0[name], out=free[name][s][::sign])
+            np.fft.ifftn(f, axes=axes, norm="ortho", out=f)
+            f *= ctx.lam[s][::sign]
+    for d in duh.values():
+        np.fft.ifftn(d, axes=axes, norm="ortho", out=d)
+    current = {name: np.conj(duh[_MINUS[name]]) if name in _MINUS else duh[name]
+               for name in _COMPONENTS}
+    for name in _COMPONENTS:
+        current[name] += free[name]
+    return [free, current], report

@@ -13,13 +13,14 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 
 from . import __version__
 from .config import SimConfig, make_initial_state
 from .errors import ConfigurationError, DivergenceError
-from .evolution import picard_iterate, run_simulation
+from .evolution import picard_contraction, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities
 from .model import ModelParams, PlusMinusState, ZRState, decompose
 from .spectral import ComplexField, Grid, check_count, check_number, to_physical
@@ -388,7 +389,7 @@ def initial_plus_minus(config: SimConfig) -> PlusMinusState:
 
 def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str,
                n_time: int = 64):
-    """Contraction table over a list of cut scales T."""
+    """Contraction table over a list of cut scales T; progress on stderr."""
     # The contraction factor is a ratio of two successive differences.
     if isinstance(n_iters, bool) or not isinstance(n_iters, (int, np.integer)) or n_iters < 2:
         raise ConfigurationError(f"picard needs at least 2 iterations, got {n_iters!r}")
@@ -397,7 +398,8 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     rows = []
     reports = []
     for T in T_list:
-        _, rep = picard_iterate(initial, T, n_iters, config.params, n_time=n_time)
+        _, _, rep = picard_contraction(initial, T, n_iters, config.params, n_time, lambda k, d: print(
+            f"picard T={T:g}: iteration {k}/{n_iters}, largest difference {d:.3e}", file=sys.stderr))
         rows.append((T, rep.contraction_factor, int(rep.contracting)))
         reports.append(
             {

@@ -160,7 +160,7 @@ def recombine(pm: PlusMinusState):
 
 # The source formulas act on value arrays whose trailing axes are the grid,
 # so the same code serves one time slice (the ComplexField API below) and a
-# whole (n_time, *grid) stack (evolution.picard_iterate).
+# block of (time, *grid) slices (evolution._picard_map).
 
 
 @dataclass(frozen=True, eq=False)

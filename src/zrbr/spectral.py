@@ -221,9 +221,18 @@ def check_count(value, name: str, least: int = 0) -> None:
 
 def check_number(value, name: str) -> float:
     """check_types' rule for a float (finite, no bool); returns it as a float."""
-    if isinstance(value, bool) or not isinstance(value, _KINDS[float][1]) or not np.isfinite(value):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    number = isinstance(value, _KINDS[float][1]) and not isinstance(value, bool)
+    return _finite(value if number else np.nan, f"{name} must be a finite number, got {value!r}")
+
+
+def _finite(value, message: str) -> float:
+    """value as a float if it is finite; an int past the float range is not."""
+    try:
+        if np.isfinite(value := float(value)):
+            return value
+    except OverflowError:
+        pass
+    raise ConfigurationError(message)
 
 
 # Per annotated type, its name in messages and the types of the values that
@@ -249,8 +258,8 @@ def check_types(obj) -> None:
             ok = isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
         if not ok:
             raise ConfigurationError(f"{name} must be {kind_name}, got {value!r}")
-        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+        if kind is float and value is not None:
+            _finite(value, f"{name} must be finite, got {value}")
 
 
 def low_mode_coefficients(

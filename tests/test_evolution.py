@@ -20,6 +20,7 @@ from zrbr.evolution import (
     _coefficient_bound,
     _linear_flow,
     _squared_norms,
+    picard_contraction,
     picard_iterate,
     run_simulation,
     strang_step,
@@ -970,26 +971,35 @@ class TestPicard:
             assert np.max(np.abs(gap)) <= 1e-12 * report.diffs[0]
 
     def test_iteration_budget(self, fft_calls, monkeypatch):
-        # one iteration: psi and Lap psi to physical space, the acoustic
-        # Duhamel sum, and F, |psi|^2 and its rate forward; psi, rho_+ and
-        # varphi_+ take a retarded integral each
-        integrals = []
+        # per iteration and window point: psi and Lap psi to physical space,
+        # the acoustic sum, and F, |psi|^2 and its rate forward; psi, rho_+
+        # and varphi_+ take one retarded integral each.  The window is swept
+        # in blocks of whole time slices, so points are counted, not calls:
+        # 16^2 and n_time 256 make two blocks per half-window.
+        points = {"transform": 0, "kernel": 0}
 
-        def counted(*args, _original=evolution._retarded):
-            integrals.append(1)
-            return _original(*args)
+        def counting(key, original):
+            def counted(*args, **kwargs):
+                points[key] += np.size(args[0])
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(evolution, "_retarded", counted)
-        init = self._initial(small_grid())
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting("transform", getattr(np.fft, name)))
+        monkeypatch.setattr(evolution, "_retarded", counting("kernel", evolution._retarded))
+        grid, n_time = small_grid(), 256
+        init = self._initial(grid)
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         counts = []
         for n_iters in (2, 3):
+            points.update(transform=0, kernel=0)
             fft_calls.clear()
-            integrals.clear()
-            picard_iterate(init, T=0.1, n_iters=n_iters, params=params, n_time=16)
-            counts.append((len(fft_calls), len(integrals)))
+            picard_contraction(init, T=0.1, n_iters=n_iters, params=params, n_time=n_time)
+            counts.append(dict(points))
             assert set(fft_calls) == {"fftn", "ifftn"}
-        assert (counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]) == (6, 3)
+        window = n_time * grid.n**grid.dim
+        assert {key: counts[1][key] - counts[0][key] for key in points} == {
+            "transform": 6 * window, "kernel": 3 * window}
 
 
 class TestConfig:

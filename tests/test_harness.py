@@ -542,6 +542,35 @@ class TestPicardCommand:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    def test_progress_on_stderr_and_outputs_byte_identical(self, tmp_path, capsys):
+        # one stderr line per T and iteration, with its largest difference;
+        # report.json and picard.csv gain nothing from it
+        cfg, echo = config_from_dict({**BASE_DOC, "normalize_h1": 1e-3, "t_end": 0.0})
+        for tag in ("a", "b"):
+            _, report = cmd_picard(cfg, echo, [0.1, 0.2], 3, str(tmp_path / tag), n_time=32)
+            lines = capsys.readouterr().err.splitlines()
+            assert [line.split(",")[0] for line in lines] == [
+                f"picard T={T}: iteration {k}/3" for T in (0.1, 0.2) for k in (1, 2, 3)]
+            shown = [float(line.rsplit(" ", 1)[1]) for line in lines]
+            diffs = [d for row in report["payload"]["per_T"] for d in row["diffs"]]
+            assert shown == pytest.approx(diffs, rel=1e-3)
+        for name in ("report.json", "picard.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_peak_stays_under_five_window_stacks(self, tmp_path):
+        # three Duhamel stacks, the groups at t >= 0 (one stack) and a block
+        # of workspace; the whole-window iteration held about seventeen
+        cfg, echo = config_from_dict({**BASE_DOC, "n": 64, "length": 16 * np.pi,
+                                      "normalize_h1": 1e-3, "t_end": 0.0})
+        stack = 256 * 64**2 * 16  # bytes of one (n_time, 64, 64) complex stack
+        tracemalloc.start()
+        try:
+            cmd_picard(cfg, echo, [0.05], 4, str(tmp_path / "out"), n_time=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * stack
+
     @pytest.mark.parametrize("iters", ["0", "-1", "1"])
     def test_fewer_than_two_iterations_exit_code(self, tmp_path, capsys, iters):
         # With fewer than two differences there is no ratio to report.

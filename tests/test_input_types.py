@@ -142,3 +142,35 @@ def test_scalar_arguments_of_other_kinds_are_accepted(tmp_path):
     _, report = cmd_picard(PICARD_CFG, {}, [np.float32(0.25), 1], 2, str(tmp_path), n_time=16)
     assert [row["T"] for row in report["payload"]["per_T"]] == [0.25, 1.0]
     assert (tmp_path / "picard.csv").read_text().splitlines()[1].startswith("0.25,")
+
+
+# An int beyond the float range: float() of it overflows, and numpy's isfinite
+# does not take it.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call, name", [
+    # numpy's TypeError
+    (lambda: picard_iterate(initial_plus_minus(PICARD_CFG), HUGE, 2, PICARD_CFG.params), "T"),
+    (lambda: region_scan(2, HUGE), "resolution"),
+    (lambda: region_scan(2, -HUGE), "resolution"),
+    # an OverflowError once a derived exponent met a float
+    (lambda: derive(HUGE, 0.1, 2), "b1"),
+    (lambda: SimConfig(width=HUGE), "width"),
+    (lambda: ModelParams(W=HUGE), "W"),
+], ids=["picard-T", "region", "region-negative", "derive", "sim-width", "model-W"])
+def test_an_int_beyond_the_float_range_is_named(call, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be (a )?finite"):
+        call()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["picard", "--iters", "2", "--n-time", "8"]],
+                         ids=["simulate", "picard"])
+def test_an_int_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys, command):
+    # both commands exited 1 with a raw OverflowError
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 16, "t_end": 0.01, "width": 1' + "0" * 400 + "}")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), *command]) == EXIT_VALIDATION
+    assert "width must be finite" in capsys.readouterr().err
+    assert not out.exists()
