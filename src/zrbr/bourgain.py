@@ -369,18 +369,19 @@ def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int,
-              carry: np.ndarray | None = None) -> np.ndarray:
+              carry: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """int_0^t exp(-i (t-s) p) q_hat(s) ds, given group = exp(-i t p).
 
-    Trapezoid rule in s, anchored so the integral vanishes at zero_index.
-    A time block of a longer sweep passes carry instead: the (2, *grid)
-    integral and integrand at the slice before its first.  The sum goes on
-    from there, and carry moves to the block's last slice; (0, -q_hat) at
-    t = 0 starts a sweep there.  q_hat is left untouched.
+    Trapezoid rule in s, anchored so the integral vanishes at zero_index;
+    q_hat is left untouched.  A time block of a longer sweep passes carry
+    instead: the (2, *grid) integral and integrand at the slice before its
+    first.  The sum goes on from there, and carry moves to the block's last
+    slice; (0, -q_hat) at t = 0 starts a sweep there.  A block's integral
+    overwrites q_hat, and work, an array like it, takes the integrand.
     """
-    integrand = np.conj(group)
+    integrand = np.conjugate(group, out=work)
     integrand *= q_hat
-    seg = np.empty_like(integrand)
+    seg = np.empty_like(integrand) if carry is None else q_hat
     np.add(integrand[1:], integrand[:-1], out=seg[1:])
     if carry is None:  # a whole window, summed from 0 at its first slice
         seg[0] = 0.0

@@ -28,6 +28,7 @@ from .model import (
     nonlinearity_G,
     nonlinearity_H,
     psi_time_derivative,
+    source_symbols,
 )
 from .spectral import (
     FREQUENCY,
@@ -404,7 +405,8 @@ class PicardReport:
 class _PicardContext:
     """What the Picard map reads besides the iterate: u0, lambda and the
     Duhamel coefficients at the window times, psi's and the wave group at
-    t = k dt, k <= n_time/2 (at -t, their conjugates), and a workspace."""
+    t = k dt, k <= n_time/2 (at -t, their conjugates), and block workspaces:
+    conj for blocks(), and work for the map, freed before the readout."""
 
     def __init__(self, initial: PlusMinusState, T: float, params: ModelParams, n_time: int):
         self.T = check_number(T, "T")
@@ -426,65 +428,69 @@ class _PicardContext:
         self.coef = {"psi": -1j * params.epsilon * lam_T, "rho_plus": -1j * lam_T,
                      "varphi_plus": -1j * lam_T}
         self.u0 = {name: to_frequency(f).values for name, f in zip(_COMPONENTS, initial.fields())}
+        self.acoustic0 = [self.u0[f"rho_{s}"] + params.D * self.u0[f"varphi_{s}"]
+                          for s in ("plus", "minus")]  # data of the acoustic sum's two parts
         half = lat.dt * np.arange(n_time // 2 + 1)  # the groups are exactly 1 at t = 0
         self.groups = (_group(half, params.epsilon * grid.xi_squared), _group(half, lat.phase))
-        self.mirror = np.roll(np.flip(np.arange(grid.n**grid.dim).reshape(grid.shape)), 1,
-                              tuple(range(grid.dim))).ravel()  # the flat index of -xi per xi
+        self.mirror = source_symbols(grid, params.D).mirror
         m = min(max(1, _BLOCK_POINTS // grid.n**grid.dim), n_time // 2)
-        self.work = np.empty((4, m) + grid.shape, dtype=np.complex128)
+        self.conj, self.work = (np.empty((k, m) + grid.shape, np.complex128) for k in (2, 6))
 
     def blocks(self):
         """(s, sign, psi's group, the wave group, its conjugate) per time
         block in sweep order, forward from t = 0 and then backward: a window
         stack's slices in the block are a[s][::sign], outward from t = 0."""
-        z, m = len(self.lam) // 2, len(self.work[0])
+        z, m = len(self.lam) // 2, self.conj.shape[1]
         for sign, k0 in [(1, k) for k in range(0, z, m)] + [(-1, k) for k in range(1, z + 1, m)]:
             k1 = min(k0 + m, z + (sign < 0))
-            psi, wave = (g[k0:k1] if sign > 0 else np.conj(g[k0:k1]) for g in self.groups)
+            psi, wave = (g[k0:k1] if sign > 0 else np.conjugate(g[k0:k1], out=c[: k1 - k0])
+                         for g, c in zip(self.groups, self.conj))
+            cwave = (np.conjugate(wave, out=self.conj[1][: k1 - k0]) if sign > 0
+                     else self.groups[1][k0:k1])
             s = slice(z + k0, z + k1) if sign > 0 else slice(z - k1 + 1, z - k0 + 1)
-            yield s, sign, psi, wave, np.conj(wave) if sign > 0 else self.groups[1][k0:k1]
+            yield s, sign, psi, wave, cwave
 
 
 def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
     """Apply the cutoff Duhamel map once: duh, the Duhamel stacks of psi,
     rho_+ and varphi_+ in that order, becomes the next iterate's in place.
     Returns per stack the largest squared spatial L2 sum of the difference
-    over time slices.  A block takes six transforms, as the whole window
-    did, and one retarded integral per stack."""
+    over time slices.  A block takes five transforms and one retarded
+    integral per stack, and every block array is in ctx's workspaces."""
     grid, params, u0 = ctx.grid, ctx.params, ctx.u0
     axes = tuple(range(1, grid.dim + 1))
     diff2, carry = dict.fromkeys(duh, 0.0), {}
     for s, sign, psi_group, wave, cwave in ctx.blocks():
-        psi_hat, psi, acoustic, spare = (w[: len(wave)] for w in ctx.work)
+        psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)] for w in ctx.work)
         lam = ctx.lam[s][::sign]
         np.multiply(psi_group, u0["psi"], out=psi_hat)
         psi_hat *= lam
         psi_hat += duh["psi"][s][::sign]
         np.fft.ifftn(psi_hat, axes=axes, norm="ortho", out=psi)
-        a2 = np.abs(psi)
+        a2 = np.abs(psi, out=z.real)  # z packs |psi|^2 with its rate (half_wave_sources)
         a2 *= a2
         # The coefficients of (rho_+ + rho_-) + D (varphi_+ + varphi_-): the
         # plus Duhamel part d, the minus one conj(d(-xi)), and the free part.
         d = np.multiply(duh["varphi_plus"][s][::sign], params.D, out=acoustic)
         d += duh["rho_plus"][s][::sign]
-        np.take(d.reshape(len(d), -1), ctx.mirror, axis=1, out=spare.reshape(len(d), -1))
+        np.take(d.reshape(len(d), -1), ctx.mirror, 1, spare.reshape(len(d), -1), "clip")
         acoustic += np.conjugate(spare, out=spare)
-        np.multiply(wave, u0["rho_plus"] + params.D * u0["varphi_plus"], out=spare)
-        spare += cwave * (u0["rho_minus"] + params.D * u0["varphi_minus"])
+        np.multiply(wave, ctx.acoustic0[0], out=spare)
+        spare += np.multiply(cwave, ctx.acoustic0[1], out=temp)
         spare *= lam
         acoustic += spare
         np.fft.ifftn(acoustic, axes=axes, norm="ortho", out=acoustic)
-        F = coupled_source(psi, a2, acoustic, params)
-        psi_t = envelope_rate(psi_hat, F, grid, params)
+        F = coupled_source(psi, a2, acoustic, params, out=spare)
+        psi_t = envelope_rate(psi_hat, F, grid, params, out=psi_hat)
         sources = (np.fft.fftn(F, axes=axes, norm="ortho", out=F),
-                   *half_wave_sources(a2, psi, psi_t, grid, params))
+                   *half_wave_sources(z, psi, psi_t, grid, params, out=(acoustic, temp)))
         for (name, stack), group, q in zip(duh.items(), (psi_group, wave, wave), sources):
             if name not in carry:  # both sweeps start at t = 0, where the integrand is q
                 carry[name] = np.array([[0 * q[0], -q[0]], [0 * q[0], q[0]]])
-            new = _retarded(q, group, sign * ctx.dt, None, carry[name][int(sign < 0)])
+            new = _retarded(q, group, sign * ctx.dt, None, carry[name][int(sign < 0)], z)
             new *= ctx.coef[name][s][::sign]
             old = stack[s][::sign]
-            diff = np.subtract(old, new, out=q).reshape(len(q), -1).view(np.float64)
+            diff = np.subtract(old, new, out=z).reshape(len(q), -1).view(np.float64)
             diff2[name] = max(diff2[name], np.max(np.einsum("ij,ij->i", diff, diff)))
             old[...] = new
     return diff2
@@ -507,6 +513,7 @@ def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: 
             component_diffs[name].append(float(np.sqrt(d2 * ctx.grid.cell_volume)))
         if progress is not None:
             progress(it, max(component_diffs[name][-1] for name in duh))
+    ctx.work = None
     for minus, plus in _MINUS.items():
         component_diffs[minus] = list(component_diffs[plus])
 

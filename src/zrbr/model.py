@@ -165,20 +165,29 @@ def recombine(pm: PlusMinusState):
 
 @dataclass(frozen=True, eq=False)
 class SourceSymbols:
-    """Fourier symbols of the nonlinear sources on one grid, for one D."""
+    """Fourier symbols of the nonlinear sources on one grid, for one D.
+
+    With Z the transform of |psi|^2 + i d/dt |psi|^2 and G_+ = g0 (|psi|^2)^
+    + g1 (d/dt |psi|^2)^, g = ((g0 - i g1)/2, (g0 + i g1)/2); likewise h.
+    """
 
     laplacian: np.ndarray  # -|xi|^2
-    g: tuple  # G_+ = g[0] (|psi|^2)^ + g[1] (d/dt |psi|^2)^
-    h: tuple  # H_+ = h[0] (|psi|^2)^ + h[1] (d/dt |psi|^2)^
+    g: tuple  # G_+ = g[0] Z + g[1] conj Z(-xi)
+    h: tuple  # H_+ = h[0] Z + h[1] conj Z(-xi)
+    mirror: np.ndarray  # the flat index of -xi per xi
 
 
 @lru_cache(maxsize=8)
 def source_symbols(grid: Grid, D: float) -> SourceSymbols:
     lap, winv, dx = (make_multiplier(grid, n) for n in ("laplacian", "omega_inv", "dx"))
+    g0, g1, h0, h1 = -winv * lap, D * winv * dx, -D * winv * dx * dx, winv * dx
+    mirror = np.ravel_multi_index(-np.indices(grid.shape) % grid.n, grid.shape).ravel()
+    mirror.setflags(write=False)  # shared, like the symbols
     return SourceSymbols(
         laplacian=lap,
-        g=(frozen_symbol(-winv * lap), frozen_symbol(D * winv * dx)),
-        h=(frozen_symbol(-D * winv * dx * dx), frozen_symbol(winv * dx)),
+        g=(frozen_symbol(0.5 * (g0 - 1j * g1)), frozen_symbol(0.5 * (g0 + 1j * g1))),
+        h=(frozen_symbol(0.5 * (h0 - 1j * h1)), frozen_symbol(0.5 * (h0 + 1j * h1))),
+        mirror=mirror,
     )
 
 
@@ -188,47 +197,59 @@ def envelope_source(psi, rho_plus, rho_minus, varphi_plus, varphi_minus, params:
     return coupled_source(psi, np.abs(psi) ** 2, acoustic, params)
 
 
-def coupled_source(psi, a2, acoustic, params: ModelParams):
+def coupled_source(psi, a2, acoustic, params: ModelParams, out=None):
     """F = (sigma2 |psi|^2 + (W/2) acoustic) psi, given a2 = |psi|^2 and the
-    acoustic sum (rho_+ + rho_-) + D (varphi_+ + varphi_-)."""
-    out = np.multiply(acoustic, 0.5 * params.W)
-    out += params.sigma2 * a2
+    acoustic sum (rho_+ + rho_-) + D (varphi_+ + varphi_-), which is scaled
+    in place; F goes to out (a new array by default)."""
+    out = np.empty_like(psi) if out is None else out
+    np.multiply(a2, params.sigma2, out=out.real)
+    out.imag = 0.0
+    out += np.multiply(acoustic, 0.5 * params.W, out=acoustic)
     out *= psi
     return out
 
 
-def envelope_rate(psi_hat, F, grid: Grid, params: ModelParams):
+def envelope_rate(psi_hat, F, grid: Grid, params: ModelParams, out=None):
     """psi_t = epsilon (i Lap psi - i F) from psi's coefficients psi_hat, with
-    one inverse FFT over the spatial axes."""
+    one inverse FFT over the spatial axes, into out (a new array by
+    default; it may be psi_hat)."""
     axes = tuple(range(-grid.dim, 0))  # the trailing grid axes
-    lap = source_symbols(grid, params.D).laplacian * psi_hat
+    lap = np.multiply(source_symbols(grid, params.D).laplacian, psi_hat, out=out)
     np.fft.ifftn(lap, axes=axes, norm="ortho", out=lap)
     lap -= F
     lap *= params.epsilon * 1j
     return lap
 
 
-def half_wave_sources(a2, psi, psi_t, grid: Grid, params: ModelParams):
-    """Fourier coefficients of the '+' sources G_+ and H_+, given a2 = |psi|^2.
+def half_wave_sources(z, psi, psi_t, grid: Grid, params: ModelParams, out=None):
+    """Fourier coefficients of the '+' sources G_+ and H_+, into the pair out
+    (new arrays by default), given z whose real part holds |psi|^2.
 
     G_+ = -omega^{-1} Lap(|psi|^2) + D omega^{-1} d/dx d/dt(|psi|^2) and
-    H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt, from one FFT of
-    |psi|^2 and one of its rate 2 Re(conj(psi) psi_t).  The '-' sources are
-    their negatives.
+    H_+ = -D omega^{-1} (|psi|^2)_xx + omega^{-1} (|psi|^2)_xt.  |psi|^2 and
+    its rate 2 Re(conj(psi) psi_t) are real, so the FFT Z of z = |psi|^2 + i
+    rate holds both spectra, (Z + conj Z(-xi))/2 and (Z - conj Z(-xi))/(2i),
+    exactly on every mode (Numerical Recipes, section 12.3); the
+    SourceSymbols pairs apply that split.  z and psi_t are overwritten.  The
+    '-' sources are the negatives.
     """
     axes = tuple(range(-grid.dim, 0))
     sym = source_symbols(grid, params.D)
-    # Both are made complex first, so the transforms run in place.
-    a2_hat = a2.astype(np.complex128)
-    np.fft.fftn(a2_hat, axes=axes, norm="ortho", out=a2_hat)
-    rate_hat = np.multiply(psi.real, psi_t.real, dtype=np.complex128)
-    rate_hat += psi.imag * psi_t.imag
-    rate_hat *= 2.0
-    np.fft.fftn(rate_hat, axes=axes, norm="ortho", out=rate_hat)
-    g = sym.g[0] * a2_hat
-    g += sym.g[1] * rate_hat
-    h = np.multiply(sym.h[0], a2_hat, out=a2_hat)
-    h += np.multiply(sym.h[1], rate_hat, out=rate_hat)
+    g, h = np.empty((2,) + z.shape, dtype=np.complex128) if out is None else out
+    np.multiply(psi.real, psi_t.real, out=z.imag)
+    psi_t.imag *= psi.imag
+    z.imag += psi_t.imag
+    z.imag *= 2.0
+    np.fft.fftn(z, axes=axes, norm="ortho", out=z)
+    flat = z.shape[: z.ndim - grid.dim] + (-1,)
+    # mode="clip" writes straight into out, where the default buffers a copy
+    np.take(z.reshape(flat), sym.mirror, axis=-1, out=h.reshape(flat), mode="clip")
+    np.conjugate(h, out=h)
+    np.multiply(sym.g[1], h, out=g)
+    h *= sym.h[1]
+    g += np.multiply(sym.g[0], z, out=psi_t)
+    z *= sym.h[0]
+    h += z
     return g, h
 
 
@@ -242,7 +263,8 @@ def _half_wave_source(which, psi, psi_t, params, sign):
     s = _check_sign(sign)
     grid = psi.grid
     psi, psi_t = to_physical(psi).values, to_physical(psi_t).values
-    out = half_wave_sources(np.abs(psi) ** 2, psi, psi_t, grid, params)[which]
+    z = np.abs(psi) ** 2 + 0j
+    out = half_wave_sources(z, psi, psi_t.copy(), grid, params)[which]
     return ComplexField(grid, s * np.fft.ifftn(out, norm="ortho"), "physical")
 
 

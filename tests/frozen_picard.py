@@ -6,14 +6,17 @@ and of the acoustic sum, both groups and the conjugate wave group, three
 Duhamel stacks and the per-iteration sources, about seventeen stacks at
 peak.  The retarded integral was one cumulative sum over the window from
 its first slice, anchored at t = 0 by a subtraction, and the psi component
-of the round-off bound was the exact sup_t L2 norm of the iterate.
+of the round-off bound was the exact sup_t L2 norm of the iterate.  The
+half-wave sources are frozen too (tests/frozen_sources.py): one transform
+of |psi|^2 and one of its rate.
 """
 
 import numpy as np
 
 from zrbr.bourgain import WAVE_PLUS, _lattice, _window_cutoff
 from zrbr.evolution import _BURN_IN, _COMPONENTS, _MINUS, PicardReport
-from zrbr.model import coupled_source, envelope_rate, half_wave_sources
+from frozen_sources import frozen_half_wave_sources
+from zrbr.model import coupled_source, envelope_rate
 from zrbr.spectral import to_frequency
 
 
@@ -82,7 +85,7 @@ def frozen_picard_iterate(initial, T, n_iters, params, n_time=64):
         psi_t = envelope_rate(psi_hat, F, grid, params)
         sources = {"F": np.fft.fftn(F, axes=axes, norm="ortho", out=F)}
         del psi_hat, F
-        sources["G"], sources["H"] = half_wave_sources(a2, psi, psi_t, grid, params)
+        sources["G"], sources["H"] = frozen_half_wave_sources(a2, psi, psi_t, grid, params)
         del psi, a2, psi_t
 
         for name, (group, source, coef) in plan.items():

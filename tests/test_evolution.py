@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -972,8 +973,9 @@ class TestPicard:
 
     def test_iteration_budget(self, fft_calls, monkeypatch):
         # per iteration and window point: psi and Lap psi to physical space,
-        # the acoustic sum, and F, |psi|^2 and its rate forward; psi, rho_+
-        # and varphi_+ take one retarded integral each.  The window is swept
+        # the acoustic sum, F forward, and one packed forward transform of
+        # |psi|^2 and its rate; psi, rho_+ and varphi_+ take one retarded
+        # integral each, through the kernel linear_estimate_ratio shares.  The window is swept
         # in blocks of whole time slices, so points are counted, not calls:
         # 16^2 and n_time 256 make two blocks per half-window.
         points = {"transform": 0, "kernel": 0}
@@ -999,7 +1001,25 @@ class TestPicard:
             assert set(fft_calls) == {"fftn", "ifftn"}
         window = n_time * grid.n**grid.dim
         assert {key: counts[1][key] - counts[0][key] for key in points} == {
-            "transform": 6 * window, "kernel": 3 * window}
+            "transform": 5 * window, "kernel": 3 * window}
+
+    def test_a_warm_map_allocates_no_block(self):
+        # Acceptance-07 data, 2D 32^2 and n_time 64: blocks of 16 slices,
+        # 256 KiB each.  Every block temporary lives in the context's
+        # workspaces, so what a warm map allocates is the carry (three
+        # (2, 2, 32, 32) arrays, 192 KiB) and per-call scraps.
+        params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
+        ctx = evolution._PicardContext(equivalence_data(EQUIVALENCE_GRIDS["2d-32"]), 0.1,
+                                       params, 64)
+        duh = {name: np.zeros((64,) + ctx.grid.shape, dtype=np.complex128) for name in ctx.coef}
+        evolution._picard_map(duh, ctx)
+        tracemalloc.start()
+        try:
+            evolution._picard_map(duh, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
 
 class TestConfig:

@@ -69,10 +69,15 @@ class TestTable:
         sym = source_symbols(grid, D)
         lap, winv, dx = (reference_symbol(grid, n) for n in ("laplacian", "omega_inv", "dx"))
         assert_bits(sym.laplacian, lap)
-        assert_bits(sym.g[0], -winv * lap)
-        assert_bits(sym.g[1], D * winv * dx)
-        assert_bits(sym.h[0], -D * winv * dx * dx)
-        assert_bits(sym.h[1], winv * dx)
+        # the pairs (s0 -+ i s1)/2 that the packed transform of |psi|^2 and
+        # its rate takes, from the symbols of |psi|^2 and of its rate
+        for pair, (s0, s1) in ((sym.g, (-winv * lap, D * winv * dx)),
+                               (sym.h, (-D * winv * dx * dx, winv * dx))):
+            assert_bits(pair[0], 0.5 * (s0 - 1j * s1))
+            assert_bits(pair[1], 0.5 * (s0 + 1j * s1))
+        index = np.arange(grid.n**grid.dim).reshape(grid.shape)
+        assert_bits(sym.mirror, np.roll(np.flip(index), 1, tuple(range(grid.dim))).ravel())
+        assert not sym.mirror.flags.writeable
 
 
 def test_unknown_symbol_rejected():
