@@ -14,6 +14,7 @@ which makes the weighted norms converge as the window and grid refine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -172,10 +173,12 @@ class _Lattice:
     def xsb(self, hat: np.ndarray, s: float, b: float, cols=None) -> float:
         """X^{s,b} norm of the field whose unitary space-time transform is hat,
         given on the columns cols if hat holds only those (zero elsewhere)."""
-        a = np.abs(hat)
-        a *= a
-        a *= self.weight(s, b, cols)
-        return float(np.sqrt(np.sum(a) * self.dt * self.grid.cell_volume))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.abs(hat)
+            a *= a
+            a *= self.weight(s, b, cols)
+            norm = float(np.sqrt(np.sum(a) * self.dt * self.grid.cell_volume))
+        return _finite_norm(norm, "X^{s,b} norm", s=s, b=b)
 
     def ys(self, hat: np.ndarray, s: float, cols=None) -> float:
         """Y^s norm of the field whose unitary space-time transform is hat.
@@ -185,9 +188,11 @@ class _Lattice:
         The continuum transform, summed with dtau in tau and squared with
         dxi^d in xi, puts the constant dtau dt dx^d on the unitary hat.
         """
-        inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5, cols), axis=0)
         dtau = _TWO_PI / (2.0 * self.t_half)
-        return float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5, cols), axis=0)
+            norm = float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
+        return _finite_norm(norm, "Y^s norm", s=s)
 
 
 @lru_cache(maxsize=16)
@@ -218,6 +223,15 @@ def _check_finite(**exponents):
     for name, value in exponents.items():
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def _finite_norm(value: float, name: str, **exponents) -> float:
+    """value if it is finite; a ConfigurationError naming the exponents
+    when a weight, or the weighted sum, overflows float64."""
+    if not math.isfinite(value):
+        at = ", ".join(f"{key}={e:g}" for key, e in exponents.items())
+        raise ConfigurationError(f"{name} overflows float64 at {at}")
+    return value
 
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
@@ -257,9 +271,11 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
     """sup over time slices of the spatial H^s norm."""
     _check_finite(s=s)
     axes = tuple(range(1, f.grid.dim + 1))
-    w = (1.0 + f.grid.xi_squared) ** s
-    norms = np.sqrt(np.sum(w[None] * np.abs(f.spatial_hat) ** 2, axis=axes) * f.grid.cell_volume)
-    return float(np.max(norms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (1.0 + f.grid.xi_squared) ** s
+        norms = np.sqrt(np.sum(w[None] * np.abs(f.spatial_hat) ** 2, axis=axes)
+                        * f.grid.cell_volume)
+    return _finite_norm(float(np.max(norms)), "sup_t H^s norm", s=s)
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,12 @@ def h1_norm(f: ComplexField) -> float:
 def make_initial_state(config: SimConfig) -> ZRState:
     """Build the initial (psi, rho, phi) triple from the named recipe."""
     grid = config.grid
-    coords = grid.coordinates()
-    r2 = sum(x**2 for x in coords)
+    coords = grid.coordinates() if config.recipe in ("gaussian", "plane-wave") else None
 
     if config.recipe == "zero":
         psi = np.zeros(grid.shape, dtype=np.complex128)
     elif config.recipe == "gaussian":
+        r2 = sum(x**2 for x in coords)
         psi = config.amplitude * np.exp(-r2 / (2.0 * config.width**2)) + 0j
     elif config.recipe == "plane-wave":
         mode = tuple(config.mode)
@@ -112,10 +112,6 @@ def make_initial_state(config: SimConfig) -> ZRState:
         if norm > 0:
             psi_f = ComplexField(grid, psi * (config.normalize_h1 / norm), "physical")
 
-    zero = np.zeros(grid.shape, dtype=np.complex128)
-    return ZRState(
-        psi=psi_f,
-        rho=ComplexField(grid, zero.copy(), "physical"),
-        phi=ComplexField(grid, zero.copy(), "physical"),
-    )
+    return ZRState(psi_f, *(ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
+                            for _ in range(2)))
 

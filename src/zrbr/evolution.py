@@ -17,6 +17,8 @@ from .model import (
     ModelParams,
     PlusMinusState,
     ZRState,
+    _Workspace,
+    _abs2,
     _energy,
     coupled_source,
     energy,  # energy and mass stay importable from here
@@ -58,12 +60,14 @@ from .spectral import (
 # two complex and two real transforms: psi to physical space, rfftn of
 # |psi|^2, irfftn of the coupling, and the rotated psi back.  The symbols it
 # multiplies by are one table, cached per (grid, dt/2, epsilon, dealias).
-# run_simulation owns the three coefficient arrays and steps them in place.
-# It goes back to physical space only for a diagnostics row, and there only
-# with psi (all three fields on the last step or when states are stored):
-# the row reads rho and phi off the coefficients.  Both checks after a step
-# read one squared norm per field: it is non-finite when a coefficient is,
-# and its root bounds the sup-norm, so the divergence proxy rarely needs more.
+# run_simulation owns the three coefficient arrays, steps them in place and
+# puts every temporary in one workspace of its own.  It goes back to physical
+# space only for a diagnostics row, and there only with psi (all three fields
+# when states are stored; else the last state's rho and phi wait for the
+# first read of the trajectory's states): the row reads rho and phi off the
+# coefficients.  Both checks after a step read one squared norm per field: it
+# is non-finite when a coefficient is, and its root bounds the sup-norm, so
+# the divergence proxy rarely needs more.
 
 _FIELDS = ("psi", "rho", "phi")
 
@@ -81,12 +85,12 @@ class _Propagator:
     dx: np.ndarray  # i xi_1, zero on the axis-0 Nyquist plane; half width
     mask: np.ndarray | None  # the 2/3 rule at half width, None without dealiasing
 
-    def apply_in_place(self, psi_h, rho_h, phi_h):
-        """Flow the given coefficient arrays in place and return them."""
+    def apply_in_place(self, psi_h, rho_h, phi_h, work=(None, None)):
+        """Flow the arrays in place, temporaries into the pair work; return them."""
         psi_h *= self.schrodinger
-        omega_sin_phi = self.omega_sin * phi_h
+        omega_sin_phi = np.multiply(self.omega_sin, phi_h, out=work[0])
         phi_h *= self.cos
-        phi_h -= self.sinc * rho_h
+        phi_h -= np.multiply(self.sinc, rho_h, out=work[1])
         rho_h *= self.cos
         rho_h += omega_sin_phi
         return psi_h, rho_h, phi_h
@@ -118,10 +122,10 @@ def _coefficients(state: ZRState) -> list[np.ndarray]:
     ]
 
 
-def _values(grid: Grid, name: str, c) -> np.ndarray:
+def _values(grid: Grid, name: str, c, out=None) -> np.ndarray:
     """Physical values of a field held as coefficients: psi's spectrum, or a
-    half-spectrum, filled Hermitian first."""
-    return np.fft.ifftn(c if name == "psi" else full_spectrum(grid, c), norm="ortho")
+    half-spectrum, filled Hermitian first; into out (a new array by default)."""
+    return np.fft.ifftn(c if name == "psi" else full_spectrum(grid, c), norm="ortho", out=out)
 
 
 def _like(state: ZRState, coeffs) -> ZRState:
@@ -151,50 +155,54 @@ def _linear_flow(state: ZRState, t: float, params: ModelParams) -> ZRState:
     return _like(state, flow.apply_in_place(*_coefficients(state)))
 
 
-def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _Propagator):
+def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _Propagator,
+                         work: _Workspace | None = None):
     """L(dt/2) N(dt) L(dt/2) in place on psi's spectrum and the half-spectra
     of rho and phi, with two complex and two real transforms; prop is the
-    propagator over dt/2.
+    propagator over dt/2, and work takes the temporaries (new by default).
 
     The nonlinear substep uses that |psi|^2 is invariant under the phase
     rotation: rho and phi are advanced with the frozen source, and psi is
     rotated with the substep means of rho and phi_x.
     """
-    prop.apply_in_place(psi_h, rho_h, phi_h)
-    shape = psi_h.shape
-    work = np.empty_like(rho_h)
+    work = work or _Workspace(psi_h.shape)
+    prop.apply_in_place(psi_h, rho_h, phi_h, work.half)
+    a2_h, spare = work.half
 
     psi = np.fft.ifftn(psi_h, norm="ortho", out=psi_h)
-    a2 = np.abs(psi)
+    a2 = np.abs(psi, out=work.real[0])
     a2 *= a2
-    a2_h = np.fft.rfftn(a2, norm="ortho")
+    np.fft.rfftn(a2, norm="ortho", out=a2_h)
     if prop.mask is not None:
         a2_h *= prop.mask
 
     # rho_h becomes rho_new = rho_h - dt D (|psi|^2)_x.  The source moves phi_x
     # by -dt (|psi|^2)_x too, so the substep mean rho_bar + D phi_x_bar
     # equals rho_new + D (phi_h)_x, taken before phi_h is advanced.
-    np.multiply(prop.dx, a2_h, out=work)
-    work *= dt * params.D
-    rho_h -= work
-    np.multiply(prop.dx, phi_h, out=work)
-    work *= params.D
-    work += rho_h
-    theta = np.fft.irfftn(work, s=shape, axes=range(len(shape)), norm="ortho")
-    phi_h -= np.multiply(a2_h, dt, out=work)
+    np.multiply(prop.dx, a2_h, out=spare)
+    spare *= dt * params.D
+    rho_h -= spare
+    np.multiply(prop.dx, phi_h, out=spare)
+    spare *= params.D
+    spare += rho_h
+    # irfftn's passes in its axis order, the complex ones in place (irfftn allocates each)
+    for axis in range(psi.ndim - 1):
+        np.fft.ifft(spare, axis=axis, norm="ortho", out=spare)
+    theta = np.fft.irfftn(spare, s=psi.shape[-1:], axes=(-1,), norm="ortho", out=work.real[1])
+    phi_h -= np.multiply(a2_h, dt, out=spare)
 
     # theta = -epsilon dt (sigma2 |psi|^2 + W coupling); psi *= exp(i theta)
     theta *= params.W
     a2 *= params.sigma2
     theta += a2
     theta *= -params.epsilon * dt
-    rotation = np.empty_like(psi)
+    rotation = work.psi
     np.cos(theta, out=rotation.real)
     np.sin(theta, out=rotation.imag)
     psi *= rotation
     np.fft.fftn(psi, norm="ortho", out=psi)
 
-    return prop.apply_in_place(psi, rho_h, phi_h)
+    return prop.apply_in_place(psi, rho_h, phi_h, work.half)
 
 
 def _squared_norms(coeffs) -> list[float]:
@@ -236,7 +244,9 @@ def strang_step(state: ZRState, dt: float, params: ModelParams, dealias: bool = 
 
 @dataclass
 class Trajectory:
-    """Time stamps, diagnostic series and (optionally) state snapshots."""
+    """Time stamps, diagnostic series and physical states: the initial one
+    and the last (built from psi and the half-spectra of rho and phi on the
+    first read of states), or with store_states every row's."""
 
     times: list = field(default_factory=list)
     mass: list = field(default_factory=list)
@@ -244,12 +254,26 @@ class Trajectory:
     max_abs_psi: list = field(default_factory=list)
     l2_rho: list = field(default_factory=list)
     l2_phi: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    _states: list = field(default_factory=list, repr=False)
+    _last: tuple | None = field(default=None, repr=False)  # (grid, psi, rho_h, phi_h)
 
-    def record(self, t: float, grid: Grid, params: ModelParams, psi, psi_h, rho_h, phi_h):
+    @property
+    def states(self) -> list:
+        if self._last is not None:
+            grid, psi, rho_h, phi_h = self._last
+            fields = (psi, _values(grid, "rho", rho_h), _values(grid, "phi", phi_h))
+            self.states = self._states + [ZRState(*(ComplexField(grid, v) for v in fields))]
+        return self._states
+
+    @states.setter
+    def states(self, value: list):
+        self._states, self._last = value, None
+
+    def record(self, t: float, grid: Grid, params: ModelParams, psi, psi_h, rho_h, phi_h,
+               work: _Workspace | None = None):
         """Append one diagnostics row from psi's physical values psi and its
         spectrum psi_h, and the rfftn half-spectra rho_h and phi_h; no
-        argument is changed.
+        argument is changed, and work takes the temporaries (new by default).
 
         |psi| and |psi|^2 are taken once: mass, energy and the sup of |psi|
         share them.  energy takes one transform, and the L2 norms of rho and
@@ -257,14 +281,16 @@ class Trajectory:
         """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
-        a = np.abs(psi)
-        a2 = a * a
+        work = work or _Workspace(psi_h.shape)
+        a = np.abs(psi, out=work.real[0])
+        a2 = np.multiply(a, a, out=work.real[1])
         self.times.append(t)
         self.mass.append(float(np.sum(a2) * grid.cell_volume))
-        self.energy.append(_energy(grid, params, a2, psi_h, rho_h, phi_h))
-        self.max_abs_psi.append(float(np.max(a)))
+        self.max_abs_psi.append(float(np.max(a)))  # before energy reuses a's memory
+        self.energy.append(_energy(grid, params, a2, psi_h, rho_h, phi_h, work))
         for column, c in ((self.l2_rho, rho_h), (self.l2_phi, phi_h)):
-            column.append(float(np.sqrt(hermitian_sum(np.abs(c) ** 2) * grid.cell_volume)))
+            c2 = _abs2(c, work.half_real)
+            column.append(float(np.sqrt(hermitian_sum(c2) * grid.cell_volume)))
 
     def __len__(self):
         return len(self.times)
@@ -287,41 +313,37 @@ _L2_MARGIN = 1e-9
 def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
     """Integrate from t=0 to t_end, recording diagnostics every stride steps.
 
-    The loop steps psi's spectrum and the rfftn half-spectra of rho and phi
-    in place, as plain arrays; the initial datum is dropped before the first
-    step.  The divergence proxy stops the run as soon as any field's
-    sup-norm exceeds blowup_factor times its initial value; the partial
-    trajectory, the field and its growth factor are attached to the raised
-    DivergenceError.
+    Set-up takes psi's spectrum (fftn) and the half-spectra of rho and phi
+    (rfftn).  The loop steps these in place, as plain arrays, and puts the
+    temporaries of every step and row in one workspace that the run owns;
+    the initial datum is dropped before the first step.  The divergence
+    proxy stops the run as soon as any field's sup-norm exceeds
+    blowup_factor times its initial value; the partial trajectory, the field
+    and its growth factor are attached to the raised DivergenceError.
 
     Only a step that writes a diagnostics row (every stride-th step and the
     last) goes back to physical space.  There psi takes one inverse FFT, and
-    the row one more (see Trajectory.record); the last step, and every row
-    step when store_states is set, also bring rho and phi back.  The states
-    kept in the trajectory are physical: the initial one and the last, or
-    with store_states that of every row.  The proxy tries three bounds on
-    sup|f| in turn, until one is under the threshold: the l2 norm of the
-    coefficients (the finiteness check's squared norm), N^{-1/2} sum|f_hat|,
-    and the exact sup, for which a field held as coefficients takes its
-    inverse FFT.  So it trips at the same step, on the same field, as an
-    exact check every step.
+    the row one more (see Trajectory.record); with store_states, rho and phi
+    take theirs too, and the trajectory keeps every row's physical state.
+    Otherwise it keeps the initial one and the last, whose rho and phi are
+    brought back on the first read of its states.  The proxy tries three
+    bounds on sup|f| in turn, until one is under the threshold: the l2 norm
+    of the coefficients (the finiteness check's squared norm),
+    N^{-1/2} sum|f_hat|, and the exact sup, for which a field held as
+    coefficients takes its inverse FFT.  So it trips at the same step, on
+    the same field, as an exact check every step.
     """
     state = make_initial_state(config)
     grid = state.grid
-    # The copy is made before the coefficients: in this allocation order the
-    # step's temporaries reuse the datum's memory once it is dropped, where
-    # the other order costs fresh pages on every row step.
-    traj = Trajectory(states=[state.copy()])
+    traj = Trajectory(_states=[state.copy()])
     psi = state.psi.values
-    # The loop steps these in place.
-    coeffs = [np.fft.fftn(psi, norm="ortho")] + [
-        half_spectrum(to_frequency(getattr(state, name))) for name in _FIELDS[1:]]
-    traj.record(0.0, grid, config.params, psi, *coeffs)
+    coeffs = [np.fft.fftn(psi, norm="ortho"), half_spectrum(state.rho), half_spectrum(state.phi)]
+    work = _Workspace(grid.shape)
+    traj.record(0.0, grid, config.params, psi, *coeffs, work)
     raw_sup = {
         name: float(np.max(np.abs(getattr(state, name).values))) for name in _FIELDS
     }
-    del state, psi
-    last = None
+    del state, psi  # the datum's memory is free before the loop
     prop = _propagator(grid, config.dt / 2.0, config.params.epsilon, config.dealias)
 
     n_steps = int(round(config.t_end / config.dt))
@@ -334,17 +356,16 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 
     t = 0.0
     for k in range(n_steps):
-        _strang_coefficients(*coeffs, config.dt, config.params, prop)
+        _strang_coefficients(*coeffs, config.dt, config.params, prop, work)
         try:
             norms = _squared_norms(coeffs)
         except DivergenceError as err:
             raise DivergenceError(str(err), time=t, trajectory=traj, field=err.field) from None
         t = (k + 1) * config.dt
         row = (k + 1) % config.diagnostics_stride == 0 or k == n_steps - 1
-        whole = row and (store_states or k == n_steps - 1)
-        # The fields this step takes to physical space.
-        physical = {name: _values(grid, name, c) for name, c in zip(_FIELDS, coeffs)
-                    if row and (whole or name == "psi")}
+        # The fields this step takes to physical space, psi's into work unless kept
+        physical = {name: _values(grid, name, c, None if store_states else work.psi)
+                    for name, c in zip(_FIELDS, coeffs) if row and (store_states or name == "psi")}
         for name, c, sq in zip(_FIELDS, coeffs, norms):
             limit = limits[name]
             if (1.0 + _L2_MARGIN) * math.sqrt(sq) < limit:
@@ -363,13 +384,13 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
                     growth=float(sup / initial_sup[name]),
                 )
         if row:
-            traj.record(t, grid, config.params, physical["psi"], *coeffs)
-        if whole:
-            last = ZRState(*(ComplexField(grid, physical[name]) for name in _FIELDS))
-            if store_states:
-                traj.states.append(last)
-    if not store_states:
-        traj.states.append(traj.states[0].copy() if last is None else last)
+            traj.record(t, grid, config.params, physical["psi"], *coeffs, work)
+        if row and store_states:
+            traj.states.append(ZRState(*(ComplexField(grid, physical[name]) for name in _FIELDS)))
+    if not store_states and n_steps:
+        traj._last = (grid, physical["psi"], *coeffs[1:])
+    elif not store_states:
+        traj.states.append(traj.states[0].copy())
     return traj
 
 
@@ -406,7 +427,8 @@ class _PicardContext:
     """What the Picard map reads besides the iterate: u0, lambda and the
     Duhamel coefficients at the window times, psi's and the wave group at
     t = k dt, k <= n_time/2 (at -t, their conjugates), and block workspaces:
-    conj for blocks(), and work for the map, freed before the readout."""
+    conj for blocks(), and work and carry (per stack and sweep, the retarded
+    integral's) for the map, both freed before the readout."""
 
     def __init__(self, initial: PlusMinusState, T: float, params: ModelParams, n_time: int):
         self.T = check_number(T, "T")
@@ -435,6 +457,7 @@ class _PicardContext:
         self.mirror = source_symbols(grid, params.D).mirror
         m = min(max(1, _BLOCK_POINTS // grid.n**grid.dim), n_time // 2)
         self.conj, self.work = (np.empty((k, m) + grid.shape, np.complex128) for k in (2, 6))
+        self.carry = np.empty((3, 2, 2) + grid.shape, np.complex128)
 
     def blocks(self):
         """(s, sign, psi's group, the wave group, its conjugate) per time
@@ -459,8 +482,8 @@ def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
     integral per stack, and every block array is in ctx's workspaces."""
     grid, params, u0 = ctx.grid, ctx.params, ctx.u0
     axes = tuple(range(1, grid.dim + 1))
-    diff2, carry = dict.fromkeys(duh, 0.0), {}
-    for s, sign, psi_group, wave, cwave in ctx.blocks():
+    diff2 = dict.fromkeys(duh, 0.0)
+    for block, (s, sign, psi_group, wave, cwave) in enumerate(ctx.blocks()):
         psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)] for w in ctx.work)
         lam = ctx.lam[s][::sign]
         np.multiply(psi_group, u0["psi"], out=psi_hat)
@@ -484,10 +507,13 @@ def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
         psi_t = envelope_rate(psi_hat, F, grid, params, out=psi_hat)
         sources = (np.fft.fftn(F, axes=axes, norm="ortho", out=F),
                    *half_wave_sources(z, psi, psi_t, grid, params, out=(acoustic, temp)))
-        for (name, stack), group, q in zip(duh.items(), (psi_group, wave, wave), sources):
-            if name not in carry:  # both sweeps start at t = 0, where the integrand is q
-                carry[name] = np.array([[0 * q[0], -q[0]], [0 * q[0], q[0]]])
-            new = _retarded(q, group, sign * ctx.dt, None, carry[name][int(sign < 0)], z)
+        for (name, stack), group, q, carry in zip(duh.items(), (psi_group, wave, wave), sources,
+                                                  ctx.carry):
+            if block == 0:  # both sweeps start at t = 0, where the integrand is q
+                np.multiply(0, q[0], out=carry[:, 0])
+                np.negative(q[0], out=carry[0, 1])
+                carry[1, 1] = q[0]
+            new = _retarded(q, group, sign * ctx.dt, None, carry[int(sign < 0)], z)
             new *= ctx.coef[name][s][::sign]
             old = stack[s][::sign]
             diff = np.subtract(old, new, out=z).reshape(len(q), -1).view(np.float64)
@@ -513,7 +539,7 @@ def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: 
             component_diffs[name].append(float(np.sqrt(d2 * ctx.grid.cell_volume)))
         if progress is not None:
             progress(it, max(component_diffs[name][-1] for name in duh))
-    ctx.work = None
+    ctx.work = ctx.carry = None
     for minus, plus in _MINUS.items():
         component_diffs[minus] = list(component_diffs[plus])
 

@@ -435,8 +435,10 @@ def _bracket_each(x):
     return np.sqrt(1.0 + x**2)
 
 
-def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[InequalityResult]:
-    """Empirical worst constants for the five elementary inequalities.
+def verify_symbolic_inequalities(n_samples: int, seed: int, d: int,
+                                 progress=None) -> list[InequalityResult]:
+    """Empirical worst constants for the five elementary inequalities;
+    progress(result) follows each (inequality, branch).
 
     For <=-type inequalities the reported ratio is LHS/RHS; for the two
     lower bounds it is the reciprocal orientation (bounded side over
@@ -465,9 +467,9 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int) -> list[Ineq
                     best = float(ratios[j])
                     arg = {k: (v[j].tolist() if v.ndim > 1 else float(v[j])) for k, v in samples.items()}
                 remaining -= m
-            results.append(
-                InequalityResult(ineq, branch, d, n_samples, best, arg)
-            )
+            results.append(InequalityResult(ineq, branch, d, n_samples, best, arg))
+            if progress is not None:
+                progress(results[-1])
     return results
 
 

@@ -276,7 +276,8 @@ def cmd_simulate(config: SimConfig, echo: dict, out_dir: str, snapshots: bool = 
 
 
 def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
-    """Sweep epsilon over a descending list; fit log T_proxy vs log(1/eps)."""
+    """Sweep epsilon over a descending list; fit log T_proxy vs log(1/eps).
+    Progress on stderr."""
     eps_list = [check_number(e, "epsilon") for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise ConfigurationError("epsilon list must be nonempty and positive")
@@ -284,7 +285,7 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
         raise ConfigurationError("epsilon list must be strictly descending")
 
     rows = []
-    for eps in eps_list:
+    for k, eps in enumerate(eps_list, 1):
         cfg = dataclasses.replace(config, params=dataclasses.replace(config.params, epsilon=eps))
         try:
             run_simulation(cfg)
@@ -292,6 +293,8 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
         except DivergenceError as err:
             t_proxy = err.time if err.time is not None else 0.0
         rows.append((eps, float(t_proxy)))
+        print(f"epsilon-scaling epsilon={eps:g}: run {k}/{len(eps_list)}, T_proxy {t_proxy:g}",
+              file=sys.stderr)
 
     write_csv(os.path.join(out_dir, "epsilon_scaling.csv"), ["epsilon", "T_proxy"],
               [csv_text(rows)])
@@ -355,12 +358,17 @@ def cmd_region(d: int, resolution: float, out_dir: str):
 
 def cmd_fuzz(n: int, seed: int, out_dir: str):
     """Randomized worst-constant search for the elementary inequalities;
-    EXIT_CAP_EXCEEDED when an inequality not in KNOWN_FALSE is over its cap."""
+    EXIT_CAP_EXCEEDED when an inequality not in KNOWN_FALSE is over its cap.
+    Progress on stderr."""
+    def progress(r):
+        print(f"fuzz d={r.d}: {r.inequality} branch {r.branch}, max ratio {r.max_ratio:.6g}"
+              f" (cap {INEQUALITY_CAPS[r.inequality]:g})", file=sys.stderr)
+
     payload = {"n_samples": n, "results": [], "caps": INEQUALITY_CAPS,
                "known_false": KNOWN_FALSE}
     exceeded = False
     for d in (2, 3):
-        for res in verify_symbolic_inequalities(n, seed, d):
+        for res in verify_symbolic_inequalities(n, seed, d, progress):
             cap = INEQUALITY_CAPS[res.inequality]
             ok = res.max_ratio <= cap
             known_false = res.inequality in KNOWN_FALSE

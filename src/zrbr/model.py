@@ -327,9 +327,10 @@ def energy(state: ZRState, params: ModelParams) -> float:
                    half_spectrum(state.rho), half_spectrum(state.phi))
 
 
-def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h) -> float:
+def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h, work=None) -> float:
     """energy from a2 = |psi|^2 in physical space, psi's spectrum psi_h and
-    the rfftn half-spectra rho_h and phi_h; no argument is changed.
+    the rfftn half-spectra rho_h and phi_h; no argument is changed.  work
+    (new by default) takes the temporaries and leaves real[1] free for a2.
 
     The gradient terms come by discrete Plancherel, int |grad f|^2 =
     cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), and the
@@ -339,20 +340,39 @@ def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h) -> float:
     weigh its last-axis columns 1, 2, ..., 2, 1.  |psi|^4 is summed in
     physical space.
     """
-    a2_h = np.fft.rfftn(a2, norm="ortho")
+    work = work or _Workspace(psi_h.shape)
+    real, (a2_h, mix_h), half = work.real[0], work.half, work.half_real
+    np.fft.rfftn(a2, norm="ortho", out=a2_h)
     # dx is zero on the axis-0 Nyquist plane, where the derivative of a real
     # field has no real part.
-    mix_h = half_dx(grid) * phi_h
+    np.multiply(half_dx(grid), phi_h, out=mix_h)
     mix_h *= params.D
     mix_h += rho_h
+    # Each term is summed before the next one reuses real or half.
     total = (
-        np.sum(grid.xi_squared * np.abs(psi_h) ** 2)
-        + 0.5 * params.W * hermitian_sum(grid.half_xi_squared * np.abs(phi_h) ** 2)
-        + 0.5 * params.sigma2 * np.sum(a2 * a2)
-        + params.W * (0.5 * hermitian_sum(np.abs(rho_h) ** 2)
-                      + hermitian_sum((np.conj(a2_h) * mix_h).real))
+        np.sum(np.multiply(grid.xi_squared, _abs2(psi_h, real), out=real))
+        + 0.5 * params.W * hermitian_sum(
+            np.multiply(grid.half_xi_squared, _abs2(phi_h, half), out=half))
+        + 0.5 * params.sigma2 * np.sum(np.multiply(a2, a2, out=real))
+        + params.W * (0.5 * hermitian_sum(_abs2(rho_h, half)) + hermitian_sum(
+            np.multiply(np.conjugate(a2_h, out=a2_h), mix_h, out=a2_h).real))
     )
     return float(total * grid.cell_volume)
+
+
+def _abs2(c, out) -> np.ndarray:
+    """|c|^2 into the real array out."""
+    return np.square(np.abs(c, out=out), out=out)
+
+
+class _Workspace:
+    """Scratch for Strang steps and rows on psi's spectrum shape: a complex field
+    (a step's rotation, then a row's psi), two real ones and three half-spectra."""
+
+    def __init__(self, shape: tuple):
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        self.psi, self.real = np.empty(shape, np.complex128), np.empty((2,) + shape)
+        self.half, self.half_real = np.empty((2,) + half, np.complex128), np.empty(half)
 
 
 @lru_cache(maxsize=8)

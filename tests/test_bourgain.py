@@ -258,6 +258,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             spatial_sobolev_sup(f, bad)
 
+    def test_overflowing_weights_name_the_exponents(self):
+        # On this grid |xi|^2 <= 128, so <xi>^{2s} overflows float64 from
+        # s = 146 on.  RuntimeWarnings are errors under pytest, so none is
+        # raised on the way.
+        f = random_spacetime(aligned_grid(), 16, 20)
+        with pytest.raises(ConfigurationError, match=r"X\^\{s,b\} norm overflows float64 "
+                                                     r"at s=200, b=0\.5$"):
+            xsb_norm(f, 200.0, 0.5, SCHRODINGER)
+        with pytest.raises(ConfigurationError, match=r"at s=1, b=400$"):
+            xsb_norm(f, 1.0, 400.0, SCHRODINGER)
+        with pytest.raises(ConfigurationError, match=r"Y\^s norm overflows float64 at s=300$"):
+            ys_norm(f, 300.0, SCHRODINGER)
+        with pytest.raises(ConfigurationError, match=r"H\^s norm overflows float64 at s=200$"):
+            spatial_sobolev_sup(f, 200.0)
+
     @pytest.mark.parametrize("which", ["s", "b", "b_prime"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_linear_estimate_exponents_must_be_finite(self, which, bad):

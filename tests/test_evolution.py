@@ -492,29 +492,35 @@ class TestRunSimulation:
 
     @staticmethod
     def _ten_steps(fft_calls, stride):
-        """(rows, FFTs) of a 10-step run."""
+        """(rows, FFTs of the run, FFTs of the first read of its states) of
+        a 10-step run."""
         cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
                         params=ModelParams(sigma2=-1.0, W=1.0, D=0.5),
                         recipe="gaussian", diagnostics_stride=stride)
         make_initial_state(cfg)
         setup = len(fft_calls)
         traj = run_simulation(cfg)
-        return len(traj), len(fft_calls) - 2 * setup
+        ffts = len(fft_calls) - 2 * setup
+        fft_calls.clear()
+        traj.states
+        return len(traj), ffts, fft_calls
 
     def test_fft_budget(self, fft_calls):
         # 3 forward transforms of the initial state, 4 FFTs per step, 1 inverse
-        # one for psi on each row step after t = 0 but the last, 3 on the last
-        # for the physical fields, and 1 per diagnostics row
-        rows, ffts = self._ten_steps(fft_calls, 3)
+        # one for psi on each row step after t = 0, and 1 per diagnostics row;
+        # rho and phi come back only when the states are first read
+        rows, ffts, read = self._ten_steps(fft_calls, 3)
         assert rows == 5  # t = 0, three strides and the last step
-        assert ffts == 3 + 4 * 10 + (rows - 2) + 3 + rows
+        assert ffts == 3 + 4 * 10 + (rows - 1) + rows
+        assert read == ["ifftn"] * 2
 
     def test_fft_budget_between_rows(self, fft_calls):
         # a stride beyond the 10 steps: only the last step writes a row, and
         # the other nine cost the 4 FFTs of the step each
-        rows, ffts = self._ten_steps(fft_calls, 20)
+        rows, ffts, read = self._ten_steps(fft_calls, 20)
         assert rows == 2
-        assert ffts == 3 + 4 * 10 + 3 * 1 + rows
+        assert ffts == 3 + 4 * 10 + 1 + rows
+        assert read == ["ifftn"] * 2
 
     def test_step_without_row_is_two_complex_and_two_real_transforms(self, fft_calls):
         cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
@@ -524,16 +530,23 @@ class TestRunSimulation:
         make_initial_state(cfg)
         setup = list(fft_calls)
         fft_calls.clear()
-        run_simulation(cfg)
-        # set-up, the three forward transforms of the datum and the t = 0
-        # row's rfftn of |psi|^2; ten steps; the last step's three inverse
-        # transforms and its row
-        assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 10
-                             + ["ifftn"] * 3 + ["rfftn"])
+        traj = run_simulation(cfg)
+        # set-up, the forward transforms of the datum (psi's complex, rho's
+        # and phi's real) and the t = 0 row's rfftn of |psi|^2; ten steps;
+        # the last step's inverse transform of psi and its row
+        assert fft_calls == (setup + ["fftn", "rfftn", "rfftn"] + ["rfftn"] + step * 10
+                             + ["ifftn"] + ["rfftn"])
+        # the first read of the states brings rho and phi back, a second
+        # read nothing
+        fft_calls.clear()
+        traj.states
+        assert fft_calls == ["ifftn"] * 2
+        traj.states
+        assert fft_calls == ["ifftn"] * 2
 
         # a state held as coefficients: half-spectra are cut and filled back
         # by copying
-        coeffs = in_frequency(run_simulation(cfg).states[-1])
+        coeffs = in_frequency(traj.states[-1])
         fft_calls.clear()
         out = strang_step(coeffs, cfg.dt, cfg.params)
         assert fft_calls == step
@@ -617,10 +630,13 @@ class TestRunSimulation:
         make_initial_state(cfg)
         setup = list(fft_calls)
         fft_calls.clear()
-        run_simulation(cfg)
-        assert fft_calls == (setup + ["fftn"] * 3 + ["rfftn"] + step * 20
-                             + ["ifftn"] * 3 + ["rfftn"])
+        traj = run_simulation(cfg)
+        assert fft_calls == (setup + ["fftn", "rfftn", "rfftn"] + ["rfftn"] + step * 20
+                             + ["ifftn"] + ["rfftn"])
         assert bounds == []
+        fft_calls.clear()
+        traj.states
+        assert fft_calls == ["ifftn"] * 2
 
     def test_trajectory_requires_increasing_times(self):
         traj = Trajectory()
@@ -656,6 +672,32 @@ class TestRunSimulation:
         # the trajectory keeps a copy of the datum
         np.testing.assert_array_equal(traj.states[0].psi.values,
                                       build(cfg).psi.values)
+
+    def test_a_warm_row_step_allocates_no_grid_array(self, monkeypatch):
+        # 3D 16^3, a row every step: from the second step's kernel to the
+        # third's, the step, its checks and its row write every temporary
+        # into the run's workspace.  The smallest array a step could take
+        # afresh is a real half-spectrum, 18 KiB.
+        cfg = SimConfig(dim=3, n=16, length=4 * np.pi, dt=1e-3, t_end=0.004,
+                        params=PROXY_PARAMS, recipe="gaussian", diagnostics_stride=1)
+        kernel, calls, peaks = evolution._strang_coefficients, [], []
+
+        def kernel_and_trace(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.start()
+            elif len(calls) == 3:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return kernel(*args)
+
+        monkeypatch.setattr(evolution, "_strang_coefficients", kernel_and_trace)
+        try:
+            traj = run_simulation(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 5 and len(peaks) == 1
+        assert peaks[0] < 16 * 16 * 9 * 8
 
 
 PROXY_PARAMS = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
@@ -1005,9 +1047,10 @@ class TestPicard:
 
     def test_a_warm_map_allocates_no_block(self):
         # Acceptance-07 data, 2D 32^2 and n_time 64: blocks of 16 slices,
-        # 256 KiB each.  Every block temporary lives in the context's
-        # workspaces, so what a warm map allocates is the carry (three
-        # (2, 2, 32, 32) arrays, 192 KiB) and per-call scraps.
+        # 256 KiB each.  Every block temporary and the carry live in the
+        # context's workspaces, so what a warm map allocates is numpy's
+        # 128 KiB iteration buffer, taken where a ufunc reads a stack
+        # backward (the backward sweep) into a workspace, and per-call scraps.
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         ctx = evolution._PicardContext(equivalence_data(EQUIVALENCE_GRIDS["2d-32"]), 0.1,
                                        params, 64)
@@ -1019,7 +1062,7 @@ class TestPicard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 512 * 2**10
+        assert peak < 192 * 2**10
 
 
 class TestConfig:

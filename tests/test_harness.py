@@ -429,6 +429,21 @@ class TestEpsilonScaling:
             assert dataclasses.replace(run, params=cfg.params) == cfg
             assert dataclasses.replace(run.params, epsilon=cfg.params.epsilon) == cfg.params
 
+    def test_progress_on_stderr_and_outputs_byte_identical(self, tmp_path, capsys):
+        # one stderr line per epsilon, with its T_proxy (both runs diverge);
+        # report.json and epsilon_scaling.csv gain nothing from it
+        cfg, echo = config_from_dict({**BASE_DOC, "dt": 1e-2, "t_end": 2.0, "amplitude": 2.0,
+                                      "normalize_h1": None, "blowup_factor": 3.0})
+        for tag in ("a", "b"):
+            _, report = cmd_epsilon_scaling(cfg, echo, [2.0, 0.5], str(tmp_path / tag))
+            lines = capsys.readouterr().err.splitlines()
+            rows = report["payload"]["rows"]
+            assert 0.0 < rows[0]["T_proxy"] < rows[1]["T_proxy"] < cfg.t_end
+            assert lines == [f"epsilon-scaling epsilon={r['epsilon']:g}: run {k}/2, "
+                             f"T_proxy {r['T_proxy']:g}" for k, r in enumerate(rows, 1)]
+        for name in ("report.json", "epsilon_scaling.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_list_must_descend(self, tmp_path):
         cfg, echo = config_from_dict(BASE_DOC)
         with pytest.raises(ConfigurationError):
@@ -491,6 +506,13 @@ class TestFuzzCommand:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    def test_progress_line_per_dimension_inequality_and_branch(self, tmp_path, capsys):
+        _, report = cmd_fuzz(50, 1, str(tmp_path / "out"))
+        assert capsys.readouterr().err.splitlines() == [
+            f"fuzz d={r['d']}: {r['inequality']} branch {r['branch']}, max ratio "
+            f"{r['max_ratio']:.6g} (cap {r['cap']:g})" for r in report["payload"]["results"]]
+        assert len(report["payload"]["results"]) == 16
+
     def test_cap_exceeded_signals_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setitem(INEQUALITY_CAPS, "ineq1", 1e-12)
         code, report = cmd_fuzz(50, 1, str(tmp_path / "out"))
@@ -503,7 +525,7 @@ class TestFuzzCommand:
         # |xi| = 10 puts it; every other result is the real fuzz at small n
         fuzz = harness.verify_symbolic_inequalities
 
-        def resonant_ineq3(n, seed, d):
+        def resonant_ineq3(n, seed, d, progress):
             return [dataclasses.replace(r, max_ratio=101.0 / 3.0) if r.inequality == "ineq3"
                     else r for r in fuzz(n, seed, d)]
 
@@ -620,6 +642,20 @@ class TestNormsCommand:
         out = tmp_path / "out"
         assert main(["--out", str(out), "norms", f"{option}={value}"]) == EXIT_VALIDATION
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, at", [
+        (["--s", "200"], "s=200, b=0.6"),
+        (["--b", "400"], "s=1, b=400"),
+        (["--s", "1", "--b", "100"], "s=1, b=100"),
+    ])
+    def test_overflowing_weight_exit_code(self, tmp_path, capsys, argv, at):
+        # The X^{s,b} weight overflows float64: a named error, not NaN or
+        # Infinity in a report that is no longer JSON (nor a RuntimeWarning,
+        # which pytest makes an error).
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "norms", *argv]) == EXIT_VALIDATION
+        assert f"error: X^{{s,b}} norm overflows float64 at {at}\n" in capsys.readouterr().err
         assert not out.exists()
 
 
