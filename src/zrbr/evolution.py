@@ -460,18 +460,24 @@ class _PicardContext:
         self.carry = np.empty((3, 2, 2) + grid.shape, np.complex128)
 
     def blocks(self):
-        """(s, sign, psi's group, the wave group, its conjugate) per time
-        block in sweep order, forward from t = 0 and then backward: a window
-        stack's slices in the block are a[s][::sign], outward from t = 0."""
+        """(s, sign, psi's group, the wave group) per time block in sweep
+        order, forward from t = 0 and then backward: a window stack's slices
+        in the block are a[s][::sign], outward from t = 0.  Like the map's
+        workspaces, the groups lie in the stacks' order (on the backward
+        sweep, reversed views of copies): a ufunc that reads one operand
+        backward against another makes numpy buffer it."""
         z, m = len(self.lam) // 2, self.conj.shape[1]
         for sign, k0 in [(1, k) for k in range(0, z, m)] + [(-1, k) for k in range(1, z + 1, m)]:
             k1 = min(k0 + m, z + (sign < 0))
-            psi, wave = (g[k0:k1] if sign > 0 else np.conjugate(g[k0:k1], out=c[: k1 - k0])
-                         for g, c in zip(self.groups, self.conj))
-            cwave = (np.conjugate(wave, out=self.conj[1][: k1 - k0]) if sign > 0
-                     else self.groups[1][k0:k1])
+            if sign > 0:
+                psi, wave = (g[k0:k1] for g in self.groups)
+            else:
+                psi, wave = (c[: k1 - k0][::-1] for c in self.conj)
+                psi[...], wave[...] = (g[k0:k1] for g in self.groups)  # copies reverse unbuffered
+                np.conjugate(psi, out=psi)
+                np.conjugate(wave, out=wave)
             s = slice(z + k0, z + k1) if sign > 0 else slice(z - k1 + 1, z - k0 + 1)
-            yield s, sign, psi, wave, cwave
+            yield s, sign, psi, wave
 
 
 def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
@@ -479,12 +485,28 @@ def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
     rho_+ and varphi_+ in that order, becomes the next iterate's in place.
     Returns per stack the largest squared spatial L2 sum of the difference
     over time slices.  A block takes five transforms and one retarded
-    integral per stack, and every block array is in ctx's workspaces."""
+    integral per stack, and every block array is in ctx's workspaces.
+
+    Meanwhile numpy's ufunc buffer holds at most one time slice: where an
+    operand broadcasts over the slices of a block (u0, lambda, a symbol),
+    numpy would otherwise take a buffer of 8192 elements, 128 KiB."""
+    bufsize = np.setbufsize(min(np.getbufsize(), ctx.grid.n ** ctx.grid.dim))
+    try:
+        return _picard_blocks(duh, ctx)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _picard_blocks(duh: dict, ctx: _PicardContext) -> dict:
+    """_picard_map's sweep through ctx.blocks()."""
     grid, params, u0 = ctx.grid, ctx.params, ctx.u0
     axes = tuple(range(1, grid.dim + 1))
     diff2 = dict.fromkeys(duh, 0.0)
-    for block, (s, sign, psi_group, wave, cwave) in enumerate(ctx.blocks()):
-        psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)] for w in ctx.work)
+    for block, (s, sign, psi_group, wave) in enumerate(ctx.blocks()):
+        # The workspaces lie in the stacks' order, reversed views on the
+        # backward sweep; np.take writes a contiguous out, so it and
+        # half_wave_sources, slice by slice, see them in memory order.
+        psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)][::sign] for w in ctx.work)
         lam = ctx.lam[s][::sign]
         np.multiply(psi_group, u0["psi"], out=psi_hat)
         psi_hat *= lam
@@ -496,17 +518,20 @@ def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
         # plus Duhamel part d, the minus one conj(d(-xi)), and the free part.
         d = np.multiply(duh["varphi_plus"][s][::sign], params.D, out=acoustic)
         d += duh["rho_plus"][s][::sign]
-        np.take(d.reshape(len(d), -1), ctx.mirror, 1, spare.reshape(len(d), -1), "clip")
+        np.take(d[::sign].reshape(len(d), -1), ctx.mirror, 1,
+                spare[::sign].reshape(len(d), -1), "clip")
         acoustic += np.conjugate(spare, out=spare)
         np.multiply(wave, ctx.acoustic0[0], out=spare)
-        spare += np.multiply(cwave, ctx.acoustic0[1], out=temp)
+        spare += np.multiply(np.conjugate(wave, out=temp), ctx.acoustic0[1], out=temp)
         spare *= lam
         acoustic += spare
         np.fft.ifftn(acoustic, axes=axes, norm="ortho", out=acoustic)
         F = coupled_source(psi, a2, acoustic, params, out=spare)
         psi_t = envelope_rate(psi_hat, F, grid, params, out=psi_hat)
         sources = (np.fft.fftn(F, axes=axes, norm="ortho", out=F),
-                   *half_wave_sources(z, psi, psi_t, grid, params, out=(acoustic, temp)))
+                   *(g[::sign] for g in half_wave_sources(
+                       z[::sign], psi[::sign], psi_t[::sign], grid, params,
+                       out=(acoustic[::sign], temp[::sign]))))
         for (name, stack), group, q, carry in zip(duh.items(), (psi_group, wave, wave), sources,
                                                   ctx.carry):
             if block == 0:  # both sweeps start at t = 0, where the integrand is q
@@ -568,7 +593,8 @@ def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: Mode
     ctx, duh, report = picard_contraction(initial, T, n_iters, params, n_time)
     axes = tuple(range(1, ctx.grid.dim + 1))
     free = {name: np.empty_like(duh["psi"]) for name in _COMPONENTS}
-    for s, sign, psi_group, wave, cwave in ctx.blocks():
+    for s, sign, psi_group, wave in ctx.blocks():
+        cwave = np.conjugate(wave)
         for name, group in zip(_COMPONENTS, (psi_group, wave, cwave, wave, cwave)):
             f = np.multiply(group, ctx.u0[name], out=free[name][s][::sign])
             np.fft.ifftn(f, axes=axes, norm="ortho", out=f)

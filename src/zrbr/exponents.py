@@ -450,6 +450,7 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int,
     check_count(seed, "seed")
     check_dim(d, "d")
     results = []
+    buffers = _draw_buffers(min(_CHUNK, n_samples), d)  # reused by every chunk
     for tag, ineq in enumerate(INEQUALITY_IDS):
         # ineq1 has no tau and ineq5 has fixed signs; only the others carry
         # a +/- branch.
@@ -461,7 +462,7 @@ def verify_symbolic_inequalities(n_samples: int, seed: int, d: int,
             remaining = n_samples
             while remaining > 0:
                 m = min(_CHUNK, remaining)
-                ratios, samples = _ineq_ratios(rng, m, d, ineq, branch)
+                ratios, samples = _ineq_ratios(rng, m, d, ineq, branch, buffers)
                 j = int(np.argmax(ratios))
                 if ratios[j] > best:
                     best = float(ratios[j])
@@ -484,22 +485,37 @@ _DRAWS = {
 }
 
 
-def _ineq_ratios(rng, n, d, ineq, branch):
+def _draw_buffers(n, d):
+    """Memory for the draws of up to n samples: three (2n, d) arrays, which
+    hold ineq2's candidates or, in halves, the other inequalities' frequency
+    vectors and the uniforms they are drawn from; and two modulations."""
+    return np.empty((3, 2 * n, d)), np.empty((2, n))
+
+
+def _ineq_ratios(rng, n, d, ineq, branch, buffers=None):
     """The ratios of ineq at n points drawn from rng, and the points: a dict
-    of (n, d) frequency vectors and length-n modulations, keyed as in _DRAWS."""
+    of (n, d) frequency vectors and length-n modulations, keyed as in _DRAWS.
+    The points are views of buffers (from _draw_buffers, fresh when None),
+    so that a loop of draws reuses their memory."""
     vectors, modulations = _DRAWS[ineq]
+    blocks, taus = buffers or _draw_buffers(n, d)
     if ineq == "ineq2":
-        point = dict(zip(vectors, _ineq2_vectors(rng, n, d)))
+        point = dict(zip(vectors, _ineq2_vectors(rng, n, d, blocks)))
     else:
-        point = {name: _sample_vectors(rng, n, d) for name in vectors}
-    point.update((name, rng.uniform(-_TAU_SCALE, _TAU_SCALE, n)) for name in modulations)
+        *outs, work = (b[k:k + n] for b in blocks[:2] for k in (0, len(b) // 2))
+        point = {name: _sample_vectors(rng, n, d, out=out, work=work)
+                 for name, out in zip(vectors, outs)}
+    for name, out in zip(modulations, taus):
+        tau = point[name] = rng.random(out=out[:n])  # bit for bit rng.uniform(-S, S, n)
+        tau *= 2.0 * _TAU_SCALE
+        tau -= _TAU_SCALE
     return _ratio(ineq, 1.0 if branch == "+" else -1.0, point), point
 
 
-def _ineq2_vectors(rng, n, d):
+def _ineq2_vectors(rng, n, d, blocks):
     """n pairs (xi, xi1) with |xi|^2 > 4 |xi - xi1|^2, by rejection; every
-    pass draws into the same three buffers."""
-    cand, cand1, work = (np.empty((2 * n, d)) for _ in range(3))
+    pass draws into the same three (2n, d) blocks."""
+    cand, cand1, work = (b[:2 * n] for b in blocks)
     xi, xi1 = [], []
     kept = 0
     while kept < n:

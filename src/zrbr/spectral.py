@@ -77,19 +77,29 @@ class Grid:
         axes = [self.axis_frequencies] * self.dim
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    # The |xi| tables are read-only and shared by every equal grid (each
+    # SimConfig builds its own Grid).
     @cached_property
     def xi_squared(self) -> np.ndarray:
-        xs = self.frequencies()
-        return sum(x**2 for x in xs)
+        return _xi_tables(self)[0]
 
     @cached_property
     def xi_modulus(self) -> np.ndarray:
-        return np.sqrt(self.xi_squared)
+        return _xi_tables(self)[1]
 
     @cached_property
     def half_xi_squared(self) -> np.ndarray:
         """|xi|^2 on the half-spectrum columns."""
-        return half_width(self.xi_squared)
+        return _xi_tables(self)[2]
+
+
+@lru_cache(maxsize=8)
+def _xi_tables(grid: Grid) -> tuple:
+    xi2 = sum(x**2 for x in grid.frequencies())
+    tables = (xi2, np.sqrt(xi2), half_width(xi2))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass

@@ -1048,13 +1048,15 @@ class TestPicard:
     def test_a_warm_map_allocates_no_block(self):
         # Acceptance-07 data, 2D 32^2 and n_time 64: blocks of 16 slices,
         # 256 KiB each.  Every block temporary and the carry live in the
-        # context's workspaces, so what a warm map allocates is numpy's
-        # 128 KiB iteration buffer, taken where a ufunc reads a stack
-        # backward (the backward sweep) into a workspace, and per-call scraps.
+        # context's workspaces, and no ufunc reads a stack backward into a
+        # forward workspace or takes numpy's default 128 KiB buffer for an
+        # operand broadcast over slices, so a warm map allocates one slice's
+        # 16 KiB cast buffer (lambda is real) and per-call scraps.
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         ctx = evolution._PicardContext(equivalence_data(EQUIVALENCE_GRIDS["2d-32"]), 0.1,
                                        params, 64)
         duh = {name: np.zeros((64,) + ctx.grid.shape, dtype=np.complex128) for name in ctx.coef}
+        bufsize = np.getbufsize()
         evolution._picard_map(duh, ctx)
         tracemalloc.start()
         try:
@@ -1062,7 +1064,8 @@ class TestPicard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 192 * 2**10
+        assert peak < 64 * 2**10
+        assert np.getbufsize() == bufsize  # the map's own buffer size is restored
 
 
 class TestConfig:

@@ -7,11 +7,19 @@ two-sample Kolmogorov-Smirnov distance between the old and the new sample
 must stay below its critical value at alpha = 0.001.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from frozen_fuzz import ineq2_pairs
-from zrbr.exponents import _ineq_ratios, _sample_vectors
+from zrbr.exponents import (
+    _TAU_SCALE,
+    _ineq_ratios,
+    _ratio,
+    _sample_vectors,
+    verify_symbolic_inequalities,
+)
 
 N_PAIRS = 100_000
 LO, HI = 1e-2, 1e3
@@ -90,3 +98,42 @@ def test_one_uniform_per_component():
     got = _sample_vectors(np.random.default_rng(8), 1000, 3, out=out, work=work)
     assert got is out
     assert np.array_equal(out, expected)
+
+
+def test_modulations_are_the_uniform_draw():
+    # tau = random() * 2S - S in place is rng.uniform(-S, S) bit for bit.
+    rng = np.random.default_rng(5)
+    rng.random((300, 3))
+    rng.random((300, 3))
+    expected = rng.uniform(-_TAU_SCALE, _TAU_SCALE, size=(2, 300))
+    _, point = _ineq_ratios(np.random.default_rng(5), 300, 3, "ineq5", "+")
+    assert np.array_equal(point["tau"], expected[0])
+    assert np.array_equal(point["tau1"], expected[1])
+
+
+def test_steps_draw_into_shared_buffers():
+    # After the first (inequality, branch), the draws go into buffers that
+    # verify_symbolic_inequalities owns, so a step's traced peak is its
+    # ratio expression's alone, up to one length-n array; fresh draws add
+    # their (n, d) vectors, uniforms and modulations on top.
+    n, d = 20_000, 3
+    peaks = {}
+
+    def progress(r):
+        peaks[r.inequality, r.branch] = tracemalloc.get_traced_memory()[1] - progress.start
+        tracemalloc.reset_peak()
+        progress.start = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        progress.start = tracemalloc.get_traced_memory()[0]
+        verify_symbolic_inequalities(n, 1, d, progress)
+        for ineq in ("ineq3", "ineq4", "ineq5"):
+            _, point = _ineq_ratios(np.random.default_rng(1), n, d, ineq, "+")
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _ratio(ineq, 1.0, point)
+            ratio_peak = tracemalloc.get_traced_memory()[1] - start
+            assert peaks[ineq, "+"] <= ratio_peak + 8 * n, ineq
+    finally:
+        tracemalloc.stop()

@@ -73,6 +73,20 @@ class TestGrid:
         xs = g.frequencies()
         assert np.allclose(g.xi_modulus, np.sqrt(sum(x**2 for x in xs)))
 
+    @pytest.mark.parametrize("name", ["xi_squared", "xi_modulus", "half_xi_squared"])
+    def test_equal_grids_share_one_read_only_table(self, name):
+        # Every SimConfig builds its own Grid; the |xi| tables are built once
+        # per grid value, with the same bits as before they were shared.
+        a, b = Grid(3, 8, 3.0), Grid(3, 8, 3.0)
+        assert a is not b
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+        xi2 = sum(x**2 for x in a.frequencies())
+        expected = {"xi_squared": xi2, "xi_modulus": np.sqrt(xi2),
+                    "half_xi_squared": xi2[..., :5]}[name]
+        assert np.array_equal(getattr(a, name), expected)
+        assert getattr(Grid(3, 8, 4.0), name) is not getattr(a, name)
+
 
 class TestCheckCount:
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, None])
