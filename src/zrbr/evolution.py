@@ -5,6 +5,7 @@ system."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -205,6 +206,13 @@ def _strang_coefficients(psi_h, rho_h, phi_h, dt, params: ModelParams, prop: _Pr
     return prop.apply_in_place(psi, rho_h, phi_h, work.half)
 
 
+def _sum_abs2(c) -> float:
+    """sum |c|^2, by einsum over the float view: np.vdot would call BLAS,
+    which starts its own threads unless OPENBLAS_NUM_THREADS=1."""
+    f = c.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", f, f))
+
+
 def _squared_norms(coeffs) -> list[float]:
     """sum |f_hat|^2 over the whole lattice for psi's spectrum, and twice
     the sum over the half-spectrum for rho and phi, which is no less.
@@ -213,7 +221,7 @@ def _squared_norms(coeffs) -> list[float]:
     of finite ones); only then are the coefficients scanned, and the first
     field with a non-finite one raises DivergenceError.
     """
-    norms = [w * float(np.vdot(c, c).real) for w, c in zip((1.0, 2.0, 2.0), coeffs)]
+    norms = [w * _sum_abs2(c) for w, c in zip((1.0, 2.0, 2.0), coeffs)]
     if not all(map(math.isfinite, norms)):
         for name, c in zip(_FIELDS, coeffs):
             if not np.all(np.isfinite(c)):
@@ -575,7 +583,7 @@ def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: 
     # every iterate's sup_t L2 norm by the triangle inequality: its free part
     # by the largest datum's norm (lambda <= 1 and the groups are unitary),
     # and its Duhamel part by the sum of the differences before it.
-    largest = math.sqrt(max(np.vdot(u, u).real for u in ctx.u0.values()) * ctx.grid.cell_volume)
+    largest = math.sqrt(max(map(_sum_abs2, ctx.u0.values())) * ctx.grid.cell_volume)
     floor = 64 * np.finfo(np.float64).eps * (largest + sum(diffs))
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail
@@ -587,10 +595,33 @@ def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: 
 def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
                    n_time: int = 64):
     """picard_contraction's iteration; returns [iterate 0, last iterate] in
-    physical space and the PicardReport.  G_- = -G_+ and H_- = -H_+ are
-    real, so a minus component's Duhamel part is, in physical space, the
-    conjugate of its plus partner's."""
+    physical space, a read-only sequence that builds both on its first read
+    (until then it holds the Duhamel stacks and the context, whose groups
+    and workspace are under two stacks more), and the PicardReport.  G_- =
+    -G_+ and H_- = -H_+ are real, so a minus component's Duhamel part is,
+    in physical space, the conjugate of its plus partner's."""
     ctx, duh, report = picard_contraction(initial, T, n_iters, params, n_time)
+    return _Iterates(ctx, duh), report
+
+
+class _Iterates(Sequence):
+    """picard_iterate's [iterate 0, last iterate], by _readout on first read."""
+
+    def __init__(self, ctx: _PicardContext, duh: dict):
+        self._pending, self._items = (ctx, duh), None
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, index):
+        if self._items is None:  # the readout transforms the stacks in place: once only
+            pending, self._pending = self._pending, None
+            self._items = _readout(*pending)
+        return self._items[index]
+
+
+def _readout(ctx: _PicardContext, duh: dict) -> list:
+    """picard_iterate's iterates; the last one's plus components are duh's stacks."""
     axes = tuple(range(1, ctx.grid.dim + 1))
     free = {name: np.empty_like(duh["psi"]) for name in _COMPONENTS}
     for s, sign, psi_group, wave in ctx.blocks():
@@ -605,4 +636,4 @@ def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: Mode
                for name in _COMPONENTS}
     for name in _COMPONENTS:
         current[name] += free[name]
-    return [free, current], report
+    return [free, current]

@@ -813,6 +813,29 @@ class TestDivergenceProxy:
         decided = (checks - len(bounds), len(bounds) - exact, exact)
         assert min(decided) >= 1, decided
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_squared_norms_match_vdot_without_calling_it(self, dim, monkeypatch):
+        # The sums run outside BLAS (np.vdot starts OpenBLAS's threads) and
+        # agree with np.vdot to round-off on full and half spectra.
+        rng = np.random.default_rng(dim)
+        grid = Grid(dim, 64 if dim == 2 else 16, 2 * np.pi)
+
+        def spectrum(shape):
+            return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * rng.lognormal(
+                size=shape)
+
+        for _ in range(5):
+            coeffs = [spectrum(grid.shape), spectrum(half_shape(grid)), spectrum(half_shape(grid))]
+            expected = [w * np.vdot(c, c).real for w, c in zip((1, 2, 2), coeffs)]
+            assert _squared_norms(coeffs) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+        def no_blas(*args):
+            raise AssertionError("BLAS call")
+
+        monkeypatch.setattr(np, "vdot", no_blas)
+        strang_step(random_state(grid, 3), 0.01, ModelParams())
+        picard_contraction(equivalence_data(EQUIVALENCE_GRIDS["3d-8"]), 0.1, 1, ModelParams(), 8)
+
     @staticmethod
     def _assert_l2_bound_dominates_sup(grid, full, half):
         """The proxy's first tier, (1 + _L2_MARGIN) times the root of what
@@ -1066,6 +1089,76 @@ class TestPicard:
             tracemalloc.stop()
         assert peak < 64 * 2**10
         assert np.getbufsize() == bufsize  # the map's own buffer size is restored
+
+    def test_iterates_read_as_a_sequence(self):
+        grid = small_grid()
+        init = self._initial(grid)
+        params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
+        iterates, _ = picard_iterate(init, T=0.1, n_iters=2, params=params, n_time=32)
+        assert len(iterates) == 2
+        free, last = iterates
+        assert iterates[0] is free and iterates[1] is last
+        assert iterates[-2] is free and iterates[-1] is last
+        assert [a is b for a, b in zip(iterates, (free, last, None))] == [True, True]
+        assert set(free) == set(last) == {"psi", "rho_plus", "rho_minus", "varphi_plus",
+                                          "varphi_minus"}
+        assert free["psi"].shape == (32,) + grid.shape
+        with pytest.raises(IndexError):
+            iterates[2]
+        with pytest.raises(TypeError):
+            iterates[0] = free
+
+    def test_iterates_are_built_once_on_first_read(self, fft_calls, monkeypatch):
+        # Unread, picard_iterate takes exactly picard_contraction's
+        # transforms.  The first read adds the readout's 8 window transforms
+        # (the five free parts, block by block, and the three Duhamel
+        # stacks) and drops the context; a second read returns the same
+        # dicts and transforms nothing.
+        points = []
+
+        def sized(a, *args, _ifftn=np.fft.ifftn, **kwargs):
+            points.append(np.size(a))
+            return _ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", sized)
+        grid, n_time = small_grid(), 32
+        init, params = self._initial(grid), ModelParams(sigma2=-1.0, W=1.0, D=0.5)
+        picard_contraction(init, 0.1, 3, params, n_time)  # fills the caches
+        fft_calls.clear()
+        picard_contraction(init, 0.1, 3, params, n_time)
+        contraction = list(fft_calls)
+        fft_calls.clear()
+        iterates, _ = picard_iterate(init, 0.1, 3, params, n_time)
+        assert fft_calls == contraction
+        ctx = weakref.ref(iterates._pending[0])
+        fft_calls.clear()
+        points.clear()
+        first = iterates[0]
+        assert fft_calls == ["ifftn"] * len(points)
+        assert sum(points) == 8 * n_time * grid.n**grid.dim
+        assert ctx() is None
+        fft_calls.clear()
+        assert iterates[0] is first and tuple(iterates)[0] is first
+        assert iterates[1] is iterates[-1]
+        assert fft_calls == []
+
+    def test_unread_iterates_cost_no_readout_memory(self):
+        # Acceptance-07 data, 2D 32^2 and n_time 64: a stack is 1 MiB and a
+        # block of 16 slices 256 KiB.  With its iterates unread,
+        # picard_iterate peaks within one block of picard_contraction; an
+        # eager readout's five free stacks and two conjugates add 7 MiB.
+        params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
+        init = equivalence_data(EQUIVALENCE_GRIDS["2d-32"])
+        peaks = []
+        for run in (picard_contraction, picard_iterate):
+            run(init, 0.1, 2, params, 64)  # fills the caches outside the trace
+            tracemalloc.start()
+            try:
+                run(init, 0.1, 2, params, 64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16 * 32**2 * 16, peaks
 
 
 class TestConfig:
