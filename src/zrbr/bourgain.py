@@ -3,9 +3,9 @@ Strichartz estimates.
 
 A SpaceTimeField samples a complex field on a time window [-Tw, Tw) times
 the periodic spatial box.  Every space-time transform here is the unitary
-("ortho") lattice fftn.  The continuum transform is a constant multiple of
-it up to a unimodular phase, so each norm applies its quadrature constants
-as one scalar, and Plancherel matches the quadrature L2 norm:
+("ortho") lattice fftn, or fft along time alone.  The continuum transform is
+a constant multiple of it up to a unimodular phase, so each norm applies its
+quadrature constants as one scalar, and Plancherel matches the quadrature L2 norm:
 
     sum |hat|^2 dt dx^d  ==  sum |f|^2 dt dx^d
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
 from .exponents import strichartz_exponents
-from .spectral import ComplexField, Grid, check_count, low_mode_coefficients
+from .spectral import ComplexField, Grid, check_count, check_number, low_mode_draws
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,21 +69,31 @@ WAVE_MINUS = Dispersion("wave_minus")
 NO_DISPERSION = Dispersion("none")
 
 
-def _check_window(t_half: float, n_time: int) -> None:
+def _number(value, name: str) -> float:
+    """value as a float by check_number's rule, except that a non-finite
+    float passes, for the range check after it to refuse."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return float(value)
+    return check_number(value, name)
+
+
+def _check_window(t_half: float, n_time: int) -> float:
+    """t_half as a float, once it and n_time make a window."""
     check_count(n_time, "n_time", 2)
     if n_time % 2:
         raise ContractViolationError("number of time samples must be even")
-    if not (np.isfinite(t_half) and t_half > 0):
+    if not (math.isfinite(t_half := _number(t_half, "t_half")) and t_half > 0):
         raise ContractViolationError(f"window half-width must be finite and > 0, got {t_half}")
+    return t_half
 
 
 class SpaceTimeField:
     """Complex field on a (time x space) lattice, physical-space values.
 
     The values are not to be changed in place once spatial_hat is read.  A
-    random_band_limited field builds values (two ifftn) and the dense
-    spatial_hat on first read, with the bits an eager build gives; and
-    linear_estimate_ratio reads neither.
+    random_band_limited field builds values (a spatial ifftn of its draw
+    and a time ifft) and the dense spatial_hat on first read, with the bits
+    an eager build gives; and linear_estimate_ratio reads neither.
     """
 
     def __init__(self, grid: Grid, t_half: float, values: np.ndarray):
@@ -92,9 +102,8 @@ class SpaceTimeField:
             raise ContractViolationError(
                 f"values shape {values.shape} incompatible with grid {grid.shape}"
             )
-        _check_window(t_half, values.shape[0])
         self.grid = grid
-        self.t_half = float(t_half)
+        self.t_half = _check_window(t_half, values.shape[0])
         self.values = values
         self.n_time = values.shape[0]
 
@@ -118,10 +127,11 @@ class SpaceTimeField:
 
     def _support(self) -> tuple:
         """(cols, block): the columns of the (n_time, N) flattening where the
-        field is nonzero at some time, and spatial_hat on those columns."""
+        field is nonzero at some time, and spatial_hat on those columns;
+        cols is None, and block a view, when that is every column."""
         hat = self.spatial_hat.reshape(self.n_time, -1)
         cols = np.flatnonzero(np.any(hat, axis=0))
-        return cols, hat[:, cols]
+        return (None, hat) if cols.size == hat.shape[1] else (cols, hat[:, cols])
 
     def l2_norm(self) -> float:
         """Space-time L2 norm with quadrature weights."""
@@ -164,11 +174,18 @@ class _Lattice:
         """exp(-i t p(xi)) at every window time, shape (n_time, *grid)."""
         return _frozen(_group(self.times, self.phase))
 
-    def weight(self, s: float, b: float, cols=None) -> np.ndarray:
-        """<xi>^{2s} <sigma>^{2b} with sigma = tau + p(xi), over the lattice,
-        or over the spatial columns cols of its (n_time, N) flattening."""
-        w = _weight(self.grid, self.t_half, self.n_time, self.disp, s, b)
-        return w if cols is None else w.reshape(self.n_time, -1)[:, cols]
+    def weight(self, s: float, b: float) -> np.ndarray:
+        """<xi>^{2s} <sigma>^{2b} with sigma = tau + p(xi), over the lattice."""
+        return _weight(self.grid, self.t_half, self.n_time, self.disp, s, b)
+
+    def on(self, cols, s=None, b=None) -> np.ndarray:
+        """The group (s None) or the weight (s, b) on the spatial columns
+        cols of the (n_time, N) flattening, read-only; on every column when
+        cols is None, as a view."""
+        if cols is None:
+            table = self.group if s is None else self.weight(s, b)
+            return table.reshape(self.n_time, -1)
+        return _gathered(self, cols.tobytes(), s, b)
 
     def xsb(self, hat: np.ndarray, s: float, b: float, cols=None) -> float:
         """X^{s,b} norm of the field whose unitary space-time transform is hat,
@@ -176,7 +193,7 @@ class _Lattice:
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.abs(hat)
             a *= a
-            a *= self.weight(s, b, cols)
+            a *= self.on(cols, s, b).reshape(a.shape)
             norm = float(np.sqrt(np.sum(a) * self.dt * self.grid.cell_volume))
         return _finite_norm(norm, "X^{s,b} norm", s=s, b=b)
 
@@ -190,7 +207,8 @@ class _Lattice:
         """
         dtau = _TWO_PI / (2.0 * self.t_half)
         with np.errstate(over="ignore", invalid="ignore"):
-            inner = np.sum(np.abs(hat) * self.weight(0.5 * s, -0.5, cols), axis=0)
+            inner = np.sum(np.abs(hat) * self.on(cols, 0.5 * s, -0.5).reshape(hat.shape),
+                           axis=0)
             norm = float(np.sqrt(np.sum(inner**2) * dtau * self.dt * self.grid.cell_volume))
         return _finite_norm(norm, "Y^s norm", s=s)
 
@@ -219,9 +237,18 @@ def _weight(grid: Grid, t_half: float, n_time: int, disp: Dispersion,
     return _frozen(w)
 
 
+# The tables on one support's columns, shared the same way.  Each is the
+# fancy-index result itself, not a contiguous copy: its layout fixes the
+# order in which np.sum adds, and a copy moves ratios by an ulp.
+@lru_cache(maxsize=16)
+def _gathered(lat: _Lattice, support: bytes, s, b) -> np.ndarray:
+    table = lat.group if s is None else lat.weight(s, b)
+    return _frozen(table.reshape(lat.n_time, -1)[:, np.frombuffer(support, dtype=np.intp)])
+
+
 def _check_finite(**exponents):
     for name, value in exponents.items():
-        if not np.isfinite(value):
+        if not math.isfinite(_number(value, name)):
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
@@ -284,11 +311,11 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
 
 def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion) -> SpaceTimeField:
     """Space-time field of the free flow exp(-i t p(-i grad)) g."""
-    _check_window(t_half, n_time)
+    t_half = _check_window(t_half, n_time)
     grid = g.grid
     ghat = np.fft.fftn(np.asarray(g.values, dtype=np.complex128), norm="ortho") \
         if g.space == "physical" else g.values
-    group = _lattice(grid, float(t_half), n_time, disp).group
+    group = _lattice(grid, t_half, n_time, disp).group
     vals = np.fft.ifftn(group * ghat[None], axes=tuple(range(1, grid.dim + 1)), norm="ortho")
     return SpaceTimeField(grid, t_half, vals)
 
@@ -307,38 +334,38 @@ def random_band_limited(
     The coefficient draw depends only on the bands and the seed, so refining
     n_time (or the spatial grid) samples the same underlying field; that is
     what makes refinement-stability checks meaningful.  The field is held as
-    its draw, with its spatial coefficients on the band's columns; values and
-    spatial_hat are built on first read.
+    its draw on the band's columns, with its spatial coefficients there;
+    values and spatial_hat are built on first read.
     """
     check_count(time_band, "time_band")
     check_count(space_band, "space_band")
     check_count(seed, "seed")
-    _check_window(t_half, n_time)
+    t_half = _check_window(t_half, n_time)
     if n_time <= 2 * time_band or grid.n <= 2 * space_band:
         raise ConfigurationError("lattice too coarse for the requested bands")
-    rng = np.random.default_rng(seed)
-    coeffs = low_mode_coefficients(grid, rng, space_band, (2 * time_band + 1,))
-    # The unitary spatial coefficients are sqrt(N) times the time inverse of
-    # the coefficient rows on the band's columns, and exactly 0 off them.
     rows = np.arange(-time_band, time_band + 1) % n_time
-    flat = coeffs.reshape(rows.size, -1)
-    cols = np.flatnonzero(np.any(flat, axis=0))
-    block = np.zeros((n_time, cols.size), dtype=np.complex128)
-    block[rows] = flat[:, cols]
-    block = np.fft.ifftn(block, axes=(0,), norm="forward")
+    kept, draws = low_mode_draws(grid, np.random.default_rng(seed), space_band, rows.size)
+    # The unitary spatial coefficients are sqrt(N) times the time inverse of
+    # the coefficient rows on the band's columns, and exactly 0 off them; a
+    # column drawn exactly 0 at every row is off the support.
+    nonzero = np.any(draws, axis=0)
+    block = np.zeros((n_time, np.count_nonzero(nonzero)), dtype=np.complex128)
+    block[rows] = draws[:, nonzero]
+    block = np.fft.ifft(block, axis=0, norm="forward")
     block *= np.sqrt(grid.n**grid.dim)
     if cutoff:
-        block *= _window_cutoff(float(t_half), n_time, 1.0)[:, None]
-    return _BandLimited(grid, float(t_half), rows, coeffs, cutoff, cols, _frozen(block))
+        block *= _window_cutoff(t_half, n_time, 1.0)[:, None]
+    return _BandLimited(grid, t_half, rows, kept, draws, cutoff, kept[nonzero], _frozen(block))
 
 
 class _BandLimited(SpaceTimeField):
     """A random_band_limited field held as its draw: the coefficient rows,
-    whether lambda(t) applies, and the support columns and block."""
+    the band's columns and the draws on them, whether lambda(t) applies,
+    and the support columns and block."""
 
-    def __init__(self, grid, t_half, rows, coeffs, cutoff, cols, block):
+    def __init__(self, grid, t_half, rows, kept, draws, cutoff, cols, block):
         self.grid, self.t_half, self.n_time = grid, t_half, block.shape[0]
-        self._rows, self._coeffs, self._cutoff = rows, coeffs, cutoff
+        self._rows, self._kept, self._draws, self._cutoff = rows, kept, draws, cutoff
         self._cols, self._block = cols, block
 
     @cached_property
@@ -347,10 +374,12 @@ class _BandLimited(SpaceTimeField):
         # unscaled ("forward"), so a finer lattice samples the same field.
         # The spatial inverse runs on the nonzero rows, last axis first as a
         # full ifftn would, then the time inverse: the full ifftn's bits.
+        coeffs = np.zeros((self._rows.size, self.grid.n**self.grid.dim), dtype=np.complex128)
+        coeffs[:, self._kept] = self._draws
         vals = np.zeros((self.n_time,) + self.grid.shape, dtype=np.complex128)
-        vals[self._rows] = np.fft.ifftn(self._coeffs, axes=range(1, self.grid.dim + 1),
-                                        norm="forward")
-        np.fft.ifftn(vals, axes=(0,), norm="forward", out=vals)
+        vals[self._rows] = np.fft.ifftn(coeffs.reshape((-1,) + self.grid.shape),
+                                        axes=range(1, self.grid.dim + 1), norm="forward")
+        np.fft.ifft(vals, axis=0, norm="forward", out=vals)
         if not self._cutoff:
             return vals
         lam = _window_cutoff(self.t_half, self.n_time, 1.0)
@@ -374,7 +403,8 @@ class _BandLimited(SpaceTimeField):
 # exp(-i t p) and the anchored trapezoid retarded integral.  Both act on
 # spatial Fourier coefficients sampled at the window times, pointwise in xi,
 # so a caller that starts from spatial coefficients needs no space-time round
-# trip: linear_estimate_ratio ends with a time-axis transform into the norms,
+# trip: linear_estimate_ratio ends with a time-axis fft into the norms, with
+# the group and weights on its source's columns gathered once per support,
 # and the Picard map keeps its iterates as spatial coefficients.  Its groups
 # are its own, for t >= 0 only, so the lattice cache keeps none per Picard
 # window, and it integrates block by block through a carry.
@@ -440,6 +470,7 @@ def linear_estimate_ratio(
     RHS = T^{1-b+b'} ||q||_{X^{s,b'}} (+ T^{1/2-b} ||q||_{Y^s} when the Y
     term is included, i.e. when b' <= -1/2 would make the X term alone fail).
     """
+    T = _number(T, "T")
     _check_finite(s=s, b=b, b_prime=b_prime)
     if not (b_prime <= 0.0 <= b <= b_prime + 1.0):
         raise PreconditionError(f"need b' <= 0 <= b <= b'+1, got b={b}, b'={b_prime}")
@@ -451,11 +482,11 @@ def linear_estimate_ratio(
     # so they add nothing to the norms.  A dense q has every column.
     lat = _lattice(q.grid, q.t_half, q.n_time, disp)
     cols, q_hat = q._support()
-    conv = _retarded(q_hat, lat.group.reshape(q.n_time, -1)[:, cols], lat.dt, q.zero_index)
+    conv = _retarded(q_hat, lat.on(cols), lat.dt, q.zero_index)
     conv *= _window_cutoff(q.t_half, q.n_time, T)[:, None]
-    lhs = lat.xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b, cols)
+    lhs = lat.xsb(np.fft.fft(conv, axis=0, norm="ortho"), s, b, cols)
     del conv
-    q_hat = np.fft.fftn(q_hat, axes=(0,), norm="ortho")
+    q_hat = np.fft.fft(q_hat, axis=0, norm="ortho")
     rhs = T ** (1.0 - b + b_prime) * lat.xsb(q_hat, s, b_prime, cols)
     if include_y_term:
         rhs += T ** (0.5 - b) * lat.ys(q_hat, s, cols)

@@ -276,33 +276,40 @@ def low_mode_coefficients(
     grid: Grid, rng: np.random.Generator, band: int, leading: tuple = ()
 ) -> np.ndarray:
     """Coefficients N(0,1) + i N(0,1) on the modes |k|_inf <= band, zero
-    elsewhere, shape leading + grid.shape.
+    elsewhere, shape leading + grid.shape: low_mode_draws scattered onto
+    the lattice."""
+    kept, draws = low_mode_draws(grid, rng, band, int(np.prod(leading)))
+    coeffs = np.zeros((draws.shape[0], grid.n**grid.dim), dtype=np.complex128)
+    coeffs[:, kept] = draws
+    return coeffs.reshape(tuple(leading) + grid.shape)
+
+
+def low_mode_draws(grid: Grid, rng: np.random.Generator, band: int, count: int) -> tuple:
+    """(kept, draws): the flat indices of the modes |k|_inf <= band, in
+    increasing order and read-only, and count fields of coefficients
+    N(0,1) + i N(0,1) on them, shape (count, kept.size).
 
     All normals come from one rng.normal call: real and imaginary part in
-    turn, mode by mode in lexicographic order, field by field over the
-    leading axes.  That is the stream of one scalar draw after another.
-    Where the lattice folds two modes onto one index (2 band >= n), the
-    later draw is kept.
+    turn, mode by mode in lexicographic order, field by field.  That is the
+    stream of one scalar draw after another.  Where the lattice folds two
+    modes onto one index (2 band >= n), the later draw is kept.
     """
     check_count(band, "band")
-    size, keep, index = _low_modes(grid, band)
-    count = int(np.prod(leading))
+    size, keep, kept = _low_modes(grid, band)
     z = rng.normal(size=2 * count * size).reshape(count, size, 2)
-    coeffs = np.zeros((count, grid.n**grid.dim), dtype=np.complex128)
-    coeffs[:, index] = z[:, keep, 0] + 1j * z[:, keep, 1]
-    return coeffs.reshape(tuple(leading) + grid.shape)
+    return kept, z[:, keep, 0] + 1j * z[:, keep, 1]
 
 
 @lru_cache(maxsize=16)
 def _low_modes(grid: Grid, band: int) -> tuple:
     """Per (grid, band), built once: the draws per field on |k|_inf <= band,
-    the draws kept, and the flat index each kept draw lands on (read-only)."""
+    the draws kept, and the flat index each kept draw lands on, in
+    increasing order (read-only)."""
     k = np.arange(-band, band + 1) % grid.n
     index = np.ravel_multi_index(np.meshgrid(*[k] * grid.dim, indexing="ij"), grid.shape)
     index = index.ravel()
-    _, last = np.unique(index[::-1], return_index=True)
+    kept, last = np.unique(index[::-1], return_index=True)
     keep = index.size - 1 - last
-    kept = index[keep]
     keep.setflags(write=False)
     kept.setflags(write=False)
     return index.size, keep, kept

@@ -1,8 +1,10 @@
 """Frozen copies of the space-time norms, the linear-estimate check and the
 band-limited generators as they were before the norms read their weights
 from the cached lattice table, of the Strichartz check as it was before
-it moved to the unitary lattice transform, and of the one-draw band-limited
-generator as it was while it built its values and spatial_hat eagerly.
+it moved to the unitary lattice transform, of the one-draw band-limited
+generator as it was while it built its values and spatial_hat eagerly, and
+of the support path of the linear-estimate check as it was while it drew a
+dense coefficient cube and gathered its tables on every call.
 
 Every symbol is rebuilt per call, the norms and the Strichartz check take
 the continuum-normalized transform with its phase shift, and
@@ -190,3 +192,78 @@ def strichartz_ratio(v, a, a_prime, gamma, eta, b0, T, disp=SCHRODINGER):
     v_norm = float(np.sqrt(np.sum(np.abs(v_new.values) ** 2) * dt * v.grid.cell_volume))
     ratio = 0.0 if v_norm == 0.0 else lhs / v_norm
     return StrichartzReport(exps.q, exps.r, exps.theta, lhs, v_norm, ratio)
+
+
+def support_random_band_limited(grid, t_half, n_time, seed, time_band=4, space_band=2,
+                                cutoff=True):
+    """(cols, block) of a band-limited source: the columns of the (n_time, N)
+    flattening its spatial coefficients are nonzero on, found by scanning the
+    dense coefficient cube, and those coefficients on them."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.stack([low_mode_coefficients(grid, rng, space_band)
+                       for _ in range(2 * time_band + 1)])
+    rows = np.arange(-time_band, time_band + 1) % n_time
+    flat = coeffs.reshape(rows.size, -1)
+    cols = np.flatnonzero(np.any(flat, axis=0))
+    block = np.zeros((n_time, cols.size), dtype=np.complex128)
+    block[rows] = flat[:, cols]
+    block = np.fft.ifftn(block, axes=(0,), norm="forward")
+    block *= np.sqrt(grid.n**grid.dim)
+    if cutoff:
+        block *= smooth_cutoff(-t_half + 2.0 * t_half / n_time * np.arange(n_time))[:, None]
+    return cols, block
+
+
+def _support_retarded(q_hat, group, dt, zero_index):
+    integrand = np.conjugate(group)
+    integrand *= q_hat
+    seg = np.empty_like(integrand)
+    np.add(integrand[1:], integrand[:-1], out=seg[1:])
+    seg[0] = 0.0
+    seg *= 0.5 * dt
+    np.cumsum(seg, axis=0, out=integrand)
+    integrand -= integrand[zero_index]
+    return np.multiply(group, integrand, out=integrand)
+
+
+def support_linear_estimate_ratio(grid, t_half, cols, q_hat, T, s, b, b_prime, disp,
+                                  include_y_term=True):
+    """linear_estimate_ratio of the source whose spatial coefficients are
+    q_hat on the columns cols, with the group and the weights built and
+    gathered onto cols here."""
+    n_time = q_hat.shape[0]
+    dt = 2.0 * t_half / n_time
+    times = -t_half + dt * np.arange(n_time)
+    taus = _TWO_PI * np.fft.fftfreq(n_time, d=dt)
+    phase = disp.phase(grid)
+
+    def on_cols(table):
+        return table.reshape(n_time, -1)[:, cols]
+
+    def weight(s, b):
+        sigma = taus.reshape((-1,) + (1,) * grid.dim) + phase
+        w = (1.0 + sigma**2) ** b
+        w *= (1.0 + grid.xi_squared) ** s
+        return on_cols(w)
+
+    def xsb(hat, s, b):
+        a = np.abs(hat)
+        a *= a
+        a *= weight(s, b)
+        return float(np.sqrt(np.sum(a) * dt * grid.cell_volume))
+
+    def ys(hat, s):
+        inner = np.sum(np.abs(hat) * weight(0.5 * s, -0.5), axis=0)
+        dtau = _TWO_PI / (2.0 * t_half)
+        return float(np.sqrt(np.sum(inner**2) * dtau * dt * grid.cell_volume))
+
+    conv = _support_retarded(q_hat, on_cols(_group(times, phase)), dt, n_time // 2)
+    conv *= smooth_cutoff(times / T)[:, None]
+    lhs = xsb(np.fft.fftn(conv, axes=(0,), norm="ortho"), s, b)
+    q_hat = np.fft.fftn(q_hat, axes=(0,), norm="ortho")
+    rhs = T ** (1.0 - b + b_prime) * xsb(q_hat, s, b_prime)
+    if include_y_term:
+        rhs += T ** (0.5 - b) * ys(q_hat, s)
+    if rhs == 0.0:
+        return 0.0
+    return lhs / rhs

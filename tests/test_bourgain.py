@@ -17,6 +17,7 @@ from zrbr.bourgain import (
     strichartz_ratio,
     xsb_norm,
     ys_norm,
+    _gathered,
     _lattice,
     _weight,
 )
@@ -303,17 +304,17 @@ class TestLatticeTable:
         # a band-limited source carries its spatial coefficients; the same
         # values without them take one spatial transform more
         q = random_band_limited(aligned_grid(), 2.5, 64, seed=9000)
-        for f, calls in ((q, 2), (SpaceTimeField(q.grid, q.t_half, q.values), 3)):
+        for f, spatial in ((q, []), (SpaceTimeField(q.grid, q.t_half, q.values), ["fftn"])):
             fft_calls.clear()
             linear_estimate_ratio(f, 0.5, 1.0, 0.6, -0.35, SCHRODINGER, include_y_term=True)
-            assert fft_calls == ["fftn"] * calls
+            assert fft_calls == spatial + ["fft", "fft"]
 
     def test_band_limited_ratio_builds_no_values(self, fft_calls):
         # the generator's time inverse and the ratio's two time transforms;
         # neither builds the physical values nor the dense spatial_hat
         q = random_band_limited(aligned_grid(), 2.5, 64, seed=9001)
         linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
-        assert fft_calls == ["ifftn", "fftn", "fftn"]
+        assert fft_calls == ["ifft", "fft", "fft"]
         assert "values" not in vars(q) and "spatial_hat" not in vars(q)
 
     def test_strichartz_is_four_transforms(self, fft_calls):
@@ -323,25 +324,23 @@ class TestLatticeTable:
         strichartz_ratio(v, 0.6, 0.6, 1.0, 1.0, 0.6, T=0.5)
         assert fft_calls == ["fftn", "ifftn", "fftn", "ifftn"]
 
-    def test_time_transform_is_a_traced_fftn(self, monkeypatch):
-        # a profiler that wraps only fftn and ifftn sees every transform
+    def test_time_transforms_are_one_axis_ffts(self, monkeypatch):
+        # every time transform is a 1-D fft or ifft along axis 0; a dense
+        # source's spatial transform is the one fftn
         seen = []
-        fftn = np.fft.fftn
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            def traced(a, *args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                seen.append((_name, kwargs.get("axis", kwargs.get("axes"))))
+                return _original(a, *args, **kwargs)
 
-        def traced(a, *args, **kwargs):
-            seen.append(kwargs.get("axes"))
-            return fftn(a, *args, **kwargs)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("one-dimensional fft used")
-
-        monkeypatch.setattr(np.fft, "fftn", traced)
-        monkeypatch.setattr(np.fft, "fft", forbidden)
+            monkeypatch.setattr(np.fft, name, traced)
+        dense = random_spacetime(aligned_grid(), 32, 1)
+        seen.clear()
         q = random_band_limited(aligned_grid(), 2.5, 32, seed=1)
-        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
-        linear_estimate_ratio(SpaceTimeField(q.grid, q.t_half, q.values), 0.5, 1.0, 0.6, -0.35,
-                              SCHRODINGER)
-        assert seen == [(0,), (0,), (1, 2), (0,), (0,)]
+        for f in (q, dense):
+            linear_estimate_ratio(f, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+        assert seen == [("ifft", 0), ("fft", 0), ("fft", 0), ("fftn", (1, 2)), ("fft", 0),
+                        ("fft", 0)]
 
     def test_norm_is_one_transform(self, fft_calls):
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=2)
@@ -363,6 +362,48 @@ class TestLatticeTable:
                 table[0] = 0.0
         assert _lattice.cache_info().maxsize is not None
         assert _weight.cache_info().maxsize is not None
+
+    def test_support_tables_are_gathered_once_and_read_only(self):
+        grid = aligned_grid()
+        q = random_band_limited(grid, 2.5, 32, seed=6)
+        lat = _lattice(grid, q.t_half, q.n_time, SCHRODINGER)
+        cols, _ = q._support()
+        # the group, the X weights of b and b', and the Y weight
+        keys = [(None, None), (1.0, 0.6), (1.0, -0.35), (0.5, -0.5)]
+        _gathered.cache_clear()
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+        tables = [lat.on(cols, s, b) for s, b in keys]
+        # a second call on the same lattice and support gathers nothing new
+        other = random_band_limited(grid, 2.5, 32, seed=7)
+        assert np.array_equal(other._support()[0], cols)
+        linear_estimate_ratio(other, 0.25, 1.0, 0.6, -0.35, SCHRODINGER)
+        info = _gathered.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 8)
+        assert all(lat.on(cols, s, b) is table for (s, b), table in zip(keys, tables))
+        full = [lat.group] + [lat.weight(s, b) for s, b in keys[1:]]
+        for table, whole in zip(tables, full):
+            np.testing.assert_array_equal(table, whole.reshape(32, -1)[:, cols])
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_support_tables_are_bounded(self):
+        q = random_band_limited(aligned_grid(), 2.5, 32, seed=8)
+        maxsize = _gathered.cache_info().maxsize
+        assert maxsize is not None
+        for s in np.linspace(0.0, 2.0, maxsize):
+            linear_estimate_ratio(q, 0.5, s, 0.6, -0.35, SCHRODINGER)
+        assert _gathered.cache_info().currsize == maxsize
+
+    def test_dense_source_gathers_nothing(self):
+        q = random_spacetime(aligned_grid(), 32, 9)
+        cols, block = q._support()
+        assert cols is None and np.shares_memory(block, q.spatial_hat)
+        lat = _lattice(q.grid, q.t_half, q.n_time, SCHRODINGER)
+        assert np.shares_memory(lat.on(None), lat.group)
+        _gathered.cache_clear()
+        linear_estimate_ratio(q, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+        assert _gathered.cache_info().currsize == 0
 
     def test_nonfinite_keys_never_reach_the_cache(self):
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=5)

@@ -506,27 +506,29 @@ class TestRunSimulation:
         return len(traj), ffts, fft_calls
 
     def test_fft_budget(self, fft_calls):
-        # 3 forward transforms of the initial state, 4 FFTs per step, 1 inverse
-        # one for psi on each row step after t = 0, and 1 per diagnostics row;
-        # rho and phi come back only when the states are first read
+        # 3 forward transforms of the initial state, 6 FFT calls per step (the
+        # real inverse is an ifft pass on each of the first two axes and an
+        # irfftn on the last), 1 inverse one for psi on each row step after
+        # t = 0, and 1 per diagnostics row; rho and phi come back only when
+        # the states are first read
         rows, ffts, read = self._ten_steps(fft_calls, 3)
         assert rows == 5  # t = 0, three strides and the last step
-        assert ffts == 3 + 4 * 10 + (rows - 1) + rows
+        assert ffts == 3 + 6 * 10 + (rows - 1) + rows
         assert read == ["ifftn"] * 2
 
     def test_fft_budget_between_rows(self, fft_calls):
         # a stride beyond the 10 steps: only the last step writes a row, and
-        # the other nine cost the 4 FFTs of the step each
+        # the other nine cost the 6 FFT calls of the step each
         rows, ffts, read = self._ten_steps(fft_calls, 20)
         assert rows == 2
-        assert ffts == 3 + 4 * 10 + 1 + rows
+        assert ffts == 3 + 6 * 10 + 1 + rows
         assert read == ["ifftn"] * 2
 
     def test_step_without_row_is_two_complex_and_two_real_transforms(self, fft_calls):
         cfg = SimConfig(dim=3, n=8, length=4 * np.pi, dt=1e-3, t_end=0.01,
                         params=ModelParams(sigma2=-1.0, W=1.0, D=0.5),
                         recipe="gaussian", diagnostics_stride=20)
-        step = ["ifftn", "rfftn", "irfftn", "fftn"]
+        step = ["ifftn", "rfftn", "ifft", "ifft", "irfftn", "fftn"]
         make_initial_state(cfg)
         setup = list(fft_calls)
         fft_calls.clear()
@@ -626,7 +628,7 @@ class TestRunSimulation:
         coefficient_bound = evolution._coefficient_bound
         monkeypatch.setattr(evolution, "_coefficient_bound",
                             lambda *args: bounds.append(args) or coefficient_bound(*args))
-        step = ["ifftn", "rfftn", "irfftn", "fftn"]
+        step = ["ifftn", "rfftn", "ifft", "irfftn", "fftn"]
         make_initial_state(cfg)
         setup = list(fft_calls)
         fft_calls.clear()
@@ -775,10 +777,11 @@ class TestDivergenceProxy:
         ref_traj, ref_err = outcome(reference_run_simulation, cfg)
         assert ref_err is None
         assert_same_trajectory(traj, ref_traj)
-        # Without the fallback: 1 FFT for the initial datum, then 3 + 4 * 100
-        # + 3 + 2 (see test_fft_budget); psi takes one more on each of the 99
-        # steps that write no row.
-        assert used >= 1 + 408 + 99
+        # Without the fallback: 1 FFT for the initial datum, then 3 + 5 * 100
+        # + 3 + 2 (see test_fft_budget: in 2D the real inverse is one ifft
+        # pass and an irfftn); psi takes one more on each of the 99 steps
+        # that write no row.
+        assert used >= 1 + 508 + 99
 
     @pytest.mark.parametrize("blowup_factor", [1.3, 2.05, 5.7])
     def test_each_tier_decides(self, monkeypatch, fft_calls, blowup_factor):

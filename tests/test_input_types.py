@@ -9,14 +9,23 @@ key that gets one makes the command exit 2.
 """
 
 import json
+import re
 import typing
 
 import numpy as np
 import pytest
 
+from zrbr.bourgain import (
+    SCHRODINGER,
+    linear_estimate_ratio,
+    random_band_limited,
+    spatial_sobolev_sup,
+    xsb_norm,
+    ys_norm,
+)
 from zrbr.cli import main
 from zrbr.config import SimConfig
-from zrbr.errors import ConfigurationError
+from zrbr.errors import ConfigurationError, ContractViolationError, PreconditionError
 from zrbr.evolution import picard_iterate
 from zrbr.exponents import ExponentParams, derive, region_scan
 from zrbr.harness import EXIT_VALIDATION, cmd_epsilon_scaling, cmd_picard, initial_plus_minus
@@ -174,3 +183,55 @@ def test_an_int_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys
     assert main(["--config", str(path), "--out", str(out), *command]) == EXIT_VALIDATION
     assert "width must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The scalar arguments of the space-time API, by the same rule.  A bool ran
+# as 1 (or, for b and b', out of range, was refused as a PreconditionError);
+# a string ended in numpy's TypeError.
+SPACE_TIME_GRID = Grid(2, 16, 2 * np.pi)
+SOURCE = random_band_limited(SPACE_TIME_GRID, 2.5, 32, 0)
+SPACE_TIME_CALLS = {
+    "t_half": lambda v: random_band_limited(SPACE_TIME_GRID, v, 32, 0),
+    "T": lambda v: linear_estimate_ratio(SOURCE, v, 1.0, 0.6, -0.35, SCHRODINGER),
+    "s": lambda v: linear_estimate_ratio(SOURCE, 0.5, v, 0.6, -0.35, SCHRODINGER),
+    "b": lambda v: linear_estimate_ratio(SOURCE, 0.5, 1.0, v, -0.35, SCHRODINGER),
+    "b_prime": lambda v: linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, v, SCHRODINGER),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("name", list(SPACE_TIME_CALLS))
+def test_space_time_scalars_are_named(name, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be a finite number, got {re.escape(repr(value))}$"):
+        SPACE_TIME_CALLS[name](value)
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None])
+@pytest.mark.parametrize("norm", [
+    lambda s: xsb_norm(SOURCE, s, 0.6, SCHRODINGER),
+    lambda s: ys_norm(SOURCE, s, SCHRODINGER),
+    lambda s: spatial_sobolev_sup(SOURCE, s),
+], ids=["xsb", "ys", "sobolev"])
+def test_norm_exponents_are_named(norm, value):
+    with pytest.raises(ConfigurationError, match="^s must be a finite number, got "):
+        norm(value)
+
+
+def test_space_time_scalars_keep_their_range_errors():
+    # numbers out of range raise as before, numbers of other kinds still run
+    for t_half in (float("inf"), float("nan"), 0, -2.5):
+        with pytest.raises(ContractViolationError, match="^window half-width"):
+            random_band_limited(SPACE_TIME_GRID, t_half, 32, 0)
+    for T in (float("inf"), float("nan"), 0.0, 1.5):
+        with pytest.raises(PreconditionError, match="^need 0 < T <= 1"):
+            linear_estimate_ratio(SOURCE, T, 1.0, 0.6, -0.35, SCHRODINGER)
+    with pytest.raises(ConfigurationError, match="^s must be finite, got inf$"):
+        linear_estimate_ratio(SOURCE, 0.5, float("inf"), 0.6, -0.35, SCHRODINGER)
+    with pytest.raises(PreconditionError, match="^need b' <= 0"):
+        linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, 0.5, SCHRODINGER)
+    q = random_band_limited(SPACE_TIME_GRID, np.float32(2.5), 32, 0)
+    assert q.t_half == 2.5 and type(q.t_half) is float
+    ratio = linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
+    assert linear_estimate_ratio(q, np.float64(0.5), np.int64(1), 0.6, -0.35,
+                                 SCHRODINGER) == ratio

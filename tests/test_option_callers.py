@@ -24,6 +24,8 @@ ALLOWED = {
     "bourgain.random_band_limited.time_band": "equivalence tests vary the drawn support",
     "bourgain.random_band_limited.space_band": "equivalence tests vary the drawn support",
     "bourgain.random_band_limited.cutoff": "equivalence tests vary the drawn support",
+    "spectral.low_mode_coefficients.leading": "equivalence tests check that a stack of fields "
+                                              "drawn at once is the stream of successive draws",
     "evolution.strang_step.dealias": "the cross-solver test compares Picard, which does "
                                      "not dealias, with an undealiased Strang step",
     "bourgain.strichartz_ratio.disp": "the wave dispersions of the Strichartz check "

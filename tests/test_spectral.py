@@ -248,6 +248,10 @@ def test_fft_calls_counts_complex_and_real_transforms(fft_calls):
     np.fft.irfftn(np.fft.rfftn(a), a.shape, axes=(0, 1))
     assert len(fft_calls) == 4
     assert fft_calls == ["fftn", "ifftn", "rfftn", "irfftn"]
+    # a 1-D transform is a call of its own, an n-D one's per-axis passes are not
+    fft_calls.clear()
+    np.fft.ifft(np.fft.fft(a, axis=0), axis=1)
+    assert fft_calls == ["fft", "ifft"]
 
 
 HALF_GRIDS = [Grid(2, 4, 3.0), Grid(2, 16, 4 * np.pi), Grid(3, 4, 2.0), Grid(3, 8, 3 * np.pi)]
