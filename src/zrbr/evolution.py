@@ -19,7 +19,6 @@ from .model import (
     PlusMinusState,
     ZRState,
     _Workspace,
-    _abs2,
     _energy,
     coupled_source,
     energy,  # energy and mass stay importable from here
@@ -285,7 +284,8 @@ class Trajectory:
 
         |psi| and |psi|^2 are taken once: mass, energy and the sup of |psi|
         share them.  energy takes one transform, and the L2 norms of rho and
-        phi come off their half-spectra (Plancherel).
+        phi come off the sums of their squared half-spectra that energy forms
+        (Plancherel).
         """
         if self.times and t <= self.times[-1]:
             raise ContractViolationError("time stamps must be strictly increasing")
@@ -295,10 +295,10 @@ class Trajectory:
         self.times.append(t)
         self.mass.append(float(np.sum(a2) * grid.cell_volume))
         self.max_abs_psi.append(float(np.max(a)))  # before energy reuses a's memory
-        self.energy.append(_energy(grid, params, a2, psi_h, rho_h, phi_h, work))
-        for column, c in ((self.l2_rho, rho_h), (self.l2_phi, phi_h)):
-            c2 = _abs2(c, work.half_real)
-            column.append(float(np.sqrt(hermitian_sum(c2) * grid.cell_volume)))
+        energy, rho2, phi2 = _energy(grid, params, a2, psi_h, rho_h, phi_h, work)
+        self.energy.append(energy)
+        self.l2_rho.append(float(np.sqrt(rho2 * grid.cell_volume)))
+        self.l2_phi.append(float(np.sqrt(phi2 * grid.cell_volume)))
 
     def __len__(self):
         return len(self.times)

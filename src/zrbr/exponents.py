@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -220,6 +220,16 @@ REFERENCE_BOX = {
     3: {"b1": (0.5, 13.0 / 20.0), "b2": (0.0, 1.0 / 12.0), "b2_closed_low": False},
 }
 _BLOCK = 1 << 14  # the most samples region_scan takes at once, in whole b1 rows
+MAX_REGION_SAMPLES = 50_000_000  # the largest lattice region_scan accepts
+_BITS = 1 << np.arange(len(_CONSTRAINTS))  # a violation code has bit i set when constraint i fails
+
+
+@cache
+def violation_texts() -> np.ndarray:
+    """The ";"-joined failed constraint ids of every violation code, as an
+    object array built once: every sample with a code shares its text."""
+    return np.array([";".join(c[0] for c, bit in zip(_CONSTRAINTS, _BITS) if code & bit)
+                     for code in range(1 << len(_CONSTRAINTS))], dtype=object)
 
 
 @dataclass
@@ -231,47 +241,55 @@ class RegionScan:
     b1: np.ndarray  # flattened sample coordinates
     b2: np.ndarray
     admissible: np.ndarray  # bool, same length
-    violated_ids: list  # ";"-joined failed constraint ids per sample, "" when admissible
+    violated_codes: np.ndarray  # uint16 per sample, the index of its text in violation_texts
     min_theta: np.ndarray
     reference_box_contained: bool
     witnesses: list  # reference-box samples failing, with their violated ids
     pointwise_b1_range: tuple | None
     uniform_b1_range: tuple | None
 
+    @property
+    def violated_ids(self) -> list:
+        """The text of each sample's code, "" when admissible; built when
+        read, from the strings of violation_texts."""
+        return violation_texts()[self.violated_codes].tolist()
+
 
 def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     """Scan (1/2, 1) x [0, 1/2] on the given lattice; report admissibility,
     the min-theta surface and the containment verdict for the published
     parameter rectangle.  d must be 2 or 3 and resolution a finite number in
-    (0, 1e-2], not a bool (ConfigurationError).  The scan goes through blocks
-    of whole b1 rows (_BLOCK samples, or one row) and holds its result, about
-    33 B per sample, and one block: traced peaks 9.9 MiB at 1e-3, 34 at 5e-4."""
+    (0, 1e-2], not a bool, whose lattice has at most MAX_REGION_SAMPLES
+    samples (ConfigurationError).  The scan goes through blocks of whole b1
+    rows (_BLOCK samples, or one row) and holds its result, about 27 B per
+    sample, and one block: traced peaks 8.1 MiB at 1e-3, 27 at 5e-4."""
     check_dim(d, "d")
     resolution = check_number(resolution, "resolution")
     if not 0.0 < resolution <= 1e-2:
         raise ConfigurationError(f"resolution must be finite, > 0 and <= 1e-2, got {resolution}")
+    # numpy's length rule for the two aranges below, before either is made
+    size = np.ceil((1.0 - (0.5 + resolution)) / resolution) * np.ceil(
+        (0.5 + 0.5 * resolution) / resolution)
+    if size > MAX_REGION_SAMPLES:
+        raise ConfigurationError(f"resolution {resolution:g} makes {size:.4g} samples; "
+                                 f"region_scan takes at most {MAX_REGION_SAMPLES:,}")
     b1_axis = np.arange(0.5 + resolution, 1.0, resolution)
     b2_axis = np.arange(0.0, 0.5 + 0.5 * resolution, resolution)
     b1 = np.repeat(b1_axis, len(b2_axis))
     b2 = np.tile(b2_axis, len(b1_axis))
 
-    # Bit i of a sample's code is set when constraint i fails; the text of
-    # each code is joined once, and every sample with that code shares it.
-    bits = 1 << np.arange(len(_CONSTRAINTS))
-    texts = np.array([";".join(c[0] for c, bit in zip(_CONSTRAINTS, bits) if code & bit)
-                      for code in range(1 << len(_CONSTRAINTS))], dtype=object)
-    admissible, violated = np.empty(len(b1), dtype=bool), []
+    codes = np.empty(len(b1), dtype=np.uint16)
     # min theta where defined (b1 != b2), a running minimum: no (12, N) stack
     min_theta = np.full(len(b1), np.nan)
     step = max(1, _BLOCK // len(b2_axis)) * len(b2_axis)
     for lo in range(0, len(b1), step):
         rows = slice(lo, lo + step)
         passes, _ = constraint_matrix(b1[rows], b2[rows], d)
-        admissible[rows] = np.all(passes, axis=0)
-        violated.extend(texts[bits @ ~passes].tolist())
+        codes[rows] = _BITS @ ~passes
         safe = b1[rows] != b2[rows]
         b1s, b2s = b1[rows][safe], b2[rows][safe]
         min_theta[rows][safe] = reduce(np.minimum, _theta_arrays(b1s, b2s, d, b1s, 1e-6))
+    admissible = codes == 0
 
     box = REFERENCE_BOX[d]
     margin = 2.0 * resolution
@@ -284,7 +302,8 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     # the box's sample indices, in scan order
     in_box = (np.nonzero(b1_in)[0][:, None] * len(b2_axis) + np.nonzero(b2_in)[0]).ravel()
     contained = bool(np.all(admissible[in_box])) if in_box.size else False
-    witnesses = [{"b1": float(b1[j]), "b2": float(b2[j]), "violated": violated[j]}
+    witnesses = [{"b1": float(b1[j]), "b2": float(b2[j]),
+                  "violated": violation_texts()[codes[j]]}
                  for j in in_box[~admissible[in_box]][:50]]
 
     # Pointwise b1 range: b1 values admissible for at least one scanned b2.
@@ -303,7 +322,7 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
         b1=b1,
         b2=b2,
         admissible=admissible,
-        violated_ids=violated,
+        violated_codes=codes,
         min_theta=min_theta,
         reference_box_contained=contained,
         witnesses=witnesses,

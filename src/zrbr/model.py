@@ -324,13 +324,15 @@ def energy(state: ZRState, params: ModelParams) -> float:
     a2 = np.abs(to_physical(state.psi).values)
     a2 *= a2
     return _energy(state.grid, params, a2, to_frequency(state.psi).values,
-                   half_spectrum(state.rho), half_spectrum(state.phi))
+                   half_spectrum(state.rho), half_spectrum(state.phi))[0]
 
 
-def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h, work=None) -> float:
+def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h, work=None) -> tuple:
     """energy from a2 = |psi|^2 in physical space, psi's spectrum psi_h and
-    the rfftn half-spectra rho_h and phi_h; no argument is changed.  work
-    (new by default) takes the temporaries and leaves real[1] free for a2.
+    the rfftn half-spectra rho_h and phi_h, and the sums of |rho_hat|^2 and
+    |phi_hat|^2 over the whole lattice that it forms on the way; no argument
+    is changed.  work (new by default) takes the temporaries and leaves
+    real[1] free for a2.
 
     The gradient terms come by discrete Plancherel, int |grad f|^2 =
     cell_volume * sum |xi|^2 |f_hat|^2 (Nyquist modes included), and the
@@ -348,16 +350,18 @@ def _energy(grid: Grid, params: ModelParams, a2, psi_h, rho_h, phi_h, work=None)
     np.multiply(half_dx(grid), phi_h, out=mix_h)
     mix_h *= params.D
     mix_h += rho_h
-    # Each term is summed before the next one reuses real or half.
+    # Each sum is taken before the next one reuses real or half.
+    phi2 = hermitian_sum(_abs2(phi_h, half))
+    grad_phi2 = hermitian_sum(np.multiply(grid.half_xi_squared, half, out=half))
+    rho2 = hermitian_sum(_abs2(rho_h, half))
     total = (
         np.sum(np.multiply(grid.xi_squared, _abs2(psi_h, real), out=real))
-        + 0.5 * params.W * hermitian_sum(
-            np.multiply(grid.half_xi_squared, _abs2(phi_h, half), out=half))
+        + 0.5 * params.W * grad_phi2
         + 0.5 * params.sigma2 * np.sum(np.multiply(a2, a2, out=real))
-        + params.W * (0.5 * hermitian_sum(_abs2(rho_h, half)) + hermitian_sum(
+        + params.W * (0.5 * rho2 + hermitian_sum(
             np.multiply(np.conjugate(a2_h, out=a2_h), mix_h, out=a2_h).real))
     )
-    return float(total * grid.cell_volume)
+    return float(total * grid.cell_volume), rho2, phi2
 
 
 def _abs2(c, out) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from zrbr.errors import ConfigurationError, SingularityError
 from zrbr.exponents import (
     INEQUALITY_IDS,
+    MAX_REGION_SAMPLES,
     REFERENCE_BOX,
     THETA_NAMES,
     ExponentParams,
@@ -170,6 +171,20 @@ class TestRegionScan:
         with pytest.raises(ConfigurationError, match="d must be 2 or 3"):
             region_scan(d, 1e-2)
 
+    @pytest.mark.parametrize("resolution, count", [(1e-6, r"2\.5e\+11"), (5e-324, "inf")])
+    def test_too_fine_a_lattice_is_refused_before_any_array(self, resolution, count):
+        # 1e-6 is 499,999 x 500,001 samples, past the cap; not even the
+        # b1 axis (4 MB) is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"makes {count} samples; "
+                               f"region_scan takes at most {MAX_REGION_SAMPLES:,}$"):
+                region_scan(2, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_d2_box_contained(self):
         scan = region_scan(2, 5e-3)
         assert scan.reference_box_contained
@@ -192,9 +207,9 @@ class TestRegionScan:
         # At 1e-3 (N = 250,000 samples) a (12, N) stack of the thetas took the
         # traced peak of the scan to 52.5 MiB, and the other whole-lattice
         # temporaries (constraint matrix, codes and their sort) to 39.4 MiB.
-        # In blocks of b1 rows the scan holds its result, 7.9 MiB, and one
+        # In blocks of b1 rows the scan holds its result, 6.5 MiB, and one
         # block, about 2 MiB, so the peak above the result does not grow
-        # with N: 2.0 MiB at 1e-3 and at 5e-4 (N = 1,001,000).
+        # with N: 1.7 MiB at 1e-3 and 1.0 MiB at 5e-4 (N = 1,001,000).
         for d in (2, 3):
             for resolution in (1e-3, 5e-4):
                 tracemalloc.start()

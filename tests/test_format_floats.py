@@ -3,7 +3,9 @@
 The vector path forms |x| 10^(16-k) exactly as hi + lo and rounds it to 17
 digits; every set below aims at one way that can go wrong: the choice of k
 at powers of ten and their neighbours, ties at the 17th digit (dyadic
-rationals), a mantissa that rounds up to 10^17, and the values that fall
+rationals), a mantissa that rounds up to 10^17, the split of the 17 digits
+into a top digit and four 4-digit groups and the count of their trailing
+zeros (every shape of k and significant digits), and the values that fall
 back to format_float (zeros, nan, infinities, |x| < 1e-4, |x| >= 1e17).
 """
 
@@ -29,6 +31,28 @@ def powers_of_ten(_rng):
     return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p])
 
 
+def shape(x):
+    """(k, n): the decimal exponent and the count of significant digits of
+    format_float(x), 17 less its trailing zeros."""
+    mantissa, exponent = f"{abs(x):.16e}".split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def trailing_zeros(rng):
+    """For every k from -4 to 16 and every n from 1 to 17 (0 to 16 trailing
+    zeros, so the last significant digit falls in each 4-digit group and at
+    each place in it), a value of that shape, and its negative."""
+    found = []
+    for k in range(-4, 17):
+        for n in range(1, 18):
+            for m in rng.integers(10 ** (n - 1), 10**n, 200):
+                x = float(f"{m}e{k - n + 1}")
+                if shape(x) == (k, n):
+                    found.append(x)
+                    break
+    return np.array(found + [-x for x in found])
+
+
 SETS = {
     "bit patterns": lambda rng: rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
     "log-uniform": lambda rng: (np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 100_000))
@@ -43,12 +67,21 @@ SETS = {
     "fallback": lambda rng: np.array(
         [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, np.finfo(np.float64).max,
          np.finfo(np.float64).tiny, 1e17, -1e17, np.nextafter(1e-4, 0), 1e-5]),
+    "trailing zeros": trailing_zeros,
+    "region axes at 5e-4": lambda rng: np.concatenate(
+        [np.arange(0.5 + 5e-4, 1.0, 5e-4), np.arange(0.0, 0.5 + 0.5 * 5e-4, 5e-4)]),
 }
 
 
 @pytest.mark.parametrize("name", list(SETS))
 def test_matches_format_float(name):
     assert_same_text(SETS[name](np.random.default_rng(31)))
+
+
+def test_trailing_zeros_cover_every_shape():
+    x = trailing_zeros(np.random.default_rng(31))
+    assert len(x) == 2 * 21 * 17
+    assert {shape(v) for v in x} == {(k, n) for k in range(-4, 17) for n in range(1, 18)}
 
 
 def test_ties_round_half_even():

@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_csv_equivalence import reference_cmd_region
 from zrbr import harness
 from zrbr.cli import main
 from zrbr.config import SimConfig
 from zrbr.evolution import run_simulation
 from zrbr.errors import ConfigurationError, ZRBRError
-from zrbr.exponents import region_scan
+from zrbr.exponents import RegionScan, region_scan
 from zrbr.harness import (
     EXIT_CAP_EXCEEDED,
     EXIT_OK,
@@ -472,12 +473,26 @@ class TestRegionCommand:
         with pytest.raises(ConfigurationError):
             cmd_region(2, 0.05, str(tmp_path / "out"))
 
-    @pytest.mark.parametrize("resolution", ["0", "nan", "-0.001", "inf", "0.05"])
+    # 1e-6 is a lattice of 2.5e11 samples, over region_scan's cap: it is
+    # refused before any array is made
+    @pytest.mark.parametrize("resolution", ["0", "nan", "-0.001", "inf", "0.05", "1e-6"])
     def test_bad_resolution_exit_code(self, tmp_path, resolution):
         out = tmp_path / "out"
         argv = ["--out", str(out), "region", "--d", "2", "--resolution", resolution]
         assert main(argv) == EXIT_VALIDATION
         assert not (out / "region_d2.csv").exists()
+
+    def test_csv_builds_no_per_sample_string(self, tmp_path, monkeypatch):
+        # cmd_region writes the violated ids from the scan's codes; the list
+        # of per-sample strings is never built
+        def refuse(_scan):
+            raise AssertionError("violated_ids read")
+
+        monkeypatch.setattr(RegionScan, "violated_ids", property(refuse))
+        cmd_region(3, 5e-3, str(tmp_path / "new"))
+        reference_cmd_region(3, 5e-3, str(tmp_path / "ref"))
+        for name in ("region_d3.csv", "report.json"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_holds_the_scan_and_one_row_of_text(self, tmp_path):
         # The call perfbench's verify workload times.  The CSV is written one
