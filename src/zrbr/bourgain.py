@@ -2,9 +2,11 @@
 Strichartz estimates.
 
 A SpaceTimeField samples a complex field on a time window [-Tw, Tw) times
-the periodic spatial box.  Every space-time transform here is the unitary
-("ortho") lattice fftn, or fft along time alone.  The continuum transform is
-a constant multiple of it up to a unimodular phase, so each norm applies its
+the periodic spatial box, held as its unitary spatial Fourier coefficients
+at the window times.  X^{s,b} weighs a time transform of those (Tao, CBMS
+106, 2.6), so the norms take one fft along time and no spatial transform.
+Every transform here is unitary ("ortho").  The continuum transform is a
+constant multiple of it up to a unimodular phase, so each norm applies its
 quadrature constants as one scalar, and Plancherel matches the quadrature L2 norm:
 
     sum |hat|^2 dt dx^d  ==  sum |f|^2 dt dx^d
@@ -22,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, PreconditionError
 from .exponents import strichartz_exponents
-from .spectral import ComplexField, Grid, check_count, check_number, low_mode_draws
+from .spectral import ComplexField, Grid, check_count, check_number, low_mode_draws, \
+    to_frequency
 
 _TWO_PI = 2.0 * np.pi
 
@@ -88,12 +91,14 @@ def _check_window(t_half: float, n_time: int) -> float:
 
 
 class SpaceTimeField:
-    """Complex field on a (time x space) lattice, physical-space values.
+    """Complex field on a (time x space) lattice, held as its unitary spatial
+    Fourier coefficients at the window times: _support()'s block, on the
+    columns cols of the (n_time, N) flattening (every column if cols is
+    None), and exactly 0 off them.  The norms read block alone; spatial_hat
+    (dense, read-only) and values (its spatial ifftn) are built on first read.
 
-    The values are not to be changed in place once spatial_hat is read.  A
-    random_band_limited field builds values (a spatial ifftn of its draw
-    and a time ifft) and the dense spatial_hat on first read, with the bits
-    an eager build gives; and linear_estimate_ratio reads neither.
+    A field built from values keeps them, not to be changed in place once
+    spatial_hat, their spatial fftn, is read.
     """
 
     def __init__(self, grid: Grid, t_half: float, values: np.ndarray):
@@ -102,10 +107,19 @@ class SpaceTimeField:
             raise ContractViolationError(
                 f"values shape {values.shape} incompatible with grid {grid.shape}"
             )
-        self.grid = grid
-        self.t_half = _check_window(t_half, values.shape[0])
-        self.values = values
-        self.n_time = values.shape[0]
+        self.grid, self.n_time = grid, values.shape[0]
+        self.t_half = _check_window(t_half, self.n_time)
+        self.values, self._block = values, None  # _support() finds the block
+
+    @classmethod
+    def _of(cls, grid: Grid, t_half: float, block: np.ndarray, cols=None) -> SpaceTimeField:
+        """The field whose spatial coefficients are block on the columns cols,
+        shape (n_time, cols.size); on every column when cols is None, shape
+        (n_time, *grid) or (n_time, N).  block is kept, read-only."""
+        f = cls.__new__(cls)
+        f.grid, f.t_half, f.n_time = grid, t_half, block.shape[0]
+        f._cols, f._block = cols, _frozen(block).reshape(f.n_time, -1)
+        return f
 
     @property
     def dt(self) -> float:
@@ -119,25 +133,39 @@ class SpaceTimeField:
     def zero_index(self) -> int:
         return self.n_time // 2
 
+    def _support(self) -> tuple:
+        """(cols, block); a field built from values takes cols once, as the
+        columns of spatial_hat nonzero at some time (block a view if all)."""
+        if self._block is None:
+            hat = self.spatial_hat.reshape(self.n_time, -1)
+            cols = np.flatnonzero(np.any(hat, axis=0))
+            self._cols, self._block = (None, hat) if cols.size == hat.shape[1] \
+                else (cols, hat[:, cols])
+        return self._cols, self._block
+
     @cached_property
     def spatial_hat(self) -> np.ndarray:
         """Unitary spatial Fourier coefficients at every time, read-only."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        return _frozen(np.fft.fftn(self.values, axes=axes, norm="ortho"))
+        shape = (self.n_time,) + self.grid.shape
+        if self._block is None:  # built from values, support not yet found
+            axes = tuple(range(1, self.grid.dim + 1))
+            return _frozen(np.fft.fftn(self.values, axes=axes, norm="ortho"))
+        if self._cols is None:
+            return self._block.reshape(shape)
+        hat = np.zeros(shape, dtype=np.complex128)
+        hat.reshape(self.n_time, -1)[:, self._cols] = self._block
+        return _frozen(hat)
 
-    def _support(self) -> tuple:
-        """(cols, block): the columns of the (n_time, N) flattening where the
-        field is nonzero at some time, and spatial_hat on those columns;
-        cols is None, and block a view, when that is every column."""
-        hat = self.spatial_hat.reshape(self.n_time, -1)
-        cols = np.flatnonzero(np.any(hat, axis=0))
-        return (None, hat) if cols.size == hat.shape[1] else (cols, hat[:, cols])
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Physical values at the window times: the spatial ifftn of
+        spatial_hat (a field built from values holds its own)."""
+        return np.fft.ifftn(self.spatial_hat, axes=range(1, self.grid.dim + 1), norm="ortho")
 
     def l2_norm(self) -> float:
-        """Space-time L2 norm with quadrature weights."""
-        return float(
-            np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dt * self.grid.cell_volume)
-        )
+        """Space-time L2 norm with quadrature weights, by Plancherel."""
+        return float(np.sqrt(np.sum(np.abs(self._support()[1]) ** 2)
+                             * self.dt * self.grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +182,14 @@ class _Lattice:
     by every field sampled on it: the window times, the free group and the
     weights <xi>^{2s} <sigma>^{2b}.
 
-    The norms read the unitary ("ortho") space-time transform of the values,
-    hat, and apply their quadrature constants as one scalar each:
+    The norms read hat, the time transform of a field's spatial coefficients,
+    and apply their quadrature constants as one scalar each:
     sum |hat|^2 dt dx^d is the quadrature L2 norm (Plancherel).
     """
 
     def __init__(self, grid: Grid, t_half: float, n_time: int, disp: Dispersion):
+        if not isinstance(disp, Dispersion):
+            raise ConfigurationError(f"disp must be a Dispersion, got {disp!r}")
         self.grid = grid
         self.t_half = t_half
         self.n_time = n_time
@@ -265,14 +295,16 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
     """Bourgain norm: weighted space-time L2 of the transform."""
     _check_finite(s=s, b=b)
     lat = _lattice(f.grid, f.t_half, f.n_time, disp)
-    return lat.xsb(np.fft.fftn(f.values, norm="ortho"), s, b)
+    cols, block = f._support()
+    return lat.xsb(np.fft.fft(block, axis=0, norm="ortho"), s, b, cols)
 
 
 def ys_norm(f: SpaceTimeField, s: float, disp: Dispersion) -> float:
     """l1 in tau of the weighted modulus, then l2 in xi, with cell weights."""
     _check_finite(s=s)
     lat = _lattice(f.grid, f.t_half, f.n_time, disp)
-    return lat.ys(np.fft.fftn(f.values, norm="ortho"), s)
+    cols, block = f._support()
+    return lat.ys(np.fft.fft(block, axis=0, norm="ortho"), s, cols)
 
 
 def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
@@ -280,9 +312,9 @@ def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
 
     Infinite exponents are taken as the max over the corresponding axis.
     """
-    for e in (q, r):
-        if not (e >= 1.0 or np.isinf(e)):
-            raise ConfigurationError(f"exponents must be >= 1 or inf, got {e}")
+    for name, e in (("q", q), ("r", r)):
+        if not (_number(e, name) >= 1.0 or e == math.inf):
+            raise ConfigurationError(f"{name} must be >= 1 or inf, got {e}")
     a = np.abs(f.values)
     axes = tuple(range(1, f.grid.dim + 1))
     if np.isinf(r):
@@ -297,11 +329,11 @@ def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
 def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
     """sup over time slices of the spatial H^s norm."""
     _check_finite(s=s)
-    axes = tuple(range(1, f.grid.dim + 1))
+    cols, block = f._support()
+    xi2 = f.grid.xi_squared.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (1.0 + f.grid.xi_squared) ** s
-        norms = np.sqrt(np.sum(w[None] * np.abs(f.spatial_hat) ** 2, axis=axes)
-                        * f.grid.cell_volume)
+        w = (1.0 + (xi2 if cols is None else xi2[cols])) ** s
+        norms = np.sqrt(np.sum(w * np.abs(block) ** 2, axis=1) * f.grid.cell_volume)
     return _finite_norm(float(np.max(norms)), "sup_t H^s norm", s=s)
 
 
@@ -312,12 +344,8 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
 def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion) -> SpaceTimeField:
     """Space-time field of the free flow exp(-i t p(-i grad)) g."""
     t_half = _check_window(t_half, n_time)
-    grid = g.grid
-    ghat = np.fft.fftn(np.asarray(g.values, dtype=np.complex128), norm="ortho") \
-        if g.space == "physical" else g.values
-    group = _lattice(grid, t_half, n_time, disp).group
-    vals = np.fft.ifftn(group * ghat[None], axes=tuple(range(1, grid.dim + 1)), norm="ortho")
-    return SpaceTimeField(grid, t_half, vals)
+    group = _lattice(g.grid, t_half, n_time, disp).group
+    return SpaceTimeField._of(g.grid, t_half, group * to_frequency(g).values[None])
 
 
 def random_band_limited(
@@ -333,9 +361,8 @@ def random_band_limited(
 
     The coefficient draw depends only on the bands and the seed, so refining
     n_time (or the spatial grid) samples the same underlying field; that is
-    what makes refinement-stability checks meaningful.  The field is held as
-    its draw on the band's columns, with its spatial coefficients there;
-    values and spatial_hat are built on first read.
+    what makes refinement-stability checks meaningful.  The field holds its
+    spatial coefficients on the band's columns only.
     """
     check_count(time_band, "time_band")
     check_count(space_band, "space_band")
@@ -355,44 +382,7 @@ def random_band_limited(
     block *= np.sqrt(grid.n**grid.dim)
     if cutoff:
         block *= _window_cutoff(t_half, n_time, 1.0)[:, None]
-    return _BandLimited(grid, t_half, rows, kept, draws, cutoff, kept[nonzero], _frozen(block))
-
-
-class _BandLimited(SpaceTimeField):
-    """A random_band_limited field held as its draw: the coefficient rows,
-    the band's columns and the draws on them, whether lambda(t) applies,
-    and the support columns and block."""
-
-    def __init__(self, grid, t_half, rows, kept, draws, cutoff, cols, block):
-        self.grid, self.t_half, self.n_time = grid, t_half, block.shape[0]
-        self._rows, self._kept, self._draws, self._cutoff = rows, kept, draws, cutoff
-        self._cols, self._block = cols, block
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        # sum c exp(i (tau_m t + xi_k x)) up to fixed per-mode phases,
-        # unscaled ("forward"), so a finer lattice samples the same field.
-        # The spatial inverse runs on the nonzero rows, last axis first as a
-        # full ifftn would, then the time inverse: the full ifftn's bits.
-        coeffs = np.zeros((self._rows.size, self.grid.n**self.grid.dim), dtype=np.complex128)
-        coeffs[:, self._kept] = self._draws
-        vals = np.zeros((self.n_time,) + self.grid.shape, dtype=np.complex128)
-        vals[self._rows] = np.fft.ifftn(coeffs.reshape((-1,) + self.grid.shape),
-                                        axes=range(1, self.grid.dim + 1), norm="forward")
-        np.fft.ifft(vals, axis=0, norm="forward", out=vals)
-        if not self._cutoff:
-            return vals
-        lam = _window_cutoff(self.t_half, self.n_time, 1.0)
-        return lam.reshape((-1,) + (1,) * self.grid.dim) * vals
-
-    @cached_property
-    def spatial_hat(self) -> np.ndarray:
-        hat = np.zeros((self.n_time,) + self.grid.shape, dtype=np.complex128)
-        hat.reshape(self.n_time, -1)[:, self._cols] = self._block
-        return _frozen(hat)
-
-    def _support(self) -> tuple:
-        return self._cols, self._block
+    return SpaceTimeField._of(grid, t_half, block, kept[nonzero])
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +390,10 @@ class _BandLimited(SpaceTimeField):
 # ---------------------------------------------------------------------------
 
 # The space-time kernel shared with the Picard map: the free group
-# exp(-i t p) and the anchored trapezoid retarded integral.  Both act on
-# spatial Fourier coefficients sampled at the window times, pointwise in xi,
-# so a caller that starts from spatial coefficients needs no space-time round
-# trip: linear_estimate_ratio ends with a time-axis fft into the norms, with
-# the group and weights on its source's columns gathered once per support,
-# and the Picard map keeps its iterates as spatial coefficients.  Its groups
-# are its own, for t >= 0 only, so the lattice cache keeps none per Picard
-# window, and it integrates block by block through a carry.
+# exp(-i t p) and the anchored trapezoid retarded integral, both pointwise in
+# xi on spatial coefficients at the window times.  The Picard map builds its
+# groups for t >= 0 only, so the lattice cache keeps none per Picard window,
+# and it integrates block by block through a carry.
 
 def _group(times: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """exp(-i t p(xi)) at every time sample, shape (n_time, *grid)."""
@@ -446,13 +432,12 @@ def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int,
 
 
 def retarded_convolution(q: SpaceTimeField, disp: Dispersion) -> SpaceTimeField:
-    """int_0^t exp(-i (t-s) p) q(s) ds, trapezoid in s, anchored at t = 0."""
-    grid = q.grid
-    axes = tuple(range(1, grid.dim + 1))
-    q_hat = np.fft.fftn(q.values, axes=axes, norm="ortho")
-    out_hat = _retarded(q_hat, _lattice(grid, q.t_half, q.n_time, disp).group, q.dt,
-                        q.zero_index)
-    return SpaceTimeField(grid, q.t_half, np.fft.ifftn(out_hat, axes=axes, norm="ortho"))
+    """int_0^t exp(-i (t-s) p) q(s) ds, trapezoid in s, anchored at t = 0,
+    on q's support."""
+    lat = _lattice(q.grid, q.t_half, q.n_time, disp)
+    cols, q_hat = q._support()
+    return SpaceTimeField._of(q.grid, q.t_half,
+                              _retarded(q_hat, lat.on(cols), q.dt, q.zero_index), cols)
 
 
 def linear_estimate_ratio(
@@ -476,10 +461,8 @@ def linear_estimate_ratio(
         raise PreconditionError(f"need b' <= 0 <= b <= b'+1, got b={b}, b'={b_prime}")
     if not (0.0 < T <= 1.0):
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
-    # Spatial coefficients end to end, on the spatial columns where q is
-    # nonzero at some time: the retarded integral, lambda_T and the time-axis
-    # transforms act column by column and keep the other columns exactly 0,
-    # so they add nothing to the norms.  A dense q has every column.
+    # The retarded integral, lambda_T and the time transforms act column by
+    # column, so they run on q's support: the other columns stay exactly 0.
     lat = _lattice(q.grid, q.t_half, q.n_time, disp)
     cols, q_hat = q._support()
     conv = _retarded(q_hat, lat.on(cols), lat.dt, q.zero_index)
@@ -528,19 +511,23 @@ def strichartz_ratio(
     phase only rolls the smoothed field by half a period on each axis, which
     the mixed norm over the whole periodic lattice does not see.
     """
+    T = _number(T, "T")
+    _check_finite(a=a, a_prime=a_prime, gamma=gamma, eta=eta, b0=b0)
     if not (0.0 < T <= 1.0):
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
+    lat = _lattice(v.grid, v.t_half, v.n_time, disp)
     wave = disp.kind in ("wave_plus", "wave_minus")
     exps = strichartz_exponents(a, a_prime, gamma, eta, b0, v.grid.dim, wave=wave)
     if not exps.feasible:
         raise PreconditionError(f"hypothesis violated: {exps.violated}")
 
-    lat = _lattice(v.grid, v.t_half, v.n_time, disp)
-    # enforce support in |t| <= 2T of F^{-1}(<sigma>^{-a'} vhat)
-    h = np.fft.ifftn(np.fft.fftn(v.values, norm="ortho") * lat.weight(0.0, -0.5 * a_prime),
-                     norm="ortho")
-    h *= _window_cutoff(v.t_half, v.n_time, T).reshape((-1,) + (1,) * v.grid.dim)
-    hat = np.fft.fftn(h, norm="ortho")
+    # enforce support in |t| <= 2T of F^{-1}(<sigma>^{-a'} vhat); lambda_T
+    # scales whole time slices, so that round trip runs along time alone
+    hat = np.fft.fft(v.spatial_hat, axis=0, norm="ortho")
+    hat *= lat.weight(0.0, -0.5 * a_prime)
+    np.fft.ifft(hat, axis=0, norm="ortho", out=hat)
+    hat *= _window_cutoff(v.t_half, v.n_time, T).reshape((-1,) + (1,) * v.grid.dim)
+    np.fft.fft(hat, axis=0, norm="ortho", out=hat)
     hat *= lat.weight(0.0, 0.5 * a_prime)
 
     smoothed = np.fft.ifftn(np.abs(hat) * lat.weight(0.0, -0.5 * a), norm="ortho")

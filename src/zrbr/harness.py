@@ -34,10 +34,10 @@ from .bourgain import (
     SpaceTimeField,
     _check_finite,
     _lattice,
+    _window_cutoff,
     free_evolution,
     mixed_norm,
     random_band_limited,
-    smooth_cutoff,
     spatial_sobolev_sup,
 )
 
@@ -535,8 +535,8 @@ def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
         for k in ((0, 1), (1, 0), (2, 1), (1, 3)):
             hat[k] = rng.normal() + 1j * rng.normal()
         f = free_evolution(ComplexField(grid, hat, "frequency"), t_half, n_time, SCHRODINGER)
-        lam = smooth_cutoff(f.times).reshape((-1, 1, 1))
-        return SpaceTimeField(grid, t_half, lam * f.values)
+        lam = _window_cutoff(t_half, n_time, 1.0).reshape((-1, 1, 1))
+        return SpaceTimeField._of(grid, t_half, lam * f.spatial_hat)
     if recipe == "random-band-limited":
         return random_band_limited(grid, t_half, n_time, seed)
     raise ConfigurationError(f"unknown norm recipe {recipe!r}; choose from {NORM_RECIPES}")
@@ -553,8 +553,9 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
     lat = _lattice(f.grid, f.t_half, f.n_time, disp)
-    hat = np.fft.fftn(f.values, norm="ortho")  # the one space-time transform of both norms
-    x = lat.xsb(hat, s, b)
+    cols, block = f._support()
+    hat = np.fft.fft(block, axis=0, norm="ortho")  # the one time transform of both norms
+    x = lat.xsb(hat, s, b, cols)
     sup_hs = spatial_sobolev_sup(f, s)
     payload = {
         "recipe": recipe,
@@ -562,7 +563,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         "b": b,
         "dispersion": disp_name,
         "xsb_norm": x,
-        "ys_norm": lat.ys(hat, s),
+        "ys_norm": lat.ys(hat, s, cols),
         "l2_norm": f.l2_norm(),
         "mixed_norm_inf_2": mixed_norm(f, np.inf, 2),
         "sup_t_sobolev": sup_hs,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from zrbr.bourgain import (
     strichartz_ratio,
     xsb_norm,
     ys_norm,
+    _Lattice,
     _gathered,
     _lattice,
     _weight,
@@ -318,11 +321,12 @@ class TestLatticeTable:
         assert "values" not in vars(q) and "spatial_hat" not in vars(q)
 
     def test_strichartz_is_four_transforms(self, fft_calls):
+        # from the spatial coefficients, a round trip in time for lambda_T,
+        # then the smoothed field's values
         v = random_band_limited(aligned_grid(), 2.5, 32, seed=16)
-        v.values  # the deferred build is not the check's
         fft_calls.clear()
         strichartz_ratio(v, 0.6, 0.6, 1.0, 1.0, 0.6, T=0.5)
-        assert fft_calls == ["fftn", "ifftn", "fftn", "ifftn"]
+        assert fft_calls == ["fft", "ifft", "fft", "ifftn"]
 
     def test_time_transforms_are_one_axis_ffts(self, monkeypatch):
         # every time transform is a 1-D fft or ifft along axis 0; a dense
@@ -343,13 +347,54 @@ class TestLatticeTable:
                         ("fft", 0)]
 
     def test_norm_is_one_transform(self, fft_calls):
+        # one time transform of the spatial coefficients on the support
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=2)
-        f.values  # the deferred build is not the norm's
         fft_calls.clear()
         xsb_norm(f, 1.0, 0.6, SCHRODINGER)
-        assert fft_calls == ["fftn"]
+        assert fft_calls == ["fft"]
         ys_norm(f, 1.0, SCHRODINGER)
-        assert fft_calls == ["fftn", "fftn"]
+        assert fft_calls == ["fft", "fft"]
+
+    def test_embedding_pair_reads_the_support(self, fft_calls):
+        # acceptance 08's pair on a band-limited field takes one time fft of
+        # the band's columns, and neither builds a dense (n_time, *grid) array
+        grid, n_time = aligned_grid(), 64
+        warm = random_band_limited(grid, 2.5, n_time, seed=300)
+        spatial_sobolev_sup(warm, 1.0), xsb_norm(warm, 1.0, 0.6, SCHRODINGER)  # the tables
+        f = random_band_limited(grid, 2.5, n_time, seed=301)
+        fft_calls.clear()
+        tracemalloc.start()
+        try:
+            spatial_sobolev_sup(f, 1.0), xsb_norm(f, 1.0, 0.6, SCHRODINGER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fft_calls == ["fft"]
+        assert peak < 16 * n_time * grid.n**grid.dim
+        assert "values" not in vars(f) and "spatial_hat" not in vars(f)
+
+    def test_free_evolution_norm_takes_no_spatial_transform(self, fft_calls):
+        g = aligned_grid()
+        hat = np.zeros(g.shape, dtype=np.complex128)
+        hat[2, 3], hat[1, 0] = 1.0, 0.5 - 0.25j
+        f = free_evolution(ComplexField(g, hat, "frequency"), np.pi, 32, SCHRODINGER)
+        xsb_norm(f, 1.0, 0.6, SCHRODINGER)
+        assert fft_calls == ["fft"]
+
+    def test_dispersion_must_be_a_dispersion(self):
+        # a name in its place ended in an AttributeError on .phase
+        message = "^disp must be a Dispersion, got 'schrodinger'$"
+        with pytest.raises(ConfigurationError, match=message):
+            _Lattice(aligned_grid(), 1.0, 8, "schrodinger")
+        f = random_spacetime(aligned_grid(), 8, 1)
+        u0 = ComplexField(f.grid, np.ones(f.grid.shape))
+        for call in (lambda d: xsb_norm(f, 0.0, 0.0, d), lambda d: ys_norm(f, 0.0, d),
+                     lambda d: free_evolution(u0, 1.0, 8, d),
+                     lambda d: retarded_convolution(f, d),
+                     lambda d: linear_estimate_ratio(f, 0.5, 1.0, 0.6, -0.35, d),
+                     lambda d: strichartz_ratio(f, 0.6, 0.6, 1.0, 1.0, 0.6, T=0.5, disp=d)):
+            with pytest.raises(ConfigurationError, match=message):
+                call("schrodinger")
 
     def test_tables_are_shared_read_only_and_bounded(self):
         f = random_band_limited(aligned_grid(), 2.5, 32, seed=4)

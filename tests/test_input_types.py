@@ -18,8 +18,10 @@ import pytest
 from zrbr.bourgain import (
     SCHRODINGER,
     linear_estimate_ratio,
+    mixed_norm,
     random_band_limited,
     spatial_sobolev_sup,
+    strichartz_ratio,
     xsb_norm,
     ys_norm,
 )
@@ -187,7 +189,8 @@ def test_an_int_beyond_the_float_range_in_a_config_file_exits_2(tmp_path, capsys
 
 # The scalar arguments of the space-time API, by the same rule.  A bool ran
 # as 1 (or, for b and b', out of range, was refused as a PreconditionError);
-# a string ended in numpy's TypeError.
+# a string ended in numpy's TypeError.  A key names the argument, after the
+# call's name where two calls share it.
 SPACE_TIME_GRID = Grid(2, 16, 2 * np.pi)
 SOURCE = random_band_limited(SPACE_TIME_GRID, 2.5, 32, 0)
 SPACE_TIME_CALLS = {
@@ -196,14 +199,23 @@ SPACE_TIME_CALLS = {
     "s": lambda v: linear_estimate_ratio(SOURCE, 0.5, v, 0.6, -0.35, SCHRODINGER),
     "b": lambda v: linear_estimate_ratio(SOURCE, 0.5, 1.0, v, -0.35, SCHRODINGER),
     "b_prime": lambda v: linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, v, SCHRODINGER),
+    "q": lambda v: mixed_norm(SOURCE, v, 2),
+    "r": lambda v: mixed_norm(SOURCE, 2, v),
+    "strichartz-T": lambda v: strichartz_ratio(SOURCE, 0.6, 0.6, 1.0, 1.0, 0.6, T=v),
+    "a": lambda v: strichartz_ratio(SOURCE, v, 0.6, 1.0, 1.0, 0.6, T=0.5),
+    "a_prime": lambda v: strichartz_ratio(SOURCE, 0.6, v, 1.0, 1.0, 0.6, T=0.5),
+    "gamma": lambda v: strichartz_ratio(SOURCE, 0.6, 0.6, v, 1.0, 0.6, T=0.5),
+    "eta": lambda v: strichartz_ratio(SOURCE, 0.6, 0.6, 1.0, v, 0.6, T=0.5),
+    "b0": lambda v: strichartz_ratio(SOURCE, 0.6, 0.6, 1.0, 1.0, v, T=0.5),
 }
 
 
 @pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
 @pytest.mark.parametrize("name", list(SPACE_TIME_CALLS))
 def test_space_time_scalars_are_named(name, value):
+    argument = name.rpartition("-")[2]
     with pytest.raises(ConfigurationError,
-                       match=f"^{name} must be a finite number, got {re.escape(repr(value))}$"):
+                       match=f"^{argument} must be a finite number, got {re.escape(repr(value))}$"):
         SPACE_TIME_CALLS[name](value)
 
 
@@ -230,6 +242,20 @@ def test_space_time_scalars_keep_their_range_errors():
         linear_estimate_ratio(SOURCE, 0.5, float("inf"), 0.6, -0.35, SCHRODINGER)
     with pytest.raises(PreconditionError, match="^need b' <= 0"):
         linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, 0.5, SCHRODINGER)
+    # -inf ran as inf, the max over time
+    for q in (-float("inf"), float("nan"), 0.5):
+        with pytest.raises(ConfigurationError, match="^q must be >= 1 or inf, got "):
+            mixed_norm(SOURCE, q, 2)
+        with pytest.raises(ConfigurationError, match="^r must be >= 1 or inf, got "):
+            mixed_norm(SOURCE, 2, q)
+    for T in (float("inf"), float("nan"), 0.0, 1.5):
+        with pytest.raises(PreconditionError, match="^need 0 < T <= 1"):
+            strichartz_ratio(SOURCE, 0.6, 0.6, 1.0, 1.0, 0.6, T=T)
+    with pytest.raises(ConfigurationError, match="^a_prime must be finite, got nan$"):
+        strichartz_ratio(SOURCE, 0.6, float("nan"), 1.0, 1.0, 0.6, T=0.5)
+    assert mixed_norm(SOURCE, np.int64(2), float("inf")) == mixed_norm(SOURCE, 2.0, np.inf)
+    assert strichartz_ratio(SOURCE, 0.6, 0.6, np.int64(1), 1.0, 0.6, T=np.float32(0.5)) \
+        == strichartz_ratio(SOURCE, 0.6, 0.6, 1.0, 1.0, 0.6, T=0.5)
     q = random_band_limited(SPACE_TIME_GRID, np.float32(2.5), 32, 0)
     assert q.t_half == 2.5 and type(q.t_half) is float
     ratio = linear_estimate_ratio(SOURCE, 0.5, 1.0, 0.6, -0.35, SCHRODINGER)
