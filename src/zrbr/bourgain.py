@@ -172,6 +172,13 @@ class SpaceTimeField:
 # The lattice table
 # ---------------------------------------------------------------------------
 
+def _dispersion(disp) -> Dispersion:
+    """disp, if a Dispersion; checked before _lattice's cache hashes it."""
+    if not isinstance(disp, Dispersion):
+        raise ConfigurationError(f"disp must be a Dispersion, got {disp!r}")
+    return disp
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -188,12 +195,10 @@ class _Lattice:
     """
 
     def __init__(self, grid: Grid, t_half: float, n_time: int, disp: Dispersion):
-        if not isinstance(disp, Dispersion):
-            raise ConfigurationError(f"disp must be a Dispersion, got {disp!r}")
         self.grid = grid
         self.t_half = t_half
         self.n_time = n_time
-        self.disp = disp
+        self.disp = _dispersion(disp)
         self.dt = 2.0 * t_half / n_time
         self.phase = _frozen(disp.phase(grid))
         self.times = _frozen(-t_half + self.dt * np.arange(n_time))
@@ -294,7 +299,7 @@ def _finite_norm(value: float, name: str, **exponents) -> float:
 def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
     """Bourgain norm: weighted space-time L2 of the transform."""
     _check_finite(s=s, b=b)
-    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    lat = _lattice(f.grid, f.t_half, f.n_time, _dispersion(disp))
     cols, block = f._support()
     return lat.xsb(np.fft.fft(block, axis=0, norm="ortho"), s, b, cols)
 
@@ -302,7 +307,7 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
 def ys_norm(f: SpaceTimeField, s: float, disp: Dispersion) -> float:
     """l1 in tau of the weighted modulus, then l2 in xi, with cell weights."""
     _check_finite(s=s)
-    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    lat = _lattice(f.grid, f.t_half, f.n_time, _dispersion(disp))
     cols, block = f._support()
     return lat.ys(np.fft.fft(block, axis=0, norm="ortho"), s, cols)
 
@@ -344,7 +349,7 @@ def spatial_sobolev_sup(f: SpaceTimeField, s: float) -> float:
 def free_evolution(g: ComplexField, t_half: float, n_time: int, disp: Dispersion) -> SpaceTimeField:
     """Space-time field of the free flow exp(-i t p(-i grad)) g."""
     t_half = _check_window(t_half, n_time)
-    group = _lattice(g.grid, t_half, n_time, disp).group
+    group = _lattice(g.grid, t_half, n_time, _dispersion(disp)).group
     return SpaceTimeField._of(g.grid, t_half, group * to_frequency(g).values[None])
 
 
@@ -434,7 +439,7 @@ def _retarded(q_hat: np.ndarray, group: np.ndarray, dt: float, zero_index: int,
 def retarded_convolution(q: SpaceTimeField, disp: Dispersion) -> SpaceTimeField:
     """int_0^t exp(-i (t-s) p) q(s) ds, trapezoid in s, anchored at t = 0,
     on q's support."""
-    lat = _lattice(q.grid, q.t_half, q.n_time, disp)
+    lat = _lattice(q.grid, q.t_half, q.n_time, _dispersion(disp))
     cols, q_hat = q._support()
     return SpaceTimeField._of(q.grid, q.t_half,
                               _retarded(q_hat, lat.on(cols), q.dt, q.zero_index), cols)
@@ -463,7 +468,7 @@ def linear_estimate_ratio(
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
     # The retarded integral, lambda_T and the time transforms act column by
     # column, so they run on q's support: the other columns stay exactly 0.
-    lat = _lattice(q.grid, q.t_half, q.n_time, disp)
+    lat = _lattice(q.grid, q.t_half, q.n_time, _dispersion(disp))
     cols, q_hat = q._support()
     conv = _retarded(q_hat, lat.on(cols), lat.dt, q.zero_index)
     conv *= _window_cutoff(q.t_half, q.n_time, T)[:, None]
@@ -515,7 +520,7 @@ def strichartz_ratio(
     _check_finite(a=a, a_prime=a_prime, gamma=gamma, eta=eta, b0=b0)
     if not (0.0 < T <= 1.0):
         raise PreconditionError(f"need 0 < T <= 1, got T={T}")
-    lat = _lattice(v.grid, v.t_half, v.n_time, disp)
+    lat = _lattice(v.grid, v.t_half, v.n_time, _dispersion(disp))
     wave = disp.kind in ("wave_plus", "wave_minus")
     exps = strichartz_exponents(a, a_prime, gamma, eta, b0, v.grid.dim, wave=wave)
     if not exps.feasible:

@@ -408,10 +408,10 @@ def run_simulation(config: SimConfig, store_states: bool = False) -> Trajectory:
 #
 # An iterate is carried as the Duhamel parts of psi, rho_+ and varphi_+, three
 # (n_time, *grid) stacks of spatial coefficients; its free part is rebuilt
-# where it is read.  Every source is pointwise in time and the retarded
-# integral runs outward from t = 0, so the map sweeps the window forward and
-# then backward from t = 0 in blocks of whole time slices, carrying the sum
-# across block edges and overwriting each block once its sources are read.
+# where it is read.  The retarded sum runs outward from t = 0 over pointwise
+# sources, so the map sweeps forward, then backward, from t = 0 in blocks of
+# whole slices in the stacks' order (the backward sum reads them reversed),
+# carrying the sum across edges and overwriting each block once it is read.
 
 _COMPONENTS = ("psi", "rho_plus", "rho_minus", "varphi_plus", "varphi_minus")
 _MINUS = {"rho_minus": "rho_plus", "varphi_minus": "varphi_plus"}  # -> plus partner
@@ -469,19 +469,17 @@ class _PicardContext:
 
     def blocks(self):
         """(s, sign, psi's group, the wave group) per time block in sweep
-        order, forward from t = 0 and then backward: a window stack's slices
-        in the block are a[s][::sign], outward from t = 0.  Like the map's
-        workspaces, the groups lie in the stacks' order (on the backward
-        sweep, reversed views of copies): a ufunc that reads one operand
-        backward against another makes numpy buffer it."""
+        order, forward from t = 0 and then backward (sign -1): the block is
+        the window stacks' slices s, and the groups lie in the same order
+        (on the backward sweep, conjugated reversed copies in conj)."""
         z, m = len(self.lam) // 2, self.conj.shape[1]
         for sign, k0 in [(1, k) for k in range(0, z, m)] + [(-1, k) for k in range(1, z + 1, m)]:
             k1 = min(k0 + m, z + (sign < 0))
             if sign > 0:
                 psi, wave = (g[k0:k1] for g in self.groups)
             else:
-                psi, wave = (c[: k1 - k0][::-1] for c in self.conj)
-                psi[...], wave[...] = (g[k0:k1] for g in self.groups)  # copies reverse unbuffered
+                psi, wave = (c[: k1 - k0] for c in self.conj)
+                psi[...], wave[...] = (g[k0:k1][::-1] for g in self.groups)  # copies reverse unbuffered
                 np.conjugate(psi, out=psi)
                 np.conjugate(wave, out=wave)
             s = slice(z + k0, z + k1) if sign > 0 else slice(z - k1 + 1, z - k0 + 1)
@@ -506,28 +504,25 @@ def _picard_map(duh: dict, ctx: _PicardContext) -> dict:
 
 
 def _picard_blocks(duh: dict, ctx: _PicardContext) -> dict:
-    """_picard_map's sweep through ctx.blocks()."""
+    """_picard_map's sweep through ctx.blocks(), every block array in the
+    stacks' order; on the backward sweep the retarded sum reads them reversed."""
     grid, params, u0 = ctx.grid, ctx.params, ctx.u0
     axes = tuple(range(1, grid.dim + 1))
     diff2 = dict.fromkeys(duh, 0.0)
     for block, (s, sign, psi_group, wave) in enumerate(ctx.blocks()):
-        # The workspaces lie in the stacks' order, reversed views on the
-        # backward sweep; np.take writes a contiguous out, so it and
-        # half_wave_sources, slice by slice, see them in memory order.
-        psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)][::sign] for w in ctx.work)
-        lam = ctx.lam[s][::sign]
+        psi_hat, psi, z, acoustic, spare, temp = (w[: len(wave)] for w in ctx.work)
+        lam = ctx.lam[s]
         np.multiply(psi_group, u0["psi"], out=psi_hat)
         psi_hat *= lam
-        psi_hat += duh["psi"][s][::sign]
+        psi_hat += duh["psi"][s]
         np.fft.ifftn(psi_hat, axes=axes, norm="ortho", out=psi)
         a2 = np.abs(psi, out=z.real)  # z packs |psi|^2 with its rate (half_wave_sources)
         a2 *= a2
         # The coefficients of (rho_+ + rho_-) + D (varphi_+ + varphi_-): the
         # plus Duhamel part d, the minus one conj(d(-xi)), and the free part.
-        d = np.multiply(duh["varphi_plus"][s][::sign], params.D, out=acoustic)
-        d += duh["rho_plus"][s][::sign]
-        np.take(d[::sign].reshape(len(d), -1), ctx.mirror, 1,
-                spare[::sign].reshape(len(d), -1), "clip")
+        d = np.multiply(duh["varphi_plus"][s], params.D, out=acoustic)
+        d += duh["rho_plus"][s]
+        np.take(d.reshape(len(d), -1), ctx.mirror, 1, spare.reshape(len(d), -1), "clip")
         acoustic += np.conjugate(spare, out=spare)
         np.multiply(wave, ctx.acoustic0[0], out=spare)
         spare += np.multiply(np.conjugate(wave, out=temp), ctx.acoustic0[1], out=temp)
@@ -537,18 +532,17 @@ def _picard_blocks(duh: dict, ctx: _PicardContext) -> dict:
         F = coupled_source(psi, a2, acoustic, params, out=spare)
         psi_t = envelope_rate(psi_hat, F, grid, params, out=psi_hat)
         sources = (np.fft.fftn(F, axes=axes, norm="ortho", out=F),
-                   *(g[::sign] for g in half_wave_sources(
-                       z[::sign], psi[::sign], psi_t[::sign], grid, params,
-                       out=(acoustic[::sign], temp[::sign]))))
+                   *half_wave_sources(z, psi, psi_t, grid, params, out=(acoustic, temp)))
         for (name, stack), group, q, carry in zip(duh.items(), (psi_group, wave, wave), sources,
                                                   ctx.carry):
             if block == 0:  # both sweeps start at t = 0, where the integrand is q
                 np.multiply(0, q[0], out=carry[:, 0])
                 np.negative(q[0], out=carry[0, 1])
                 carry[1, 1] = q[0]
-            new = _retarded(q, group, sign * ctx.dt, None, carry[int(sign < 0)], z)
-            new *= ctx.coef[name][s][::sign]
-            old = stack[s][::sign]
+            new = _retarded(q[::sign], group[::sign], sign * ctx.dt, None, carry[int(sign < 0)],
+                            z[::sign])[::sign]
+            new *= ctx.coef[name][s]
+            old = stack[s]
             diff = np.subtract(old, new, out=z).reshape(len(q), -1).view(np.float64)
             diff2[name] = max(diff2[name], np.max(np.einsum("ij,ij->i", diff, diff)))
             old[...] = new
@@ -627,9 +621,9 @@ def _readout(ctx: _PicardContext, duh: dict) -> list:
     for s, sign, psi_group, wave in ctx.blocks():
         cwave = np.conjugate(wave)
         for name, group in zip(_COMPONENTS, (psi_group, wave, cwave, wave, cwave)):
-            f = np.multiply(group, ctx.u0[name], out=free[name][s][::sign])
+            f = np.multiply(group, ctx.u0[name], out=free[name][s])
             np.fft.ifftn(f, axes=axes, norm="ortho", out=f)
-            f *= ctx.lam[s][::sign]
+            f *= ctx.lam[s]
     for d in duh.values():
         np.fft.ifftn(d, axes=axes, norm="ortho", out=d)
     current = {name: np.conj(duh[_MINUS[name]]) if name in _MINUS else duh[name]

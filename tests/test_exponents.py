@@ -196,6 +196,11 @@ class TestRegionScan:
         assert len(scan.witnesses) > 0
         assert all("auxi4" in w["violated"] for w in scan.witnesses)
 
+    def test_d3_admits_no_sample(self):
+        # auxi2 (b1 < 2/3) and i521_auxi3 (b2 < 1/12) give 4 b1 + 5 b2 < 37/12,
+        # and auxi4 asks for 4 b1 + 5 b2 > 4
+        assert not region_scan(3, 1e-2).admissible.any()
+
     def test_sample_count_matches_lattice(self):
         res = 5e-3
         scan = region_scan(2, res)

@@ -29,7 +29,7 @@ ALLOWED = {
     "evolution.strang_step.dealias": "the cross-solver test compares Picard, which does "
                                      "not dealias, with an undealiased Strang step",
     "bourgain.strichartz_ratio.disp": "the wave dispersions of the Strichartz check "
-                                      "(ROADMAP item 3 gives it a command)",
+                                      "(ROADMAP item 5 plans its caller)",
 }
 
 
