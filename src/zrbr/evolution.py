@@ -549,14 +549,18 @@ def _picard_blocks(duh: dict, ctx: _PicardContext) -> dict:
     return diff2
 
 
-def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
-                       n_time: int = 64, progress=None):
+def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
+                   n_time: int = 64, progress=None):
     """Iterate the cutoff Duhamel map on the window [-2T, 2T) from the cutoff
     free flow lambda(t) * group(t) * u0 (the sources' screening lambda_{2T}
-    is 1 there).  Returns the map's context, the last Duhamel stacks and a
-    PicardReport of the differences per component (on the Duhamel parts, by
-    Plancherel) and the contraction factor; progress(k, diff) follows
-    iteration k."""
+    is 1 there); progress(k, diff) follows iteration k.  Returns [iterate 0,
+    last iterate] in physical space, a read-only sequence that builds both on
+    its first read (until then it holds the Duhamel stacks and the context,
+    whose groups and workspace are under two stacks more), and a PicardReport
+    of the differences per component (on the Duhamel parts, by Plancherel)
+    and the contraction factor.  G_- = -G_+ and H_- = -H_+ are real, so a
+    minus component's Duhamel part is, in physical space, the conjugate of
+    its plus partner's."""
     check_count(n_iters, "n_iters", 1)
     ctx = _PicardContext(initial, T, params, n_time)
     duh = {name: np.zeros((n_time,) + ctx.grid.shape, dtype=np.complex128) for name in ctx.coef}
@@ -582,20 +586,8 @@ def picard_contraction(initial: PlusMinusState, T: float, n_iters: int, params: 
     tail = [r for r, a in zip(ratios, diffs[:-1]) if a > floor]
     tail = tail[_BURN_IN - 1 :] if len(tail) >= _BURN_IN else tail
     factor = max(tail) if tail else 0.0
-    return ctx, duh, PicardReport(ctx.T, n_time, diffs, ratios, factor, factor < 1.0,
-                                  component_diffs)
-
-
-def picard_iterate(initial: PlusMinusState, T: float, n_iters: int, params: ModelParams,
-                   n_time: int = 64):
-    """picard_contraction's iteration; returns [iterate 0, last iterate] in
-    physical space, a read-only sequence that builds both on its first read
-    (until then it holds the Duhamel stacks and the context, whose groups
-    and workspace are under two stacks more), and the PicardReport.  G_- =
-    -G_+ and H_- = -H_+ are real, so a minus component's Duhamel part is,
-    in physical space, the conjugate of its plus partner's."""
-    ctx, duh, report = picard_contraction(initial, T, n_iters, params, n_time)
-    return _Iterates(ctx, duh), report
+    return _Iterates(ctx, duh), PicardReport(ctx.T, n_time, diffs, ratios, factor, factor < 1.0,
+                                             component_diffs)
 
 
 class _Iterates(Sequence):

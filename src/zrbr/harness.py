@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import SimConfig, make_initial_state
 from .errors import ConfigurationError, DivergenceError
-from .evolution import picard_contraction, run_simulation
+from .evolution import picard_iterate, run_simulation
 from .exponents import region_scan, verify_symbolic_inequalities, violation_texts
 from .model import ModelParams, PlusMinusState, ZRState, decompose
 from .spectral import ComplexField, Grid, check_count, check_number, to_physical
@@ -32,13 +32,13 @@ from .bourgain import (
     WAVE_PLUS,
     NO_DISPERSION,
     SpaceTimeField,
-    _check_finite,
-    _lattice,
     _window_cutoff,
     free_evolution,
     mixed_norm,
     random_band_limited,
     spatial_sobolev_sup,
+    xsb_norm,
+    ys_norm,
 )
 
 EXIT_OK = 0
@@ -147,11 +147,20 @@ def csv_text(rows) -> str:
     )
 
 
+def _create(path: str, mode: str, **kwargs):
+    """open(path, mode) once its directory is made; an out path that names a
+    file is a ConfigurationError."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigurationError(f"output path {os.path.dirname(path)} is not a directory")
+    return open(path, mode, **kwargs)
+
+
 def write_csv(path: str, header: list, blocks):
     """Write the header line, then each block: the bytes of already-formatted
     CSV lines.  A generator of blocks streams a large table to disk."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
 
@@ -164,8 +173,7 @@ def _plain(x):
 
 
 def write_report(path: str, report: dict):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with _create(path, "w", newline="\n") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
@@ -208,21 +216,31 @@ def config_from_dict(doc: dict, seed_override=None) -> tuple[SimConfig, dict]:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     doc = dict(doc)
     if seed_override is not None:
-        doc["seed"] = int(seed_override)
+        doc["seed"] = seed_override
     cfg = SimConfig(params=ModelParams(**{k: v for k, v in doc.items() if k in params}), **{
         k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k not in params
     })
     return cfg, doc
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a ConfigurationError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigurationError(f"config repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str, seed_override=None) -> tuple[SimConfig, dict]:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config is not valid JSON: {err}")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as err:  # missing, a directory, unreadable
+        raise ConfigurationError(f"config file {path} cannot be read: {err.strerror}")
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     return config_from_dict(doc, seed_override)
@@ -239,9 +257,8 @@ SNAPSHOT_VERSION = 1
 def write_snapshot(path: str, state: ZRState):
     """Raw binary state dump of the physical fields; layout documented in the
     README."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     grid = state.grid
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<II", SNAPSHOT_VERSION, grid.dim))
         fh.write(struct.pack("<" + "I" * grid.dim, *grid.shape))
@@ -491,19 +508,10 @@ def cmd_picard(config: SimConfig, echo: dict, T_list, n_iters: int, out_dir: str
     rows = []
     reports = []
     for T in T_list:
-        _, _, rep = picard_contraction(initial, T, n_iters, config.params, n_time, lambda k, d: print(
+        _, rep = picard_iterate(initial, T, n_iters, config.params, n_time, lambda k, d: print(
             f"picard T={T:g}: iteration {k}/{n_iters}, largest difference {d:.3e}", file=sys.stderr))
         rows.append((T, rep.contraction_factor, int(rep.contracting)))
-        reports.append(
-            {
-                "T": rep.T,
-                "diffs": rep.diffs,
-                "ratios": rep.ratios,
-                "contraction_factor": rep.contraction_factor,
-                "contracting": rep.contracting,
-                "component_diffs": rep.component_diffs,
-            }
-        )
+        reports.append({k: v for k, v in dataclasses.asdict(rep).items() if k != "n_time"})
     write_csv(
         os.path.join(out_dir, "picard.csv"),
         ["T", "contraction_factor", "contracting"],
@@ -544,7 +552,6 @@ def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
 
 def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_dir: str):
     """Norm panel for one synthetic field, with the embedding ratio."""
-    _check_finite(s=s, b=b)
     check_count(seed, "seed")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
@@ -552,10 +559,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         )
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
-    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
-    cols, block = f._support()
-    hat = np.fft.fft(block, axis=0, norm="ortho")  # the one time transform of both norms
-    x = lat.xsb(hat, s, b, cols)
+    x = xsb_norm(f, s, b, disp)
     sup_hs = spatial_sobolev_sup(f, s)
     payload = {
         "recipe": recipe,
@@ -563,7 +567,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         "b": b,
         "dispersion": disp_name,
         "xsb_norm": x,
-        "ys_norm": lat.ys(hat, s, cols),
+        "ys_norm": ys_norm(f, s, disp),
         "l2_norm": f.l2_norm(),
         "mixed_norm_inf_2": mixed_norm(f, np.inf, 2),
         "sup_t_sobolev": sup_hs,

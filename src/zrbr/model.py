@@ -191,12 +191,6 @@ def source_symbols(grid: Grid, D: float) -> SourceSymbols:
     )
 
 
-def envelope_source(psi, rho_plus, rho_minus, varphi_plus, varphi_minus, params: ModelParams):
-    """F = sigma2 |psi|^2 psi + (W/2)(rho_+ + rho_-) psi + (W D/2)(varphi_+ + varphi_-) psi."""
-    acoustic = (rho_plus + rho_minus) + params.D * (varphi_plus + varphi_minus)
-    return coupled_source(psi, np.abs(psi) ** 2, acoustic, params)
-
-
 def coupled_source(psi, a2, acoustic, params: ModelParams, out=None):
     """F = (sigma2 |psi|^2 + (W/2) acoustic) psi, given a2 = |psi|^2 and the
     acoustic sum (rho_+ + rho_-) + D (varphi_+ + varphi_-), which is scaled
@@ -254,17 +248,22 @@ def half_wave_sources(z, psi, psi_t, grid: Grid, params: ModelParams, out=None):
 
 
 def nonlinearity_F(pm: PlusMinusState, params: ModelParams) -> ComplexField:
-    """Source of the envelope equation (see envelope_source)."""
-    values = [to_physical(f).values for f in pm.fields()]
-    return ComplexField(pm.grid, envelope_source(*values, params), "physical")
+    """Source of the envelope equation:
+    F = sigma2 |psi|^2 psi + (W/2)(rho_+ + rho_-) psi + (W D/2)(varphi_+ + varphi_-) psi."""
+    psi, rho_p, rho_m, varphi_p, varphi_m = (to_physical(f).values for f in pm.fields())
+    acoustic = (rho_p + rho_m) + params.D * (varphi_p + varphi_m)
+    return ComplexField(pm.grid, coupled_source(psi, np.abs(psi) ** 2, acoustic, params),
+                        "physical")
 
 
 def _half_wave_source(which, psi, psi_t, params, sign):
-    s = _check_sign(sign)
+    if sign not in (1, -1, "+", "-"):
+        raise ContractViolationError(f"sign must be +1 or -1, got {sign!r}")
     grid = psi.grid
     psi, psi_t = to_physical(psi).values, to_physical(psi_t).values
     z = np.abs(psi) ** 2 + 0j
     out = half_wave_sources(z, psi, psi_t.copy(), grid, params)[which]
+    s = 1.0 if sign in (1, "+") else -1.0
     return ComplexField(grid, s * np.fft.ifftn(out, norm="ortho"), "physical")
 
 
@@ -281,14 +280,6 @@ def nonlinearity_H(psi: ComplexField, psi_t: ComplexField, params: ModelParams,
                    sign: int) -> ComplexField:
     """Half-wave velocity source: ∓ D omega^{-1} (|psi|^2)_xx ± omega^{-1} (|psi|^2)_xt."""
     return _half_wave_source(1, psi, psi_t, params, sign)
-
-
-def _check_sign(sign) -> float:
-    if sign in (1, +1, "+"):
-        return 1.0
-    if sign in (-1, "-"):
-        return -1.0
-    raise ContractViolationError(f"sign must be +1 or -1, got {sign!r}")
 
 
 def psi_time_derivative(pm: PlusMinusState, params: ModelParams) -> ComplexField:

@@ -21,7 +21,6 @@ from zrbr.evolution import (
     _coefficient_bound,
     _linear_flow,
     _squared_norms,
-    picard_contraction,
     picard_iterate,
     run_simulation,
     strang_step,
@@ -837,7 +836,7 @@ class TestDivergenceProxy:
 
         monkeypatch.setattr(np, "vdot", no_blas)
         strang_step(random_state(grid, 3), 0.01, ModelParams())
-        picard_contraction(equivalence_data(EQUIVALENCE_GRIDS["3d-8"]), 0.1, 1, ModelParams(), 8)
+        picard_iterate(equivalence_data(EQUIVALENCE_GRIDS["3d-8"]), 0.1, 1, ModelParams(), 8)
 
     @staticmethod
     def _assert_l2_bound_dominates_sup(grid, full, half):
@@ -1064,7 +1063,7 @@ class TestPicard:
         for n_iters in (2, 3):
             points.update(transform=0, kernel=0)
             fft_calls.clear()
-            picard_contraction(init, T=0.1, n_iters=n_iters, params=params, n_time=n_time)
+            picard_iterate(init, T=0.1, n_iters=n_iters, params=params, n_time=n_time)
             counts.append(dict(points))
             assert set(fft_calls) == {"fftn", "ifftn"}
         window = n_time * grid.n**grid.dim
@@ -1111,12 +1110,19 @@ class TestPicard:
         with pytest.raises(TypeError):
             iterates[0] = free
 
+    @staticmethod
+    def _maps(init, T, n_iters, params, n_time):
+        """picard_iterate's maps alone: a bare context and a map loop."""
+        ctx = evolution._PicardContext(init, T, params, n_time)
+        duh = {name: np.zeros((n_time,) + ctx.grid.shape, dtype=np.complex128) for name in ctx.coef}
+        for _ in range(n_iters):
+            evolution._picard_map(duh, ctx)
+
     def test_iterates_are_built_once_on_first_read(self, fft_calls, monkeypatch):
-        # Unread, picard_iterate takes exactly picard_contraction's
-        # transforms.  The first read adds the readout's 8 window transforms
-        # (the five free parts, block by block, and the three Duhamel
-        # stacks) and drops the context; a second read returns the same
-        # dicts and transforms nothing.
+        # Unread, picard_iterate takes exactly its maps' transforms.  The
+        # first read adds the readout's 8 window transforms (the five free
+        # parts, block by block, and the three Duhamel stacks) and drops the
+        # context; a second read returns the same dicts and transforms nothing.
         points = []
 
         def sized(a, *args, _ifftn=np.fft.ifftn, **kwargs):
@@ -1126,13 +1132,13 @@ class TestPicard:
         monkeypatch.setattr(np.fft, "ifftn", sized)
         grid, n_time = small_grid(), 32
         init, params = self._initial(grid), ModelParams(sigma2=-1.0, W=1.0, D=0.5)
-        picard_contraction(init, 0.1, 3, params, n_time)  # fills the caches
+        self._maps(init, 0.1, 3, params, n_time)  # fills the caches
         fft_calls.clear()
-        picard_contraction(init, 0.1, 3, params, n_time)
-        contraction = list(fft_calls)
+        self._maps(init, 0.1, 3, params, n_time)
+        maps = list(fft_calls)
         fft_calls.clear()
         iterates, _ = picard_iterate(init, 0.1, 3, params, n_time)
-        assert fft_calls == contraction
+        assert fft_calls == maps
         ctx = weakref.ref(iterates._pending[0])
         fft_calls.clear()
         points.clear()
@@ -1148,12 +1154,12 @@ class TestPicard:
     def test_unread_iterates_cost_no_readout_memory(self):
         # Acceptance-07 data, 2D 32^2 and n_time 64: a stack is 1 MiB and a
         # block of 16 slices 256 KiB.  With its iterates unread,
-        # picard_iterate peaks within one block of picard_contraction; an
-        # eager readout's five free stacks and two conjugates add 7 MiB.
+        # picard_iterate peaks within one block of its bare maps; an eager
+        # readout's five free stacks and two conjugates add 7 MiB.
         params = ModelParams(sigma2=-1.0, W=1.0, D=0.5)
         init = equivalence_data(EQUIVALENCE_GRIDS["2d-32"])
         peaks = []
-        for run in (picard_contraction, picard_iterate):
+        for run in (self._maps, picard_iterate):
             run(init, 0.1, 2, params, 64)  # fills the caches outside the trace
             tracemalloc.start()
             try:

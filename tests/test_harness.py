@@ -63,14 +63,25 @@ class TestConfigLoading:
         with pytest.raises(ConfigurationError, match="typo_key"):
             config_from_dict({**BASE_DOC, "typo_key": 1})
 
-    def test_missing_file(self):
+    def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/cfg.json")
+        # a directory raised a raw IsADirectoryError
+        with pytest.raises(ConfigurationError, match=f"{tmp_path}.*cannot be read"):
+            load_config(str(tmp_path))
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ConfigurationError):
+            load_config(str(p))
+        # bytes that are not UTF-8 raised a raw UnicodeDecodeError
+        p.write_bytes(b'{"n": \xff\xfe}')
+        with pytest.raises(ConfigurationError, match=f"{p} is not valid JSON"):
+            load_config(str(p))
+        # a repeated key ran its last value
+        p.write_text('{"n": 32, "n": 64}')
+        with pytest.raises(ConfigurationError, match="repeats the key 'n'"):
             load_config(str(p))
 
     def test_echo_round_trips_input(self):
@@ -83,6 +94,10 @@ class TestConfigLoading:
         cfg, echo = config_from_dict(doc, seed_override=99)
         assert cfg.seed == 99
         assert echo["seed"] == 99
+        # int() ran 2.7 as seed 2, True as 1, "3" as 3 and 4.9 as 4
+        for seed in (2.7, True, "3", np.float64(4.9)):
+            with pytest.raises(ConfigurationError, match="seed must be an integer"):
+                config_from_dict(doc, seed_override=seed)
 
 
 def test_format_float_round_trips():
@@ -630,12 +645,13 @@ class TestNormsCommand:
         assert p["embedding_ratio"] == 0.0
 
     @pytest.mark.parametrize("recipe, calls", [
-        ("cutoff-free", ["fft", "ifftn"]),
-        ("random-band-limited", ["ifft", "fft", "ifftn"]),
+        ("cutoff-free", ["fft", "fft", "ifftn"]),
+        ("random-band-limited", ["ifft", "fft", "fft", "ifftn"]),
     ], ids=["cutoff-free", "random-band-limited"])
     def test_each_transform_taken_once(self, tmp_path, fft_calls, recipe, calls):
-        # the generator's time inverse, one time fft of the spatial
-        # coefficients for xsb_norm and ys_norm, and the mixed norm's values
+        # the generator's time inverse, the time fft of the spatial
+        # coefficients that xsb_norm and ys_norm each take, and the mixed
+        # norm's values
         cmd_norms(recipe, 1.0, 0.6, "schrodinger", 0, str(tmp_path / "out"))
         assert fft_calls == calls
 
@@ -678,9 +694,20 @@ class TestNormsCommand:
 
 
 class TestCli:
-    def test_validation_exit_code(self, tmp_path):
+    def test_validation_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {**BASE_DOC, "bogus": 1})
         assert main(["--config", path, "simulate"]) == EXIT_VALIDATION
+        # each exited 1 with a raw error, or (the repeated key) ran n = 64
+        binary, repeated = tmp_path / "binary.json", tmp_path / "repeated.json"
+        binary.write_bytes(bytes(range(128, 256)))
+        repeated.write_text('{"n": 32, "n": 64}')
+        for config, named in ((binary, binary), (tmp_path, tmp_path), (repeated, "'n'")):
+            capsys.readouterr()
+            assert main(["--config", str(config), "simulate"]) == EXIT_VALIDATION
+            assert str(named) in capsys.readouterr().err
+        argv = ["--out", path, "region", "--d", "2", "--resolution", "1e-2"]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"output path {path} is not a directory" in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self):
         with pytest.raises(SystemExit) as err:
