@@ -32,13 +32,13 @@ from .bourgain import (
     WAVE_PLUS,
     NO_DISPERSION,
     SpaceTimeField,
+    _check_finite,
+    _lattice,
     _window_cutoff,
     free_evolution,
     mixed_norm,
     random_band_limited,
     spatial_sobolev_sup,
-    xsb_norm,
-    ys_norm,
 )
 
 EXIT_OK = 0
@@ -149,12 +149,14 @@ def csv_text(rows) -> str:
 
 def _create(path: str, mode: str, **kwargs):
     """open(path, mode) once its directory is made; an out path that names a
-    file is a ConfigurationError."""
+    file, or an output file that is a directory, is a ConfigurationError."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, mode, **kwargs)
+    except IsADirectoryError:
+        raise ConfigurationError(f"output file {path} is a directory")
     except (FileExistsError, NotADirectoryError):
         raise ConfigurationError(f"output path {os.path.dirname(path)} is not a directory")
-    return open(path, mode, **kwargs)
 
 
 def write_csv(path: str, header: list, blocks):
@@ -263,12 +265,8 @@ def write_snapshot(path: str, state: ZRState):
         fh.write(struct.pack("<II", SNAPSHOT_VERSION, grid.dim))
         fh.write(struct.pack("<" + "I" * grid.dim, *grid.shape))
         fh.write(struct.pack("<d", grid.length))
-        for name in ("psi", "rho", "phi"):
-            vals = np.ascontiguousarray(to_physical(getattr(state, name)).values)
-            pairs = np.empty(vals.shape + (2,), dtype="<f8")
-            pairs[..., 0] = vals.real
-            pairs[..., 1] = vals.imag
-            fh.write(pairs.tobytes())
+        for name in ("psi", "rho", "phi"):  # (re, im) f64 pairs, as complex128 lays them out
+            fh.write(to_physical(getattr(state, name)).values.astype("<c16").tobytes())
 
 
 def read_snapshot(path: str) -> ZRState:
@@ -393,13 +391,10 @@ def cmd_epsilon_scaling(config: SimConfig, echo: dict, eps_list, out_dir: str):
         raise DivergenceError("every run diverged at t=0; scaling fit is degenerate")
     # fit on runs with positive proxy times
     pts = [(np.log(1.0 / e), np.log(t)) for e, t in rows if t > 0.0]
-    if len(pts) >= 2 and len({p[1] for p in pts}) == 1:
-        alpha_hat = 0.0
-    elif len(pts) >= 2:
+    alpha_hat = 0.0
+    if len({p[1] for p in pts}) >= 2:  # a slope needs two distinct proxy times
         x, y = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
         alpha_hat = float(np.polyfit(x, y, 1)[0])
-    else:
-        alpha_hat = 0.0
     t_list = [t for _, t in rows]
     payload = {
         "rows": [{"epsilon": e, "T_proxy": t} for e, t in rows],
@@ -552,6 +547,7 @@ def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
 
 def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_dir: str):
     """Norm panel for one synthetic field, with the embedding ratio."""
+    _check_finite(s=s, b=b)
     check_count(seed, "seed")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
@@ -559,7 +555,10 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         )
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
-    x = xsb_norm(f, s, b, disp)
+    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
+    cols, block = f._support()
+    hat = np.fft.fft(block, axis=0, norm="ortho")  # the one time transform of both norms
+    x = lat.xsb(hat, s, b, cols)
     sup_hs = spatial_sobolev_sup(f, s)
     payload = {
         "recipe": recipe,
@@ -567,7 +566,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         "b": b,
         "dispersion": disp_name,
         "xsb_norm": x,
-        "ys_norm": ys_norm(f, s, disp),
+        "ys_norm": lat.ys(hat, s, cols),
         "l2_norm": f.l2_norm(),
         "mixed_norm_inf_2": mixed_norm(f, np.inf, 2),
         "sup_t_sobolev": sup_hs,
