@@ -18,7 +18,8 @@ def main():
     for d in (2, 3):
         scan = region_scan(d, resolution=2e-3)
         box = REFERENCE_BOX[d]
-        print(f"d={d}: {int(scan.admissible.sum())} admissible of {len(scan.b1)} samples")
+        n = len(scan.violated_codes)
+        print(f"d={d}: {int(scan.admissible.sum())} admissible of {n} samples")
         print(f"  reference box b1 in {box['b1']}, b2 in {box['b2']}")
         print(f"  contained in the admissible set: {scan.reference_box_contained}")
         if scan.witnesses:

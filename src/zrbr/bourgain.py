@@ -144,6 +144,12 @@ class SpaceTimeField:
         return self._cols, self._block
 
     @cached_property
+    def _time_hat(self) -> np.ndarray:
+        """The unitary time transform of _support()'s block, read-only: the
+        one fft every norm of the field reads."""
+        return _frozen(np.fft.fft(self._support()[1], axis=0, norm="ortho"))
+
+    @cached_property
     def spatial_hat(self) -> np.ndarray:
         """Unitary spatial Fourier coefficients at every time, read-only."""
         shape = (self.n_time,) + self.grid.shape
@@ -300,16 +306,14 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float, disp: Dispersion) -> float:
     """Bourgain norm: weighted space-time L2 of the transform."""
     _check_finite(s=s, b=b)
     lat = _lattice(f.grid, f.t_half, f.n_time, _dispersion(disp))
-    cols, block = f._support()
-    return lat.xsb(np.fft.fft(block, axis=0, norm="ortho"), s, b, cols)
+    return lat.xsb(f._time_hat, s, b, f._support()[0])
 
 
 def ys_norm(f: SpaceTimeField, s: float, disp: Dispersion) -> float:
     """l1 in tau of the weighted modulus, then l2 in xi, with cell weights."""
     _check_finite(s=s)
     lat = _lattice(f.grid, f.t_half, f.n_time, _dispersion(disp))
-    cols, block = f._support()
-    return lat.ys(np.fft.fft(block, axis=0, norm="ortho"), s, cols)
+    return lat.ys(f._time_hat, s, f._support()[0])
 
 
 def mixed_norm(f: SpaceTimeField, q: float, r: float) -> float:
@@ -474,10 +478,9 @@ def linear_estimate_ratio(
     conv *= _window_cutoff(q.t_half, q.n_time, T)[:, None]
     lhs = lat.xsb(np.fft.fft(conv, axis=0, norm="ortho"), s, b, cols)
     del conv
-    q_hat = np.fft.fft(q_hat, axis=0, norm="ortho")
-    rhs = T ** (1.0 - b + b_prime) * lat.xsb(q_hat, s, b_prime, cols)
+    rhs = T ** (1.0 - b + b_prime) * lat.xsb(q._time_hat, s, b_prime, cols)
     if include_y_term:
-        rhs += T ** (0.5 - b) * lat.ys(q_hat, s, cols)
+        rhs += T ** (0.5 - b) * lat.ys(q._time_hat, s, cols)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs

@@ -8,6 +8,7 @@ exceeded.  All floating-point output is deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -31,6 +32,16 @@ def _config(args):
     if not args.config:
         raise ConfigurationError(f"{args.command} requires --config")
     return load_config(args.config, seed_override=args.seed)
+
+
+def _check_out(out: str):
+    """A ConfigurationError when --out is, or lies under, an existing path
+    that is not a directory: refused before any command runs."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"output path {out} is not a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +99,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
+        _check_out(args.out)
         code, _ = args.run(args)
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)

@@ -4,7 +4,6 @@ for the elementary symbolic inequalities."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -59,9 +58,6 @@ def derive(b1: float, b2: float, d: int, b0: float | None = None) -> ExponentPar
 @dataclass
 class ConstraintEntry:
     constraint_id: str
-    formula: str
-    lhs: float
-    rhs: float
     passed: bool
 
 
@@ -74,75 +70,39 @@ class ConstraintReport:
         return [e.constraint_id for e in self.entries if not e.passed]
 
 
-# (id, formula text, lhs(b1,b2,d), rhs(b1,b2,d), comparison)
+# (id, test(b1, b2, d)): each constraint as one comparison, strict where the
+# inequality is strict
 _CONSTRAINTS = [
-    ("base_b1", "b1 > 1/2", lambda b1, b2, d: b1, lambda b1, b2, d: 0.5, operator.gt),
-    ("base_b2_low", "b2 >= 0", lambda b1, b2, d: b2, lambda b1, b2, d: 0.0, operator.ge),
-    ("base_b2_high", "b2 <= 1/2", lambda b1, b2, d: b2, lambda b1, b2, d: 0.5, operator.le),
-    (
-        "auxi1",
-        "b1 < (2 + 2 b2) / (d + 4 b2)",
-        lambda b1, b2, d: b1,
-        lambda b1, b2, d: (2.0 + 2.0 * b2) / (d + 4.0 * b2),
-        operator.lt,
-    ),
-    ("auxi2", "b1 < 2/d", lambda b1, b2, d: b1, lambda b1, b2, d: 2.0 / d, operator.lt),
-    ("auxi3", "b2 < 1 - b1", lambda b1, b2, d: b2, lambda b1, b2, d: 1.0 - b1, operator.lt),
-    (
-        "auxi4",
-        "2 b1 + (1 + d/2) b2 > (1 + d)/2",
-        lambda b1, b2, d: 2.0 * b1 + (1.0 + d / 2.0) * b2,
-        lambda b1, b2, d: (1.0 + d) / 2.0,
-        operator.gt,
-    ),
-    (
-        "i521_auxi1",
-        "b2 < (2/3) b1 - d/12",
-        lambda b1, b2, d: b2,
-        lambda b1, b2, d: (2.0 / 3.0) * b1 - d / 12.0,
-        operator.lt,
-    ),
-    (
-        "i521_auxi2",
-        "b2 <= 1 - d/4",
-        lambda b1, b2, d: b2,
-        lambda b1, b2, d: 1.0 - d / 4.0,
-        operator.le,
-    ),
-    (
-        "i521_auxi3",
-        "b2 < 1/6 (d=2) or 1/12 (d=3)",
-        lambda b1, b2, d: b2,
-        lambda b1, b2, d: 1.0 / 6.0 if d == 2 else 1.0 / 12.0,
-        operator.lt,
-    ),
+    ("base_b1", lambda b1, b2, d: b1 > 0.5),
+    ("base_b2_low", lambda b1, b2, d: b2 >= 0.0),
+    ("base_b2_high", lambda b1, b2, d: b2 <= 0.5),
+    ("auxi1", lambda b1, b2, d: b1 < (2.0 + 2.0 * b2) / (d + 4.0 * b2)),
+    ("auxi2", lambda b1, b2, d: b1 < 2.0 / d),
+    ("auxi3", lambda b1, b2, d: b2 < 1.0 - b1),
+    ("auxi4", lambda b1, b2, d: 2.0 * b1 + (1.0 + d / 2.0) * b2 > (1.0 + d) / 2.0),
+    ("i521_auxi1", lambda b1, b2, d: b2 < (2.0 / 3.0) * b1 - d / 12.0),
+    ("i521_auxi2", lambda b1, b2, d: b2 <= 1.0 - d / 4.0),
+    ("i521_auxi3", lambda b1, b2, d: b2 < (1.0 / 6.0 if d == 2 else 1.0 / 12.0)),
 ]
 
 
 def check_constraints(p: ExponentParams) -> ConstraintReport:
-    """Evaluate every admissibility constraint at (b1, b2); strict
-    inequalities stay strict."""
-    entries = []
-    for cid, text, lhs_f, rhs_f, op in _CONSTRAINTS:
-        lhs = float(lhs_f(p.b1, p.b2, p.d))
-        rhs = float(rhs_f(p.b1, p.b2, p.d))
-        entries.append(ConstraintEntry(cid, text, lhs, rhs, bool(op(lhs, rhs))))
+    """Every admissibility constraint at (b1, b2), through constraint_matrix
+    at the one point; strict inequalities stay strict."""
+    passes, ids = constraint_matrix(p.b1, p.b2, p.d)
+    entries = [ConstraintEntry(cid, bool(ok)) for cid, ok in zip(ids, passes)]
     return ConstraintReport(entries, all(e.passed for e in entries))
 
 
 def constraint_matrix(b1, b2, d: int):
-    """Vectorized constraint evaluation; returns (pass matrix, ids).
-
-    b1 and b2 are broadcastable arrays.  The formulas are shared with
-    check_constraints so both routes evaluate identical expressions.
-    """
+    """The verdict of every constraint at broadcastable arrays b1 and b2, in
+    float64; returns (pass matrix, ids), a row per constraint.  A bound that
+    overflows or divides by zero compares as inf or nan."""
     b1 = np.asarray(b1, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
-    ids = [c[0] for c in _CONSTRAINTS]
-    passes = []
-    for cid, text, lhs_f, rhs_f, op in _CONSTRAINTS:
-        passes.append(op(lhs_f(b1, b2, d), rhs_f(b1, b2, d)))
-    return np.stack(np.broadcast_arrays(*passes), axis=0), ids
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        passes = [test(b1, b2, d) for _, test in _CONSTRAINTS]
+    return np.stack(np.broadcast_arrays(*passes), axis=0), [c[0] for c in _CONSTRAINTS]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +198,7 @@ class RegionScan:
     resolution: float
     b1_axis: np.ndarray  # lattice values; samples run over b1 outer, b2 inner
     b2_axis: np.ndarray
-    b1: np.ndarray  # flattened sample coordinates
-    b2: np.ndarray
-    admissible: np.ndarray  # bool, same length
+    admissible: np.ndarray  # bool per sample
     violated_codes: np.ndarray  # uint16 per sample, the index of its text in violation_texts
     min_theta: np.ndarray
     reference_box_contained: bool
@@ -261,8 +219,8 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     parameter rectangle.  d must be 2 or 3 and resolution a finite number in
     (0, 1e-2], not a bool, whose lattice has at most MAX_REGION_SAMPLES
     samples (ConfigurationError).  The scan goes through blocks of whole b1
-    rows (_BLOCK samples, or one row) and holds its result, about 27 B per
-    sample, and one block: traced peaks 8.1 MiB at 1e-3, 27 at 5e-4."""
+    rows (_BLOCK samples, or one row) and holds its result, 11 B per sample,
+    and one block: traced peaks 4.6 MiB at 1e-3, 11.7 at 5e-4."""
     check_dim(d, "d")
     resolution = check_number(resolution, "resolution")
     if not 0.0 < resolution <= 1e-2:
@@ -275,19 +233,20 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
                                  f"region_scan takes at most {MAX_REGION_SAMPLES:,}")
     b1_axis = np.arange(0.5 + resolution, 1.0, resolution)
     b2_axis = np.arange(0.0, 0.5 + 0.5 * resolution, resolution)
-    b1 = np.repeat(b1_axis, len(b2_axis))
-    b2 = np.tile(b2_axis, len(b1_axis))
+    n = len(b2_axis)
 
-    codes = np.empty(len(b1), dtype=np.uint16)
+    codes = np.empty(len(b1_axis) * n, dtype=np.uint16)
     # min theta where defined (b1 != b2), a running minimum: no (12, N) stack
-    min_theta = np.full(len(b1), np.nan)
-    step = max(1, _BLOCK // len(b2_axis)) * len(b2_axis)
-    for lo in range(0, len(b1), step):
-        rows = slice(lo, lo + step)
-        passes, _ = constraint_matrix(b1[rows], b2[rows], d)
+    min_theta = np.full(len(codes), np.nan)
+    step = max(1, _BLOCK // n)
+    for r in range(0, len(b1_axis), step):
+        b1_rows = b1_axis[r:r + step]
+        b1, b2 = np.repeat(b1_rows, n), np.tile(b2_axis, len(b1_rows))
+        rows = slice(r * n, r * n + len(b1))
+        passes, _ = constraint_matrix(b1, b2, d)
         codes[rows] = _BITS @ ~passes
-        safe = b1[rows] != b2[rows]
-        b1s, b2s = b1[rows][safe], b2[rows][safe]
+        safe = b1 != b2
+        b1s, b2s = b1[safe], b2[safe]
         min_theta[rows][safe] = reduce(np.minimum, _theta_arrays(b1s, b2s, d, b1s, 1e-6))
     admissible = codes == 0
 
@@ -300,35 +259,24 @@ def region_scan(d: int, resolution: float = 1e-3) -> RegionScan:
     else:
         b2_in &= b2_axis > box["b2"][0] + margin
     # the box's sample indices, in scan order
-    in_box = (np.nonzero(b1_in)[0][:, None] * len(b2_axis) + np.nonzero(b2_in)[0]).ravel()
+    in_box = (np.nonzero(b1_in)[0][:, None] * n + np.nonzero(b2_in)[0]).ravel()
     contained = bool(np.all(admissible[in_box])) if in_box.size else False
-    witnesses = [{"b1": float(b1[j]), "b2": float(b2[j]),
+    witnesses = [{"b1": float(b1_axis[j // n]), "b2": float(b2_axis[j % n]),
                   "violated": violation_texts()[codes[j]]}
                  for j in in_box[~admissible[in_box]][:50]]
 
     # Pointwise b1 range: b1 values admissible for at least one scanned b2.
     # Uniform range: b1 values admissible for every scanned b2 in the reference
     # b2 interval.  The two differ; both are reported, neither is asserted.
-    adm_grid = admissible.reshape(len(b1_axis), len(b2_axis))
+    adm_grid = admissible.reshape(len(b1_axis), n)
     span = lambda rows: tuple(b1_axis[rows][[0, -1]].tolist()) if np.any(rows) else None
     pointwise = span(np.any(adm_grid, axis=1))
     uniform = span(np.all(adm_grid[:, b2_in], axis=1)) if np.any(b2_in) else None
 
-    return RegionScan(
-        d=d,
-        resolution=resolution,
-        b1_axis=b1_axis,
-        b2_axis=b2_axis,
-        b1=b1,
-        b2=b2,
-        admissible=admissible,
-        violated_codes=codes,
-        min_theta=min_theta,
-        reference_box_contained=contained,
-        witnesses=witnesses,
-        pointwise_b1_range=pointwise,
-        uniform_b1_range=uniform,
-    )
+    return RegionScan(d=d, resolution=resolution, b1_axis=b1_axis, b2_axis=b2_axis,
+                      admissible=admissible, violated_codes=codes, min_theta=min_theta,
+                      reference_box_contained=contained, witnesses=witnesses,
+                      pointwise_b1_range=pointwise, uniform_b1_range=uniform)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ from .bourgain import (
     WAVE_PLUS,
     NO_DISPERSION,
     SpaceTimeField,
-    _check_finite,
-    _lattice,
     _window_cutoff,
     free_evolution,
     mixed_norm,
     random_band_limited,
     spatial_sobolev_sup,
+    xsb_norm,
+    ys_norm,
 )
 
 EXIT_OK = 0
@@ -441,7 +441,7 @@ def cmd_region(d: int, resolution: float, out_dir: str):
     payload = {
         "d": d,
         "resolution": resolution,
-        "n_samples": len(scan.b1),
+        "n_samples": len(scan.violated_codes),
         "n_admissible": int(np.sum(scan.admissible)),
         "reference_box_contained": scan.reference_box_contained,
         "witnesses": scan.witnesses,
@@ -547,7 +547,6 @@ def _norms_field(recipe: str, seed: int) -> SpaceTimeField:
 
 def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_dir: str):
     """Norm panel for one synthetic field, with the embedding ratio."""
-    _check_finite(s=s, b=b)
     check_count(seed, "seed")
     if disp_name not in _DISPERSIONS:
         raise ConfigurationError(
@@ -555,10 +554,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         )
     disp = _DISPERSIONS[disp_name]
     f = _norms_field(recipe, seed)
-    lat = _lattice(f.grid, f.t_half, f.n_time, disp)
-    cols, block = f._support()
-    hat = np.fft.fft(block, axis=0, norm="ortho")  # the one time transform of both norms
-    x = lat.xsb(hat, s, b, cols)
+    x = xsb_norm(f, s, b, disp)  # both norms read the field's one time transform
     sup_hs = spatial_sobolev_sup(f, s)
     payload = {
         "recipe": recipe,
@@ -566,7 +562,7 @@ def cmd_norms(recipe: str, s: float, b: float, disp_name: str, seed: int, out_di
         "b": b,
         "dispersion": disp_name,
         "xsb_norm": x,
-        "ys_norm": lat.ys(hat, s, cols),
+        "ys_norm": ys_norm(f, s, disp),
         "l2_norm": f.l2_norm(),
         "mixed_norm_inf_2": mixed_norm(f, np.inf, 2),
         "sup_t_sobolev": sup_hs,

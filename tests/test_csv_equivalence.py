@@ -163,12 +163,6 @@ class TestRegionExport:
         assert len({id(v) for v in scan.violated_ids}) == len(set(violated)) <= 2**10
         assert len(set(violated)) > 5
 
-    def test_axes_match_flattened_samples(self):
-        scan = region_scan(2, 5e-3)
-        n1, n2 = len(scan.b1_axis), len(scan.b2_axis)
-        assert np.array_equal(scan.b1.reshape(n1, n2), np.repeat(scan.b1_axis[:, None], n2, 1))
-        assert np.array_equal(scan.b2.reshape(n1, n2), np.tile(scan.b2_axis, (n1, 1)))
-
 
 class TestSmallTables:
     def test_diagnostics_csv_byte_identical(self, tmp_path):

@@ -713,6 +713,27 @@ class TestCli:
         assert main(argv) == EXIT_VALIDATION
         assert f"output file {argv[1]}/report.json is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["region", "--d", "2"], ["fuzz", "--n", "10"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_file_refused_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                              command, under):
+        # refused before the command runs: a step that runs fails the test
+        def entered(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        for name in ("run_simulation", "region_scan", "verify_symbolic_inequalities"):
+            monkeypatch.setattr(harness, name, entered)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = str(taken / "sub") if under else str(taken)
+        argv = ["--config", write_config(tmp_path), "--out", out, *command]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"output path {out} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept" and sorted(os.listdir(tmp_path)) == \
+            ["cfg.json", "taken"]
+
     def test_threads_flag_is_gone(self):
         with pytest.raises(SystemExit) as err:
             main(["--threads", "2", "simulate"])
